@@ -31,6 +31,7 @@ from .metrics import (
     gmmd2,
     linear_mmd2,
     mmd2,
+    per_snapshot_gmmd2,
 )
 from .modelio import load_model, save_model
 from .ot1d import (
@@ -107,6 +108,7 @@ __all__ = [
     "make_benchmark",
     "mmd2",
     "ornstein_uhlenbeck",
+    "per_snapshot_gmmd2",
     "read_snapshot_csv",
     "read_snapshot_dir",
     "save_direction",

@@ -27,7 +27,7 @@ from .core import (
     write_snapshot_dir,
 )
 from .dynamic import fit_transport_splines, generate, interpolate, train_dppmm
-from .metrics import BandwidthGrid, choose_estimator, gmmd2
+from .metrics import BandwidthGrid, per_snapshot_gmmd2
 from .modelio import load_model, reports_to_list, save_model
 from .ot1d import KdeConfig
 from .sde import make_benchmark
@@ -212,29 +212,15 @@ def cmd_interpolate(args) -> int:
 def cmd_evaluate(args) -> int:
     series_a = _read_samples(args.a)
     series_b = _read_samples(args.b)
-    if len(series_a) != len(series_b):
-        raise ValueError(
-            f"snapshot counts differ: {len(series_a)} vs {len(series_b)}"
-        )
     grid = BandwidthGrid(
         np.logspace(np.log10(args.grid_min), np.log10(args.grid_max), args.grid_size)
     )
+    estimator = None if args.estimator == "auto" else args.estimator
     started = time.perf_counter()
-    per_snapshot = []
-    for snap_a, snap_b in zip(series_a, series_b):
-        if abs(snap_a.time - snap_b.time) > 1e-9:
-            raise ValueError(
-                f"snapshot times differ: {snap_a.time!r} vs {snap_b.time!r}"
-            )
-        estimator = (
-            args.estimator
-            if args.estimator != "auto"
-            else choose_estimator(snap_a.n, snap_b.n)
-        )
-        value = gmmd2(snap_a.samples, snap_b.samples, grid, estimator)
-        per_snapshot.append(
-            {"time": snap_a.time, "gmmd2": value, "estimator": estimator}
-        )
+    per_snapshot = [
+        {"time": t, "gmmd2": value, "estimator": chosen}
+        for t, value, chosen in per_snapshot_gmmd2(series_a, series_b, grid, estimator)
+    ]
     report = {
         "command": "evaluate",
         "a": args.a,

@@ -2,13 +2,14 @@
 
 Unbiased quadratic MMD^2 with a Gaussian kernel, the O(N) linear-MMD
 approximation over disjoint sample pairs, the generalized variant that
-maximizes over a bandwidth grid, and its average over matched-time snapshot
-series. The quadratic estimator can dip slightly below zero on
+maximizes over a bandwidth grid, and its value per matched-time snapshot
+pair of two series. The quadratic estimator can dip slightly below zero on
 same-distribution data; that is inherent to unbiasedness, not a bug.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ __all__ = [
     "mmd2",
     "linear_mmd2",
     "gmmd2",
+    "per_snapshot_gmmd2",
     "avg_gmmd2",
     "choose_estimator",
 ]
@@ -31,6 +33,10 @@ __all__ = [
 _BLOCK = 2048
 
 _TIME_MATCH_TOL = 1e-9
+
+# exp(x) is exactly 0.0 in IEEE double below about -745.13, and numpy's exp
+# is several times slower on such arguments than on ordinary ones
+_EXP_ZERO = -746.0
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,12 @@ class BandwidthGrid:
         return self.values.shape[0]
 
 
-def _validate_samples(x, name: str, min_rows: int = 2) -> np.ndarray:
+def _validate_samples(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"{name} must be a 2-D sample matrix")
-    if x.shape[0] < min_rows:
-        raise ValueError(f"{name} needs at least {min_rows} rows, got {x.shape[0]}")
+    if x.shape[0] < 2:
+        raise ValueError(f"{name} needs at least 2 rows, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite entries")
     return x
@@ -84,34 +90,63 @@ def gaussian_kernel(u, v, sigma: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * sigma * sigma))
 
 
-def _kernel_sums(a: np.ndarray, b: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Sum of the Gaussian kernel over all (a_i, b_j) pairs, per bandwidth."""
+def _exp_sums(d2: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Sum of exp(c * d2) over d2 >= 0 per c < 0, leaving out the exact zeros."""
+    d2 = d2.ravel()
+    scratch = np.empty_like(d2)
+    d2_max = d2.max(initial=0.0)  # a one-row diagonal tile has no pairs
+    sums = np.empty(coefs.shape[0])
+    for s, c in enumerate(coefs):
+        kept = d2 if c * d2_max >= _EXP_ZERO else d2[d2 <= _EXP_ZERO / c]
+        buf = scratch[: kept.size]
+        sums[s] = np.exp(np.multiply(kept, c, out=buf), out=buf).sum()
+    return sums
+
+
+@functools.lru_cache(maxsize=2)
+def _upper_mask(n: int) -> np.ndarray:
+    mask = np.arange(n)[:, None] < np.arange(n)
+    mask.setflags(write=False)
+    return mask
+
+
+def _kernel_sums(a: np.ndarray, b: np.ndarray | None, coefs: np.ndarray) -> np.ndarray:
+    """Sum of exp(c |a_i - b_j|^2) per c over all pairs (i, j), or over the
+    pairs i < j of a when b is None (tiles on and above the diagonal only)."""
+    same = b is None
     a2 = np.sum(a * a, axis=1)
-    b2 = np.sum(b * b, axis=1)
-    totals = np.zeros(sigmas.shape[0])
+    b, b2 = (a, a2) if same else (b, np.sum(b * b, axis=1))
+    totals = np.zeros(coefs.shape[0])
     for i0 in range(0, a.shape[0], _BLOCK):
         ai = a[i0 : i0 + _BLOCK]
-        a2i = a2[i0 : i0 + _BLOCK]
-        for j0 in range(0, b.shape[0], _BLOCK):
-            bj = b[j0 : j0 + _BLOCK]
-            d2 = a2i[:, None] + b2[j0 : j0 + _BLOCK][None, :] - 2.0 * (ai @ bj.T)
+        for j0 in range(i0 if same else 0, b.shape[0], _BLOCK):
+            d2 = ai @ b[j0 : j0 + _BLOCK].T
+            d2 *= -2.0
+            d2 += a2[i0 : i0 + _BLOCK, None]
+            d2 += b2[None, j0 : j0 + _BLOCK]
             np.maximum(d2, 0.0, out=d2)
-            for s, sigma in enumerate(sigmas):
-                totals[s] += np.exp(d2 / (-2.0 * sigma * sigma)).sum()
+            if same and i0 == j0:
+                d2 = d2[_upper_mask(d2.shape[0])]
+            totals += _exp_sums(d2, coefs)
     return totals
 
 
 def _mmd2_grid(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     n1, n2 = x.shape[0], y.shape[0]
-    sxx = _kernel_sums(x, x, sigmas)
-    syy = _kernel_sums(y, y, sigmas)
+    # |a|^2 + |b|^2 - 2 a.b cancels far from the origin, so both samples are
+    # shifted by one centre; its sum is symmetric in x and y
+    centre = (x.sum(axis=0) + y.sum(axis=0)) / (n1 + n2)
+    x, y = x - centre, y - centre
+    coefs = -0.5 / (sigmas * sigmas)
+    sxx = _kernel_sums(x, None, coefs)
+    syy = _kernel_sums(y, None, coefs)
     # evaluate the cross sum with canonically ordered arguments so that
     # swapping x and y reproduces the identical floating-point result
     if (n1, x.tobytes()) <= (n2, y.tobytes()):
-        sxy = _kernel_sums(x, y, sigmas)
+        sxy = _kernel_sums(x, y, coefs)
     else:
-        sxy = _kernel_sums(y, x, sigmas)
-    within = (sxx - n1) / (n1 * (n1 - 1)) + (syy - n2) / (n2 * (n2 - 1))
+        sxy = _kernel_sums(y, x, coefs)
+    within = 2.0 * sxx / (n1 * (n1 - 1)) + 2.0 * syy / (n2 * (n2 - 1))
     return within - 2.0 * sxy / (n1 * n2)
 
 
@@ -121,13 +156,7 @@ def mmd2(x, y, sigma: float) -> float:
     Within-group kernel sums skip the diagonal and divide by N(N-1) per
     group; the cross sum runs over all pairs with weight 2/(N1 N2).
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    x = _validate_samples(x, "x")
-    y = _validate_samples(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    return float(_mmd2_grid(x, y, np.asarray([sigma], dtype=np.float64))[0])
+    return gmmd2(x, y, BandwidthGrid([sigma]))
 
 
 def _linear_mmd2_grid(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -142,16 +171,11 @@ def _linear_mmd2_grid(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> np.nd
     xa, xb = x[0::2], x[1::2]
     ya, yb = y[0::2], y[1::2]
     sq = lambda u, v: np.sum((u - v) ** 2, axis=1)
-    d_xx, d_yy = sq(xa, xb), sq(ya, yb)
-    d_ab, d_ba = sq(xa, yb), sq(xb, ya)
-    out = np.empty(sigmas.shape[0])
-    for s, sigma in enumerate(sigmas):
-        c = -0.5 / (sigma * sigma)
-        h = (np.exp(c * d_xx) + np.exp(c * d_yy)) - (
-            np.exp(c * d_ab) + np.exp(c * d_ba)
-        )
-        out[s] = h.mean()
-    return out
+    coefs = -0.5 / (sigmas * sigmas)
+    s_xx, s_yy, s_ab, s_ba = (
+        _exp_sums(sq(u, v), coefs) for u, v in ((xa, xb), (ya, yb), (xa, yb), (xb, ya))
+    )
+    return ((s_xx + s_yy) - (s_ab + s_ba)) / xa.shape[0]
 
 
 def linear_mmd2(x, y, sigma: float) -> float:
@@ -160,15 +184,7 @@ def linear_mmd2(x, y, sigma: float) -> float:
     Requires equally sized inputs with at least 4 rows; an odd row count
     drops the final sample (with a warning) so the pairs stay disjoint.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    x = _validate_samples(x, "x", min_rows=4)
-    y = _validate_samples(y, "y", min_rows=4)
-    if x.shape != y.shape:
-        raise ValueError(
-            f"linear estimator requires equal shapes, got {x.shape} vs {y.shape}"
-        )
-    return float(_linear_mmd2_grid(x, y, np.asarray([sigma], dtype=np.float64))[0])
+    return gmmd2(x, y, BandwidthGrid([sigma]), "linear")
 
 
 def gmmd2(
@@ -204,13 +220,13 @@ def choose_estimator(n1: int, n2: int) -> str:
     return "quadratic"
 
 
-def avg_gmmd2(
+def per_snapshot_gmmd2(
     series_a: SnapshotSeries,
     series_b: SnapshotSeries,
     grid: BandwidthGrid | None = None,
     estimator: str | None = None,
-) -> float:
-    """Mean generalized MMD^2 over snapshot pairs matched by time.
+) -> list[tuple[float, float, str]]:
+    """(time, generalized MMD^2, estimator) for each snapshot pair matched by time.
 
     The two series must have equal length and pairwise-equal times (within
     1e-9). ``estimator`` None picks quadratic for small or unequal snapshot
@@ -218,16 +234,26 @@ def avg_gmmd2(
     """
     if len(series_a) != len(series_b):
         raise ValueError(
-            f"series lengths differ: {len(series_a)} vs {len(series_b)}"
+            f"snapshot counts differ: {len(series_a)} vs {len(series_b)}"
         )
-    values = []
+    out = []
     for snap_a, snap_b in zip(series_a, series_b):
         if abs(snap_a.time - snap_b.time) > _TIME_MATCH_TOL:
             raise ValueError(
                 f"snapshot times differ: {snap_a.time!r} vs {snap_b.time!r}"
             )
-        chosen = estimator if estimator is not None else choose_estimator(
-            snap_a.n, snap_b.n
-        )
-        values.append(gmmd2(snap_a.samples, snap_b.samples, grid, chosen))
-    return float(np.mean(values))
+        chosen = choose_estimator(snap_a.n, snap_b.n) if estimator is None else estimator
+        value = gmmd2(snap_a.samples, snap_b.samples, grid, chosen)
+        out.append((snap_a.time, value, chosen))
+    return out
+
+
+def avg_gmmd2(
+    series_a: SnapshotSeries,
+    series_b: SnapshotSeries,
+    grid: BandwidthGrid | None = None,
+    estimator: str | None = None,
+) -> float:
+    """Mean of ``per_snapshot_gmmd2`` over the matched snapshot pairs."""
+    pairs = per_snapshot_gmmd2(series_a, series_b, grid, estimator)
+    return float(np.mean([value for _, value, _ in pairs]))

@@ -3,6 +3,7 @@ import pytest
 
 from dppmm.core import Snapshot, SnapshotSeries
 from dppmm.metrics import (
+    _EXP_ZERO,
     BandwidthGrid,
     avg_gmmd2,
     choose_estimator,
@@ -10,6 +11,7 @@ from dppmm.metrics import (
     gmmd2,
     linear_mmd2,
     mmd2,
+    per_snapshot_gmmd2,
 )
 
 
@@ -87,6 +89,7 @@ class TestMmd2:
         x = rng.normal(size=(100, 2))
         y = rng.normal(size=(150, 2)) * 2
         assert mmd2(x, y, 1.0) == mmd2(y, x, 1.0)
+        assert gmmd2(x, y) == gmmd2(y, x)
 
     def test_identical_matrices_land_in_unbiased_band(self):
         # the unbiased estimator on x vs an identical copy equals
@@ -114,15 +117,42 @@ class TestMmd2:
             mmd2(np.zeros((2, 1)), np.zeros((2, 1)), -1.0)
 
     def test_blockwise_consistency_across_sizes(self):
-        # one set larger than the tile edge: blocked accumulation must agree
-        # with the dense reference
+        # one set larger than the tile edge: off-diagonal tiles, a one-row
+        # last diagonal tile (2049 rows), and bandwidths where all or part of
+        # the kernel terms underflow must agree with the dense reference
         rng = np.random.default_rng(84)
-        x = rng.normal(size=(2500, 2))
         y = rng.normal(size=(300, 2))
-        sigma = 2.0
-        np.testing.assert_allclose(
-            mmd2(x, y, sigma), mmd2_reference(x, y, sigma), rtol=1e-9
-        )
+        for n in (2049, 2500):
+            x = rng.normal(size=(n, 2))
+            for sigma in (0.005, 0.1, 1.0, 2.0, 10.0):
+                np.testing.assert_allclose(
+                    mmd2(x, y, sigma), mmd2_reference(x, y, sigma), rtol=1e-10
+                )
+
+    def test_translation_invariant(self):
+        # |a|^2 + |b|^2 - 2 a.b cancels far from the origin: before the inputs
+        # were centred, offset 0 gave -6.012e-5 and offset 1e6 -1.110e-4
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(200, 3))
+        y = rng.normal(size=(200, 3))
+        at_origin = mmd2(x, y, 0.1)
+        np.testing.assert_allclose(at_origin, -6.012e-5, rtol=1e-3)
+        for off in (1e3, 1e6):
+            shifted = mmd2(x + off, y + off, 0.1)
+            # the same rounded points moved back to the origin: only the
+            # estimator's own rounding separates the two
+            np.testing.assert_allclose(
+                shifted, mmd2((x + off) - off, (y + off) - off, 0.1), rtol=1e-12
+            )
+            # x + 1e6 rounds each coordinate to 1.2e-10, which moves the
+            # value by 1.5e-9 relative
+            np.testing.assert_allclose(shifted, at_origin, rtol=1e-8)
+
+    def test_exp_zero_threshold_underflows(self):
+        # kernel terms below the threshold are skipped as exact zeros
+        assert np.exp(_EXP_ZERO) == 0.0
+        # every term skipped: all pairs are 10 apart at sigma 0.1
+        assert mmd2([[0.0], [10.0]], [[20.0], [30.0]], 0.1) == 0.0
 
 
 class TestLinearMmd2:
@@ -232,6 +262,9 @@ class TestAvgGmmd2:
         np.testing.assert_allclose(
             avg_gmmd2(a, b, estimator="quadratic"), np.mean(per), rtol=1e-12
         )
+        assert per_snapshot_gmmd2(a, b) == [
+            (sa.time, v, "quadratic") for sa, v in zip(a, per)
+        ]
 
     def test_time_mismatch_rejected(self):
         a, _ = self.make_pair(92)
@@ -244,7 +277,7 @@ class TestAvgGmmd2:
     def test_length_mismatch_rejected(self):
         a, b = self.make_pair(93)
         short = SnapshotSeries(b.snapshots[:2])
-        with pytest.raises(ValueError, match="lengths differ"):
+        with pytest.raises(ValueError, match="counts differ"):
             avg_gmmd2(a, short)
 
     def test_auto_estimator_follows_size_rule(self):
