@@ -12,6 +12,7 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -114,12 +115,7 @@ def cmd_train(args) -> int:
     provenance = {
         "seed": args.seed,
         "alpha": args.alpha,
-        "cfg": {
-            "bandwidth": cfg.bandwidth,
-            "bins": cfg.bins,
-            "margin": cfg.margin,
-            "floor": cfg.floor,
-        },
+        "cfg": dataclasses.asdict(cfg),
         "max_iter": args.max_iter,
         "reports": reports_to_list(reports),
     }

@@ -9,8 +9,8 @@ in their original units.
 
 from __future__ import annotations
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,15 +27,21 @@ __all__ = [
 ]
 
 
-def _as_sample_matrix(samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=np.float64)
+def as_sample_matrix(x, name: str, min_rows: int, dim: int | None = None) -> np.ndarray:
+    """``x`` as a finite float64 (N, d) matrix with N >= min_rows and d >= 1
+    (d == dim when given); anything else raises ValueError naming ``name``."""
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
-        raise ValueError(f"samples must be a 2-D (N, d) array, got ndim={x.ndim}")
+        raise ValueError(f"{name} must be a 2-D (N, d) sample matrix, got ndim={x.ndim}")
     n, d = x.shape
-    if n < 1 or d < 1:
-        raise ValueError(f"samples must have N >= 1 and d >= 1, got shape {x.shape}")
+    if n < min_rows:
+        raise ValueError(f"{name} needs at least {min_rows} rows, got {n}")
+    if d < 1:
+        raise ValueError(f"{name} has no columns")
+    if dim is not None and d != dim:
+        raise ValueError(f"{name} has {d} columns, expected {dim}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("samples contain non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return x
 
 
@@ -47,7 +53,7 @@ class Snapshot:
     samples: np.ndarray  # (N, d)
 
     def __post_init__(self):
-        x = _as_sample_matrix(self.samples)
+        x = as_sample_matrix(self.samples, "samples", 1)
         x.setflags(write=False)
         object.__setattr__(self, "samples", x)
         object.__setattr__(self, "time", float(self.time))
@@ -246,8 +252,10 @@ def read_snapshot_csv(path, time: float = 0.0) -> Snapshot:
 
 
 def _read_csv_matrix(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    if not rows:
+    with warnings.catch_warnings():
+        # an empty file is reported below, not as loadtxt's "no data" warning
+        warnings.simplefilter("ignore", UserWarning)
+        x = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+    if x.shape[0] == 0:
         raise ValueError(f"{path}: empty CSV")
-    return np.asarray(rows, dtype=np.float64)
+    return x

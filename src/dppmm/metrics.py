@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SnapshotSeries
+from .core import SnapshotSeries, as_sample_matrix
 
 __all__ = [
     "BandwidthGrid",
@@ -62,17 +62,6 @@ class BandwidthGrid:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-
-def _validate_samples(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D sample matrix")
-    if x.shape[0] < 2:
-        raise ValueError(f"{name} needs at least 2 rows, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return x
 
 
 def gaussian_kernel(u, v, sigma: float) -> np.ndarray:
@@ -193,10 +182,8 @@ def gmmd2(
     """Generalized MMD^2: maximum of the chosen estimator over the grid."""
     if grid is None:
         grid = BandwidthGrid.default()
-    x = _validate_samples(x, "x")
-    y = _validate_samples(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    x = as_sample_matrix(x, "x", 2)
+    y = as_sample_matrix(y, "y", 2, x.shape[1])
     if estimator == "quadratic":
         values = _mmd2_grid(x, y, grid.values)
     elif estimator == "linear":

@@ -16,13 +16,13 @@ import numpy as np
 
 from .core import AffineRescaler
 from .dynamic import DPPMMModel
-from .ot1d import KdeConfig, RegularizedMap1D, SortedMap1D
+from .ot1d import RegularizedMap1D, SortedMap1D
 from .ppmm import PPMMFitReport, PPMMMap, PPMMStep
 from .projection import Direction
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model", "model_to_dict", "model_from_dict"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _map1d_to_dict(map1d) -> dict:
@@ -35,7 +35,6 @@ def _map1d_to_dict(map1d) -> dict:
     if isinstance(map1d, RegularizedMap1D):
         return {
             "variant": "regularized",
-            "grid": map1d.grid.tolist(),
             "cdf_source": map1d.cdf_source.tolist(),
             "cdf_target": map1d.cdf_target.tolist(),
             "lo": map1d.lo,
@@ -50,35 +49,12 @@ def _map1d_from_dict(d: dict):
         return SortedMap1D(np.asarray(d["knots_x"]), np.asarray(d["knots_y"]))
     if variant == "regularized":
         return RegularizedMap1D(
-            np.asarray(d["grid"]),
             np.asarray(d["cdf_source"]),
             np.asarray(d["cdf_target"]),
             float(d["lo"]),
             float(d["hi"]),
         )
     raise ValueError(f"unknown 1D map variant {variant!r}")
-
-
-def _cfg_to_dict(cfg: KdeConfig | None):
-    if cfg is None:
-        return None
-    return {
-        "bandwidth": cfg.bandwidth,
-        "bins": cfg.bins,
-        "margin": cfg.margin,
-        "floor": cfg.floor,
-    }
-
-
-def _cfg_from_dict(d):
-    if d is None:
-        return None
-    return KdeConfig(
-        bandwidth=d["bandwidth"],
-        bins=int(d["bins"]),
-        margin=float(d["margin"]),
-        floor=float(d["floor"]),
-    )
 
 
 def reports_to_list(reports) -> list[dict]:

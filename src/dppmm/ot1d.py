@@ -16,7 +16,7 @@ Sheather-Jones fixed point, or a user-fixed value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dct, irfft, next_fast_len, rfft
@@ -123,34 +123,31 @@ class SortedMap1D:
 class RegularizedMap1D:
     """KDE-regularized map: inverse-target-CDF composed with source CDF.
 
-    Defined by grid values ``grid`` spanning the padded interval [lo, hi]
-    and strictly increasing CDF vectors for source and target. Evaluates to
-    the identity outside [lo, hi].
+    Defined by strictly increasing CDF vectors for source and target on the
+    equispaced grid ``linspace(lo, hi, len(cdf_source))`` spanning the padded
+    interval [lo, hi]. Evaluates to the identity outside [lo, hi].
     """
 
-    grid: np.ndarray
     cdf_source: np.ndarray
     cdf_target: np.ndarray
     lo: float
     hi: float
+    grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        z = np.asarray(self.grid, dtype=np.float64).reshape(-1)
         f = np.asarray(self.cdf_source, dtype=np.float64).reshape(-1)
         g = np.asarray(self.cdf_target, dtype=np.float64).reshape(-1)
-        b = z.shape[0]
-        if b < 8 or f.shape[0] != b or g.shape[0] != b:
-            raise ValueError("grid and CDF vectors must share length >= 8")
-        if not self.lo < self.hi:
-            raise ValueError("domain must satisfy lo < hi")
-        dz = np.diff(z)
-        if np.any(dz <= 0) or not np.allclose(dz, dz[0], rtol=1e-9, atol=0.0):
-            raise ValueError("grid must be strictly increasing and equispaced")
+        b = f.shape[0]
+        if b < 8 or g.shape[0] != b:
+            raise ValueError("CDF vectors must share length >= 8")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ValueError("domain must satisfy finite lo < hi")
         for name, c in (("source", f), ("target", g)):
             if np.any(np.diff(c) <= 0):
                 raise ValueError(f"{name} CDF must be strictly increasing")
             if c[0] < 0 or c[-1] > 1 + 1e-9:
                 raise ValueError(f"{name} CDF must stay within [0, 1]")
+        z = np.linspace(float(self.lo), float(self.hi), b)
         for arr in (z, f, g):
             arr.setflags(write=False)
         object.__setattr__(self, "grid", z)
@@ -352,7 +349,7 @@ def fit_regularized_map(x, y, cfg: KdeConfig = KdeConfig()) -> RegularizedMap1D:
         density = density / (density.sum() * step)
         cdfs.append(np.cumsum(density) * step)
 
-    return RegularizedMap1D(z, cdfs[0], cdfs[1], lo, hi)
+    return RegularizedMap1D(cdfs[0], cdfs[1], lo, hi)
 
 
 Map1D = SortedMap1D | RegularizedMap1D

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_sample_matrix
 from .ot1d import (
     KdeConfig,
     RegularizedMap1D,
@@ -104,15 +105,9 @@ def converged(previous_w2: float, current_w2: float, alpha: float) -> bool:
     return abs(current_w2 - previous_w2) / abs(current_w2) <= alpha
 
 
-def _validate_matrix(x, name: str, dim: int | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D sample matrix")
-    if dim is not None and x.shape[1] != dim:
-        raise ValueError(f"{name} has {x.shape[1]} columns, expected {dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return x
+def _rms(disp: np.ndarray) -> float:
+    """Root-mean-square row norm of a displacement matrix."""
+    return float(np.sqrt(np.mean(np.sum(disp * disp, axis=1))))
 
 
 def eval_ppmm(ppmm_map: PPMMMap, x) -> np.ndarray:
@@ -121,7 +116,7 @@ def eval_ppmm(ppmm_map: PPMMMap, x) -> np.ndarray:
     Rows are independent; components orthogonal to every step direction are
     untouched. An empty chain is the identity.
     """
-    x = _validate_matrix(x, "x", ppmm_map.dim)
+    x = as_sample_matrix(x, "x", 0, ppmm_map.dim)
     out = x.copy()
     for step in ppmm_map.steps:
         p = step.direction.components
@@ -132,9 +127,8 @@ def eval_ppmm(ppmm_map: PPMMMap, x) -> np.ndarray:
 
 def approx_w2(ppmm_map: PPMMMap, x) -> float:
     """Root-mean-square displacement of x under the full chain."""
-    x = _validate_matrix(x, "x", ppmm_map.dim)
-    disp = eval_ppmm(ppmm_map, x) - x
-    return float(np.sqrt(np.mean(np.sum(disp * disp, axis=1))))
+    x = as_sample_matrix(x, "x", 0, ppmm_map.dim)
+    return _rms(eval_ppmm(ppmm_map, x) - x)
 
 
 def fit_ppmm(
@@ -159,10 +153,8 @@ def fit_ppmm(
     Returns the fitted map and a report whose w2_history has one entry per
     completed iteration.
     """
-    x = _validate_matrix(x, "x")
-    y = _validate_matrix(y, "y", x.shape[1])
-    if x.shape[0] < 2 or y.shape[0] < 2:
-        raise ValueError("both sample sets need at least 2 rows")
+    x = as_sample_matrix(x, "x", 2)
+    y = as_sample_matrix(y, "y", 2, x.shape[1])
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     d = x.shape[1]
@@ -192,9 +184,7 @@ def fit_ppmm(
         current += np.outer(map1d(proj) - proj, p)
         steps.append(PPMMStep(direction, map1d))
 
-        disp = current - original
-        w2 = float(np.sqrt(np.mean(np.sum(disp * disp, axis=1))))
-        history.append(w2)
+        history.append(_rms(current - original))
         if k >= 2 and converged(history[-2], history[-1], alpha):
             stop_reason = "tolerance"
             break

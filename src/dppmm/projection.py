@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_sample_matrix
+
 __all__ = ["Direction", "SaveDiagnostics", "save_direction"]
 
 # Below this top eigenvalue the SAVE matrix is numerically zero and the
@@ -70,16 +72,8 @@ def save_direction(
     nonzero component positive; ``informative`` is False when the SAVE matrix
     is numerically zero (caller should treat the pair as already matched).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError("inputs must be 2-D sample matrices")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    if x.shape[0] < 2 or y.shape[0] < 2:
-        raise ValueError("both sample sets need at least 2 rows")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("inputs contain non-finite entries")
+    x = as_sample_matrix(x, "x", 2)
+    y = as_sample_matrix(y, "y", 2, x.shape[1])
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
 

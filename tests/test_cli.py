@@ -313,6 +313,19 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert len(report["per_snapshot"]) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "1.0,2.0\n3.0,abc\n", "1.0,2.0\n3.0\n"],
+        ids=["empty", "non-numeric", "ragged"],
+    )
+    def test_bad_csv_exits_2(self, pipeline, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        csv = pipeline["data"] / "train" / "snapshot_0000.csv"
+        rc = main(["evaluate", "--a", str(bad), "--b", str(csv)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_count_mismatch_exits_2(self, pipeline, tmp_path, capsys):
         csv = pipeline["data"] / "train" / "snapshot_0000.csv"
         rc = main(

@@ -10,6 +10,9 @@ from dppmm.core import (
     read_snapshot_dir,
     write_snapshot_dir,
 )
+from dppmm.metrics import gmmd2
+from dppmm.ppmm import PPMMMap, eval_ppmm, fit_ppmm
+from dppmm.projection import save_direction
 
 
 def make_series(rng, times=(0.0, 1.0, 2.0), n=50, d=3, spread=2.0):
@@ -48,6 +51,23 @@ class TestSnapshot:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Snapshot(0.0, np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: Snapshot(0.0, z),
+        lambda z: gmmd2(z, z),
+        lambda z: save_direction(z, z),
+        lambda z: fit_ppmm(z, z),
+        lambda z: eval_ppmm(PPMMMap((), 1), z),
+    ],
+    ids=["Snapshot", "gmmd2", "save_direction", "fit_ppmm", "eval_ppmm"],
+)
+def test_zero_columns_rejected_alike(call):
+    # every entry point that takes a sample matrix shares one validator
+    with pytest.raises(ValueError, match=r"^(x|samples) has no columns$"):
+        call(np.zeros((5, 0)))
 
 
 class TestSnapshotSeries:
@@ -177,6 +197,20 @@ class TestSnapshotIO:
         csv_path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="shape"):
             read_snapshot_dir(tmp_path / "snaps")
+
+    def test_read_csv_with_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_bytes(b"\r\n1.5,2.5\r\n\r\n-3.0,4.0\r\n\r\n")
+        np.testing.assert_array_equal(
+            read_snapshot_csv(path).samples, [[1.5, 2.5], [-3.0, 4.0]]
+        )
+
+    def test_empty_csv_rejected_without_warning(self, tmp_path, recwarn):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty CSV"):
+            read_snapshot_csv(path)
+        assert len(recwarn) == 0
 
     def test_read_single_csv(self, tmp_path):
         path = tmp_path / "one.csv"

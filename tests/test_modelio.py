@@ -81,6 +81,10 @@ class TestRoundTrip:
         }
         # compact separators: no spaces after commas or colons
         assert ", " not in text and ": " not in text
+        # a regularized step stores no grid: it is linspace(lo, hi, len(cdf))
+        map1d = doc["maps"][0]["steps"][0]["map1d"]
+        assert set(map1d) == {"variant", "cdf_source", "cdf_target", "lo", "hi"}
+        assert map1d["variant"] == "regularized"
 
 
 class TestValidationOnLoad:
@@ -98,6 +102,13 @@ class TestValidationOnLoad:
         model, _, provenance = trained
         doc = model_to_dict(model, provenance)
         doc["schema_version"] = 999
+        with pytest.raises(ValueError, match="schema_version"):
+            model_from_dict(doc)
+
+    def test_schema_version_1_rejected(self, trained):
+        model, _, provenance = trained
+        doc = model_to_dict(model, provenance)
+        doc["schema_version"] = 1
         with pytest.raises(ValueError, match="schema_version"):
             model_from_dict(doc)
 

@@ -266,16 +266,23 @@ class TestBandwidthIsj:
 
 class TestRegularizedMap1D:
     def test_validation(self):
-        z = np.linspace(0, 1, 16)
         good = np.linspace(0.01, 0.99, 16)
-        with pytest.raises(ValueError, match="equispaced"):
-            RegularizedMap1D(z ** 2, good, good, 0.0, 1.0)
+        with pytest.raises(ValueError, match="length"):
+            RegularizedMap1D(good, good[:-1], 0.0, 1.0)
         with pytest.raises(ValueError, match="strictly increasing"):
-            RegularizedMap1D(z, np.full(16, 0.5), good, 0.0, 1.0)
+            RegularizedMap1D(np.full(16, 0.5), good, 0.0, 1.0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            RegularizedMap1D(z, good, good + 0.5, 0.0, 1.0)
+            RegularizedMap1D(good, good + 0.5, 0.0, 1.0)
         with pytest.raises(ValueError, match="lo < hi"):
-            RegularizedMap1D(z, good, good, 1.0, 0.0)
+            RegularizedMap1D(good, good, 1.0, 0.0)
+        with pytest.raises(ValueError, match="lo < hi"):
+            RegularizedMap1D(good, good, 0.0, np.inf)
+
+    def test_grid_is_derived_from_domain_and_cdf_length(self):
+        good = np.linspace(0.01, 0.99, 16)
+        m = RegularizedMap1D(good, good, -0.5, 2.0)
+        np.testing.assert_array_equal(m.grid, np.linspace(-0.5, 2.0, 16))
+        assert not m.grid.flags.writeable
 
     def test_identity_outside_domain(self):
         rng = np.random.default_rng(50)
