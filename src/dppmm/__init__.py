@@ -55,13 +55,11 @@ from .ppmm import (
 from .projection import Direction, SaveDiagnostics, save_direction
 from .sde import (
     SDESystem,
-    TrajectoryBundle,
     drift,
     euler_maruyama,
     lorenz96,
     make_benchmark,
     ornstein_uhlenbeck,
-    subsample_snapshots,
     vanderpol,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "SnapshotSeries",
     "SortedMap1D",
     "SplineBundle",
-    "TrajectoryBundle",
     "approx_w2",
     "avg_gmmd2",
     "bandwidth_isj",
@@ -113,7 +110,6 @@ __all__ = [
     "read_snapshot_dir",
     "save_direction",
     "save_model",
-    "subsample_snapshots",
     "train_dppmm",
     "vanderpol",
     "write_snapshot_dir",

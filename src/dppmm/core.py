@@ -176,14 +176,6 @@ class AffineRescaler:
             )
         )
 
-    def invert_series(self, series: SnapshotSeries) -> SnapshotSeries:
-        return SnapshotSeries(
-            tuple(
-                Snapshot(float(self.invert_time(s.time)), self.invert(s.samples))
-                for s in series
-            )
-        )
-
     @classmethod
     def identity(cls, d: int) -> "AffineRescaler":
         return cls(np.zeros(d), np.ones(d), 0.0, 1.0)

@@ -67,8 +67,8 @@ class DPPMMModel:
             raise ValueError("need exactly one map per snapshot time")
         if times.shape[0] < 1:
             raise ValueError("model needs at least one snapshot time")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+            raise ValueError("times must be finite and strictly increasing")
         if times[0] < -_TIME_SLACK or times[-1] > 1.0 + _TIME_SLACK:
             raise ValueError("times must lie in [0, 1] (rescaled units)")
         maps = tuple(self.maps)
@@ -91,11 +91,9 @@ class DPPMMModel:
 
 
 def _fit_pair(args):
-    index, source, target, alpha, cfg, max_iter, ridge = args
+    index, source, target, alpha, cfg, max_iter = args
     try:
-        return fit_ppmm(
-            source, target, alpha=alpha, max_iter=max_iter, cfg=cfg, ridge=ridge
-        )
+        return fit_ppmm(source, target, alpha=alpha, max_iter=max_iter, cfg=cfg)
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"transport fit for snapshot pair {index} failed: {exc}") from exc
 
@@ -108,26 +106,27 @@ def train_dppmm(
     parallel: bool = False,
     workers: int | None = None,
     rescaler: AffineRescaler | None = None,
-    base_mean=None,
-    base_var=None,
     max_iter: int | None = None,
-    ridge: float = 1e-8,
 ) -> tuple[DPPMMModel, tuple[PPMMFitReport, ...]]:
     """Fit the full chain of transport maps over a snapshot series.
 
     With ``rescaler`` None the series is treated as raw data: a rescaler is
     fitted on it and applied before training. Passing a rescaler asserts the
     series is already in that rescaler's units and uses it as-is. The base
-    draw count matches the first snapshot's sample count; ``seed`` controls
-    only that draw. ``cfg`` selects the 1D map variant per fit (None for the
-    exact sorted maps, a KdeConfig for the regularized maps).
+    is N(0, DEFAULT_BASE_VARIANCE * I) and its draw count matches the first
+    snapshot's sample count; ``seed`` controls only that draw. ``cfg``
+    selects the 1D map variant per fit (None for the exact sorted maps, a
+    KdeConfig for the regularized maps).
 
-    ``parallel`` runs the per-pair fits concurrently; each fit is pure and
+    ``parallel`` runs the per-pair fits concurrently on ``workers`` threads
+    (default: one per pair, at most one per core); each fit is pure and
     deterministic, so the assembled model is bit-identical to a sequential
     run. Returns the model plus one fit report per map.
     """
     if len(series) < 2:
         raise ValueError("training requires at least 2 snapshots")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if rescaler is None:
         rescaler = fit_rescaler(series)
         series = rescaler.apply_series(series)
@@ -135,23 +134,15 @@ def train_dppmm(
         raise ValueError("rescaler dimension does not match the series")
 
     d = series.dim
-    mean = (
-        np.zeros(d)
-        if base_mean is None
-        else np.asarray(base_mean, dtype=np.float64).reshape(-1)
-    )
-    var = (
-        np.full(d, DEFAULT_BASE_VARIANCE)
-        if base_var is None
-        else np.asarray(base_var, dtype=np.float64).reshape(-1)
-    )
+    mean = np.zeros(d)
+    var = np.full(d, DEFAULT_BASE_VARIANCE)
     rng = np.random.default_rng(seed)
     base = mean + np.sqrt(var) * rng.standard_normal((series[0].n, d))
 
     sources = [base] + [snap.samples for snap in series[:-1]]
     targets = [snap.samples for snap in series]
     jobs = [
-        (j, src, tgt, alpha, cfg, max_iter, ridge)
+        (j, src, tgt, alpha, cfg, max_iter)
         for j, (src, tgt) in enumerate(zip(sources, targets))
     ]
     if parallel:

@@ -17,7 +17,7 @@ import numpy as np
 from .core import AffineRescaler
 from .dynamic import DPPMMModel
 from .ot1d import RegularizedMap1D, SortedMap1D
-from .ppmm import PPMMFitReport, PPMMMap, PPMMStep
+from .ppmm import PPMMMap, PPMMStep
 from .projection import Direction
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model", "model_to_dict", "model_from_dict"]
@@ -66,17 +66,6 @@ def reports_to_list(reports) -> list[dict]:
         }
         for r in reports
     ]
-
-
-def reports_from_list(entries) -> tuple[PPMMFitReport, ...]:
-    return tuple(
-        PPMMFitReport(
-            w2_history=tuple(float(v) for v in e["w2_history"]),
-            stop_reason=str(e["stop_reason"]),
-            k_final=int(e["k_final"]),
-        )
-        for e in entries
-    )
 
 
 def model_to_dict(model: DPPMMModel, provenance: dict) -> dict:

@@ -92,6 +92,8 @@ class SortedMap1D:
         ky = np.asarray(self.knots_y, dtype=np.float64).reshape(-1)
         if kx.shape != ky.shape or kx.shape[0] < 2:
             raise ValueError("knot vectors must share length >= 2")
+        if not (np.all(np.isfinite(kx)) and np.all(np.isfinite(ky))):
+            raise ValueError("knots contain non-finite entries")
         if np.any(np.diff(kx) < 0) or np.any(np.diff(ky) < 0):
             raise ValueError("knots must be nondecreasing")
         kx.setflags(write=False)
@@ -143,6 +145,8 @@ class RegularizedMap1D:
         if not -np.inf < self.lo < self.hi < np.inf:
             raise ValueError("domain must satisfy finite lo < hi")
         for name, c in (("source", f), ("target", g)):
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"{name} CDF contains non-finite entries")
             if np.any(np.diff(c) <= 0):
                 raise ValueError(f"{name} CDF must be strictly increasing")
             if c[0] < 0 or c[-1] > 1 + 1e-9:

@@ -72,15 +72,15 @@ class PPMMMap:
 
 @dataclass(frozen=True)
 class PPMMFitReport:
-    """Fit trace: rms-displacement history, stop reason, iteration count.
+    """Fit trace: rms-displacement history and stop reason.
 
-    stop_reason is one of "tolerance", "max_iter" or
+    w2_history has one entry per completed iteration, so ``k_final`` is its
+    length. stop_reason is one of "tolerance", "max_iter" or
     "no_informative_direction".
     """
 
     w2_history: tuple[float, ...]
     stop_reason: str
-    k_final: int
 
     def __post_init__(self):
         object.__setattr__(self, "w2_history", tuple(self.w2_history))
@@ -90,8 +90,10 @@ class PPMMFitReport:
             "no_informative_direction",
         ):
             raise ValueError(f"unknown stop_reason {self.stop_reason!r}")
-        if len(self.w2_history) != self.k_final:
-            raise ValueError("w2_history length must equal k_final")
+
+    @property
+    def k_final(self) -> int:
+        return len(self.w2_history)
 
 
 def converged(previous_w2: float, current_w2: float, alpha: float) -> bool:
@@ -137,7 +139,6 @@ def fit_ppmm(
     alpha: float = 1e-3,
     max_iter: int | None = None,
     cfg: KdeConfig | None = None,
-    ridge: float = 1e-8,
 ) -> tuple[PPMMMap, PPMMFitReport]:
     """Fit a projection-pursuit transport map from x-samples to y-samples.
 
@@ -170,7 +171,7 @@ def fit_ppmm(
     stop_reason = "max_iter"
 
     for k in range(1, max_iter + 1):
-        direction, diag = save_direction(current, y, ridge=ridge)
+        direction, diag = save_direction(current, y)
         if not diag.informative:
             stop_reason = "no_informative_direction"
             break
@@ -189,7 +190,5 @@ def fit_ppmm(
             stop_reason = "tolerance"
             break
 
-    report = PPMMFitReport(
-        w2_history=tuple(history), stop_reason=stop_reason, k_final=len(steps)
-    )
+    report = PPMMFitReport(w2_history=tuple(history), stop_reason=stop_reason)
     return PPMMMap(tuple(steps), d), report

@@ -2,8 +2,8 @@
 
 Three drift families (Van der Pol oscillator, isotropic Ornstein-Uhlenbeck
 decay, cyclic Lorenz-96) integrated with Euler-Maruyama under isotropic
-diffusion, plus snapshot subsampling and the train/test benchmark builder
-that rescales both splits with the rescaler fitted on the training split.
+diffusion into snapshot series, plus the train/test benchmark builder that
+rescales both splits with the rescaler fitted on the training split.
 """
 
 from __future__ import annotations
@@ -13,17 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineRescaler, Snapshot, SnapshotSeries, fit_rescaler
+from .core import Snapshot, SnapshotSeries, fit_rescaler
 
 __all__ = [
     "SDESystem",
-    "TrajectoryBundle",
     "vanderpol",
     "ornstein_uhlenbeck",
     "lorenz96",
     "drift",
     "euler_maruyama",
-    "subsample_snapshots",
     "make_benchmark",
     "BENCHMARK_SNAPSHOTS",
 ]
@@ -75,28 +73,6 @@ class SDESystem:
             raise ValueError("init_means contains non-finite entries")
         means.setflags(write=False)
         object.__setattr__(self, "init_means", means)
-
-
-@dataclass(frozen=True)
-class TrajectoryBundle:
-    """Coupled sample paths: shared step times plus an (N, steps, d) block."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64).reshape(-1)
-        states = np.asarray(self.states, dtype=np.float64)
-        if states.ndim != 3 or states.shape[1] != times.shape[0]:
-            raise ValueError("states must be (N, len(times), d)")
-        if np.any(np.diff(times) <= 0) or not np.all(np.isfinite(times)):
-            raise ValueError("times must be finite and strictly increasing")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("states contains non-finite entries")
-        times.setflags(write=False)
-        states.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
 
 
 def vanderpol(
@@ -193,14 +169,16 @@ def euler_maruyama(
     dt: float,
     seed,
     store: int | None = None,
-) -> TrajectoryBundle:
+) -> SnapshotSeries:
     """Integrate N sample paths with the explicit Euler-Maruyama scheme.
 
     Each step adds drift * dt plus fresh N(0, 2 D dt) noise per coordinate.
-    The step count is ceil(horizon / dt). ``store`` keeps only that many
-    evenly spaced step indices (endpoints included, nearest-index rounding);
-    None keeps every step. ``seed`` feeds numpy's default generator, so an
-    integer or a SeedSequence both give reproducible output.
+    The step count is ceil(horizon / dt). Returns one snapshot per kept step
+    j at time j * dt, row k of every snapshot being path k. ``store`` keeps
+    only that many evenly spaced step indices (endpoints included,
+    nearest-index rounding); None keeps every step. ``seed`` feeds numpy's
+    default generator, so an integer or a SeedSequence both give
+    reproducible output.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -208,22 +186,18 @@ def euler_maruyama(
         raise ValueError(f"dt must lie in (0, horizon], got {dt}")
     steps = math.ceil(system.horizon / dt)
     if store is None:
-        keep = np.arange(steps + 1)
-    else:
-        if store < 2 or store > steps + 1:
-            raise ValueError(
-                f"store must lie in [2, {steps + 1}], got {store}"
-            )
-        keep = np.round(np.linspace(0.0, steps, store)).astype(np.intp)
+        store = steps + 1
+    elif not 2 <= store <= steps + 1:
+        raise ValueError(f"store must lie in [2, {steps + 1}], got {store}")
+    keep = set(np.round(np.linspace(0.0, steps, store)).astype(np.intp).tolist())
 
     rng = np.random.default_rng(seed)
     means = system.init_means
     component = rng.integers(means.shape[0], size=n)
     x = means[component] + system.init_std * rng.standard_normal((n, system.dim))
 
-    out = np.empty((n, keep.shape[0], system.dim))
-    out[:, 0] = x
-    pos = 1
+    # x is rebound before the in-place noise add, so a kept state is never written
+    snapshots = [Snapshot(0.0, x)]
     noise_scale = math.sqrt(2.0 * system.diffusion * dt)
     for j in range(1, steps + 1):
         x = x + drift(system, x) * dt
@@ -234,26 +208,9 @@ def euler_maruyama(
             raise RuntimeError(
                 f"non-finite state in trajectory {bad} at step {j}"
             )
-        if pos < keep.shape[0] and keep[pos] == j:
-            out[:, pos] = x
-            pos += 1
-    return TrajectoryBundle(keep * dt, out)
-
-
-def subsample_snapshots(bundle: TrajectoryBundle, m: int) -> SnapshotSeries:
-    """Pick m stored steps evenly spaced from first to last as snapshots."""
-    stored = bundle.times.shape[0]
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if m > stored:
-        raise ValueError(f"m = {m} exceeds the {stored} stored steps")
-    idx = np.round(np.linspace(0.0, stored - 1, m)).astype(np.intp)
-    return SnapshotSeries(
-        tuple(
-            Snapshot(time=float(bundle.times[i]), samples=bundle.states[:, i])
-            for i in idx
-        )
-    )
+        if j in keep:
+            snapshots.append(Snapshot(j * dt, x))
+    return SnapshotSeries(tuple(snapshots))
 
 
 def _system_for(name: str, d: int) -> SDESystem:
@@ -284,7 +241,7 @@ def make_benchmark(
     """
     system = _system_for(name, d)
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
-    train_raw = subsample_snapshots(euler_maruyama(system, n, dt, train_seed, store=m), m)
-    test_raw = subsample_snapshots(euler_maruyama(system, n, dt, test_seed, store=m), m)
+    train_raw = euler_maruyama(system, n, dt, train_seed, store=m)
+    test_raw = euler_maruyama(system, n, dt, test_seed, store=m)
     rescaler = fit_rescaler(train_raw)
     return rescaler.apply_series(train_raw), rescaler.apply_series(test_raw)

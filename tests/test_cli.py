@@ -159,6 +159,20 @@ class TestTrain:
             assert rc == 2
         assert "bandwidth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("parallel", [[], ["--parallel"]], ids=["sequential", "parallel"])
+    def test_threads_below_one_exits_2(self, pipeline, tmp_path, capsys, threads, parallel):
+        out = tmp_path / "m.json"
+        rc = main(
+            [
+                "train", "--data", str(pipeline["data"] / "train"),
+                "--out", str(out), "--threads", threads, *parallel,
+            ]
+        )
+        assert rc == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSample:
     def test_output_layout_and_units(self, pipeline):

@@ -10,7 +10,6 @@ from dppmm.modelio import (
     load_model,
     model_from_dict,
     model_to_dict,
-    reports_from_list,
     reports_to_list,
     save_model,
 )
@@ -61,7 +60,7 @@ class TestRoundTrip:
         save_model(path, model, provenance)
         _, loaded_prov = load_model(path)
         assert loaded_prov["seed"] == 4
-        assert reports_from_list(loaded_prov["reports"]) == reports
+        assert loaded_prov["reports"] == reports_to_list(reports)
 
     def test_file_layout(self, tmp_path, trained):
         model, _, provenance = trained
@@ -132,6 +131,26 @@ class TestValidationOnLoad:
         doc["maps"][0]["steps"][0]["map1d"]["variant"] = "spline"
         with pytest.raises(ValueError, match="variant"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("where", ["cdf_source", "knots_x", "times"])
+    def test_nan_in_file_rejected(self, tmp_path, trained, where):
+        # json accepts the NaN literal, so the domain constructors must refuse it
+        model, _, provenance = trained
+        doc = model_to_dict(model, provenance)
+        if where == "times":
+            doc["times"][1] = float("nan")
+        elif where == "cdf_source":
+            doc["maps"][0]["steps"][0]["map1d"]["cdf_source"][3] = float("nan")
+        else:
+            doc["maps"][0]["steps"][0]["map1d"] = {
+                "variant": "sorted", "knots_x": [0.0, float("nan"), 1.0],
+                "knots_y": [0.0, 1.0, 2.0],
+            }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert "NaN" in path.read_text(encoding="utf-8")
+        with pytest.raises(ValueError, match="finite"):
+            load_model(path)
 
     def test_nan_rejected_at_save(self, trained):
         model, _, _ = trained

@@ -42,9 +42,10 @@ class TestConvergedPredicate:
 class TestReportAndMapTypes:
     def test_report_validation(self):
         with pytest.raises(ValueError, match="stop_reason"):
-            PPMMFitReport((1.0,), "because", 1)
-        with pytest.raises(ValueError, match="length"):
-            PPMMFitReport((1.0, 2.0), "tolerance", 1)
+            PPMMFitReport((1.0,), "because")
+        report = PPMMFitReport([1.0, 2.0], "tolerance")
+        assert report.w2_history == (1.0, 2.0)
+        assert report.k_final == len(report.w2_history) == 2
 
     def test_map_dimension_checks(self):
         step = PPMMStep(

@@ -1,16 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from dppmm.sde import (
     BENCHMARK_SNAPSHOTS,
     SDESystem,
-    TrajectoryBundle,
     drift,
     euler_maruyama,
     lorenz96,
     make_benchmark,
     ornstein_uhlenbeck,
-    subsample_snapshots,
     vanderpol,
 )
 
@@ -102,38 +102,42 @@ class TestEulerMaruyama:
         # zero diffusion and zero init spread: every path follows the ODE
         # x' = -lambda x, so the endpoint is x0 * exp(-lambda T) + O(dt)
         s = SDESystem("ou", 2, 0.5, 0.0, 2.0, np.array([[4.0, -6.0]]), 0.0)
-        bundle = euler_maruyama(s, n=3, dt=1e-4, seed=0)
-        end = bundle.states[:, -1]
+        series = euler_maruyama(s, n=3, dt=1e-4, seed=0)
+        end = series[-1].samples
         expected = np.array([4.0, -6.0]) * np.exp(-0.5 * 2.0)
         np.testing.assert_allclose(end, np.tile(expected, (3, 1)), rtol=1e-3)
 
     def test_step_count_and_times(self):
         s = SDESystem("ou", 2, 0.1, 0.0, 1.0, np.zeros((1, 2)), 0.0)
-        bundle = euler_maruyama(s, n=1, dt=0.3, seed=0)
+        series = euler_maruyama(s, n=1, dt=0.3, seed=0)
         # ceil(1.0 / 0.3) = 4 steps -> 5 stored states
-        assert bundle.states.shape == (1, 5, 2)
-        np.testing.assert_allclose(bundle.times, [0.0, 0.3, 0.6, 0.9, 1.2])
+        assert len(series) == 5
+        assert all(snap.samples.shape == (1, 2) for snap in series)
+        np.testing.assert_allclose(series.times, [0.0, 0.3, 0.6, 0.9, 1.2])
 
     def test_store_subset_indices(self):
         s = SDESystem("ou", 2, 0.1, 1e-3, 1.0, np.zeros((1, 2)), 0.0)
         full = euler_maruyama(s, n=4, dt=1e-3, seed=7)
         part = euler_maruyama(s, n=4, dt=1e-3, seed=7, store=11)
         idx = np.round(np.linspace(0, 1000, 11)).astype(int)
+        assert len(full) == 1001 and len(part) == 11
         np.testing.assert_array_equal(part.times, full.times[idx])
-        np.testing.assert_array_equal(part.states, full.states[:, idx])
+        for snap, i in zip(part, idx):
+            np.testing.assert_array_equal(snap.samples, full[i].samples)
 
     def test_reproducible_and_seed_sensitive(self):
         s = ornstein_uhlenbeck()
         a = euler_maruyama(s, n=5, dt=0.01, seed=42, store=4)
         b = euler_maruyama(s, n=5, dt=0.01, seed=42, store=4)
         c = euler_maruyama(s, n=5, dt=0.01, seed=43, store=4)
-        np.testing.assert_array_equal(a.states, b.states)
-        assert not np.array_equal(a.states, c.states)
+        for sa, sb in zip(a, b):
+            np.testing.assert_array_equal(sa.samples, sb.samples)
+        assert not np.array_equal(a[-1].samples, c[-1].samples)
 
     def test_mixture_initial_condition_uses_both_modes(self):
         s = ornstein_uhlenbeck(dim=2)
-        bundle = euler_maruyama(s, n=400, dt=0.5, seed=3, store=2)
-        first = bundle.states[:, 0, 0]
+        series = euler_maruyama(s, n=400, dt=0.5, seed=3, store=2)
+        first = series[0].samples[:, 0]
         assert np.sum(first < 0) > 100
         assert np.sum(first > 0) > 100
         # modes are tight around +-10
@@ -153,7 +157,8 @@ class TestEulerMaruyama:
         s0 = SDESystem("ou", 2, 0.1, 0.0, 1.0, np.array([[1.0, 2.0]]), 0.0)
         a = euler_maruyama(s0, n=3, dt=0.1, seed=5)
         b = euler_maruyama(s0, n=3, dt=0.1, seed=999)
-        np.testing.assert_array_equal(a.states, b.states)
+        for sa, sb in zip(a, b):
+            np.testing.assert_array_equal(sa.samples, sb.samples)
 
     def test_validation(self):
         s = vanderpol()
@@ -167,37 +172,6 @@ class TestEulerMaruyama:
             euler_maruyama(s, n=1, dt=1.0, seed=0, store=1)
         with pytest.raises(ValueError, match="store"):
             euler_maruyama(s, n=1, dt=1.0, seed=0, store=100)
-
-
-class TestTrajectoryBundle:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="states"):
-            TrajectoryBundle(np.array([0.0, 1.0]), np.zeros((3, 5, 2)))
-        with pytest.raises(ValueError, match="increasing"):
-            TrajectoryBundle(np.array([0.0, 0.0]), np.zeros((3, 2, 2)))
-        with pytest.raises(ValueError, match="non-finite"):
-            TrajectoryBundle(
-                np.array([0.0, 1.0]), np.full((1, 2, 1), np.nan)
-            )
-
-
-class TestSubsampleSnapshots:
-    def test_endpoints_and_spacing(self):
-        s = SDESystem("ou", 2, 0.1, 1e-3, 1.0, np.zeros((1, 2)), 1.0)
-        bundle = euler_maruyama(s, n=6, dt=1e-2, seed=1)  # 101 stored steps
-        series = subsample_snapshots(bundle, 5)
-        assert len(series) == 5
-        np.testing.assert_allclose(series.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-        np.testing.assert_array_equal(series[0].samples, bundle.states[:, 0])
-        np.testing.assert_array_equal(series[4].samples, bundle.states[:, -1])
-
-    def test_bounds(self):
-        s = SDESystem("ou", 2, 0.1, 0.0, 1.0, np.zeros((1, 2)), 0.0)
-        bundle = euler_maruyama(s, n=1, dt=0.5, seed=0)
-        with pytest.raises(ValueError, match="m must be"):
-            subsample_snapshots(bundle, 1)
-        with pytest.raises(ValueError, match="exceeds"):
-            subsample_snapshots(bundle, 50)
 
 
 class TestMakeBenchmark:
@@ -239,3 +213,16 @@ class TestMakeBenchmark:
             make_benchmark("vdp", d=3, n=10, seed=0)
         with pytest.raises(ValueError, match="unknown benchmark"):
             make_benchmark("heat", d=2, n=10, seed=0)
+
+    def test_pinned_bytes(self):
+        # SHA-256 over each split's times, then each snapshot's samples, for
+        # the three systems; any change to the simulated data shows here
+        digest = hashlib.sha256()
+        for name, d in (("vdp", 2), ("ou", 3), ("lorenz96", 4)):
+            for split in make_benchmark(name, d, 40, seed=1, m=5, dt=0.05):
+                digest.update(split.times.tobytes())
+                for snap in split:
+                    digest.update(np.ascontiguousarray(snap.samples).tobytes())
+        assert digest.hexdigest() == (
+            "e3df592dad73198c60ff91e958baa74b7f06fad6cce12c90362dc4ea9bae2e87"
+        )
