@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import AffineRescaler, SnapshotSeries, fit_rescaler
 from .ot1d import KdeConfig
@@ -196,7 +195,8 @@ class SplineBundle:
     boundary_rule records the effective rule for the knot count: not-a-knot
     for 4 or more knots, the unique quadratic through 3 knots, linear for 2.
     ``values`` keeps the (M, N, d) knot matrices so evaluation at a knot
-    time can return them verbatim.
+    time can return them verbatim; ``second`` holds the (M, N, d) second
+    derivatives at the knots.
     """
 
     times: np.ndarray
@@ -204,7 +204,7 @@ class SplineBundle:
     dim: int
     boundary_rule: str
     values: np.ndarray = field(repr=False)
-    _spline: CubicSpline = field(repr=False)
+    second: np.ndarray = field(repr=False)
 
     @property
     def t_min(self) -> float:
@@ -244,7 +244,6 @@ def fit_transport_splines(times, coupled) -> SplineBundle:
             raise ValueError(f"snapshot {j} contains non-finite entries")
 
     values = np.stack(matrices, axis=0)
-    spline = CubicSpline(times, values, axis=0, bc_type="not-a-knot", extrapolate=False)
     rule = "not-a-knot" if m >= 4 else ("quadratic" if m == 3 else "linear")
     return SplineBundle(
         times=times,
@@ -252,8 +251,34 @@ def fit_transport_splines(times, coupled) -> SplineBundle:
         dim=shape[1],
         boundary_rule=rule,
         values=values,
-        _spline=spline,
+        second=_second_derivatives(times, values),
     )
+
+
+def _second_derivatives(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # Moment form: one m x m system shared by every trajectory and coordinate.
+    # Interior rows enforce C^2 continuity. The end rows are not-a-knot
+    # (continuous third derivative across the second and penultimate knots)
+    # for m >= 4, equal curvatures (the parabola) for m = 3, and zero
+    # curvatures (the line) for m = 2.
+    m = times.shape[0]
+    flat = values.reshape(m, -1)
+    h = np.diff(times)
+    slope = np.diff(flat, axis=0) / h[:, None]
+    a = np.zeros((m, m))
+    rhs = np.zeros_like(flat)
+    for i in range(1, m - 1):
+        a[i, i - 1 : i + 2] = (h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i])
+        rhs[i] = 6.0 * (slope[i] - slope[i - 1])
+    if m >= 4:
+        a[0, :3] = (h[1], -(h[0] + h[1]), h[0])
+        a[-1, -3:] = (h[-1], -(h[-2] + h[-1]), h[-2])
+    elif m == 3:
+        a[0, :2] = (1.0, -1.0)
+        a[-1, -2:] = (1.0, -1.0)
+    else:
+        a[0, 0] = a[-1, -1] = 1.0
+    return np.linalg.solve(a, rhs).reshape(values.shape)
 
 
 def interpolate(bundle: SplineBundle, t: float) -> np.ndarray:
@@ -268,7 +293,17 @@ def interpolate(bundle: SplineBundle, t: float) -> np.ndarray:
             f"t = {t} outside the interpolation range "
             f"[{bundle.t_min}, {bundle.t_max}]"
         )
-    hit = np.nonzero(bundle.times == t)[0]
+    x = bundle.times
+    hit = np.nonzero(x == t)[0]
     if hit.size:
         return bundle.values[hit[0]].copy()
-    return np.asarray(bundle._spline(t), dtype=np.float64)
+    i = int(np.searchsorted(x, t, side="right")) - 1
+    h = x[i + 1] - x[i]
+    left, right = x[i + 1] - t, t - x[i]
+    y, s = bundle.values, bundle.second
+    return (
+        s[i] * (left**3 / (6.0 * h))
+        + s[i + 1] * (right**3 / (6.0 * h))
+        + (y[i] / h - s[i] * (h / 6.0)) * left
+        + (y[i + 1] / h - s[i + 1] * (h / 6.0)) * right
+    )

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, irfft, next_fast_len, rfft
-from scipy.optimize import brentq
 
 __all__ = [
     "KdeConfig",
@@ -223,14 +221,14 @@ def fft_kde(samples, bandwidth: float, grid) -> np.ndarray:
     keep = upper <= b - 1
     np.add.at(weights, upper[keep], frac[keep])
 
-    n = next_fast_len(2 * b)
+    n = 2 * b
     kernel = np.exp(-0.5 * (np.arange(b) * step / bandwidth) ** 2)
     kernel_circ = np.zeros(n)
     kernel_circ[:b] = kernel
     kernel_circ[n - b + 1:] = kernel[1:][::-1]
     padded = np.zeros(n)
     padded[:b] = weights
-    density = irfft(rfft(padded) * rfft(kernel_circ), n)[:b]
+    density = np.fft.irfft(np.fft.rfft(padded) * np.fft.rfft(kernel_circ), n)[:b]
 
     density = np.maximum(density, 0.0)
     total = density.sum() * step
@@ -252,6 +250,56 @@ def bandwidth_scott(samples, span: float = 1.0) -> tuple[float, bool]:
     if sigma <= 0:
         return 1e-3 * span, True
     return sigma * s.shape[0] ** (-0.2), False
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-II, 2 * sum_n x[n] cos(pi k (2n + 1) / (2N)), by one FFT.
+
+    Makhoul's reordering: even-indexed entries ascending, then odd-indexed
+    entries descending; a phase twist turns the FFT of that sequence into
+    the cosine transform.
+    """
+    n = x.shape[0]
+    v = np.concatenate((x[::2], x[1::2][::-1]))
+    twist = np.exp(-0.5j * np.pi * np.arange(n) / n)
+    return 2.0 * (twist * np.fft.fft(v)).real
+
+
+def _bracketed_root(f, a: float, b: float) -> float:
+    """Root of f on [a, b] by Illinois false position, to within 2e-12.
+
+    Raises ValueError without a sign change, FloatingPointError on a
+    non-finite value and RuntimeError after 50 steps.
+    """
+    xtol, maxiter = 2e-12, 50
+    fa, fb = f(a), f(b)
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if not fa * fb < 0:
+        raise ValueError("f(a) and f(b) must have opposite signs")
+    side = 0
+    for _ in range(maxiter):
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = f(c)
+        if not np.isfinite(fc):
+            raise FloatingPointError("non-finite value in root finding")
+        if fc == 0:
+            return c
+        if (fc > 0) == (fb > 0):
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5  # a kept twice: halve its value so it moves next
+            side = -1
+        else:
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        if abs(b - a) <= xtol + 4.0 * np.finfo(float).eps * abs(c):
+            return c
+    raise RuntimeError(f"root finding did not converge in {maxiter} steps")
 
 
 def _isj_fixed_point(t: float, n: int, i_sq: np.ndarray, a_sq: np.ndarray) -> float:
@@ -301,18 +349,13 @@ def bandwidth_isj(
     counts, _ = np.histogram(s, bins=grid_size, range=(lo, hi))
     relfreq = counts / s.shape[0]
 
-    a = dct(relfreq)
+    a = _dct2(relfreq)
     i_sq = np.arange(1, grid_size, dtype=np.float64) ** 2
     a_sq = (a[1:] / 2.0) ** 2
 
     try:
-        t_star = brentq(
-            _isj_fixed_point,
-            0.0,
-            0.1,
-            args=(s.shape[0], i_sq, a_sq),
-            maxiter=50,
-            disp=True,
+        t_star = _bracketed_root(
+            lambda t: _isj_fixed_point(t, s.shape[0], i_sq, a_sq), 0.0, 0.1
         )
     except (ValueError, RuntimeError, FloatingPointError, OverflowError):
         return bandwidth_scott(s, span=span)[0], True

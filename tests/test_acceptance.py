@@ -88,11 +88,13 @@ def test_01_sorted_map_exact_pairing_and_gaussian_quantile_oracle():
     assert elapsed < 1.0
 
 
-def test_02_fft_kde_matches_direct_summation_oracle():
-    # direct summation of the same linearly binned weights, N = 200, B = 256
+@pytest.mark.parametrize("bins", [256, 257])
+def test_02_fft_kde_matches_direct_summation_oracle(bins):
+    # direct summation of the same linearly binned weights, N = 200; at
+    # B = 257 the FFT length 2B = 514 is not 11-smooth
     rng = np.random.default_rng(8)
     s = rng.normal(0.3, 1.1, 200)
-    z = np.linspace(s.min() - 0.5, s.max() + 0.5, 256)
+    z = np.linspace(s.min() - 0.5, s.max() + 0.5, bins)
     step = z[1] - z[0]
     h = 0.2
 
@@ -112,7 +114,7 @@ def test_02_fft_kde_matches_direct_summation_oracle():
     started = time.perf_counter()
     dens = fft_kde(s, h, z)
     elapsed = time.perf_counter() - started
-    assert np.max(np.abs(dens - direct)) <= 1e-10  # measured ~3e-16
+    assert np.max(np.abs(dens - direct)) <= 1e-10  # measured 2.8e-16 at B=256, 6.9e-15 at B=257
     assert elapsed < 1.0
 
 
