@@ -35,7 +35,7 @@ from .metrics import (
 )
 from .modelio import load_model, save_model
 from .ot1d import (
-    KdeConfig,
+    BANDWIDTH_RULES,
     RegularizedMap1D,
     SortedMap1D,
     bandwidth_isj,
@@ -67,10 +67,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineRescaler",
+    "BANDWIDTH_RULES",
     "BandwidthGrid",
     "DPPMMModel",
     "Direction",
-    "KdeConfig",
     "PPMMFitReport",
     "PPMMMap",
     "PPMMStep",

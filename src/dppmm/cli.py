@@ -12,7 +12,6 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -30,7 +29,7 @@ from .core import (
 from .dynamic import fit_transport_splines, generate, interpolate, train_dppmm
 from .metrics import BandwidthGrid, per_snapshot_gmmd2
 from .modelio import load_model, reports_to_list, save_model
-from .ot1d import KdeConfig
+from .ot1d import BANDWIDTH_RULES
 from .sde import make_benchmark
 
 __all__ = ["main"]
@@ -40,22 +39,6 @@ _SYSTEM_DEFAULT_DIM = {"vdp": 2, "ou": 2, "lorenz96": 4}
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, separators=(", ", ": ")))
-
-
-def _parse_bandwidth(text: str):
-    if text in ("scott", "isj"):
-        return text
-    if text.startswith("fixed:"):
-        try:
-            value = float(text[len("fixed:"):])
-        except ValueError:
-            raise ValueError(f"invalid fixed bandwidth {text!r}") from None
-        if not value > 0:
-            raise ValueError(f"fixed bandwidth must be positive, got {value}")
-        return value
-    raise ValueError(
-        f"bandwidth must be 'scott', 'isj' or 'fixed:<h>', got {text!r}"
-    )
 
 
 def _read_samples(path_text: str) -> SnapshotSeries:
@@ -94,18 +77,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     series = read_snapshot_dir(args.data)
-    cfg = KdeConfig(
-        bandwidth=_parse_bandwidth(args.bandwidth),
-        bins=args.bins,
-        margin=args.margin,
-        floor=args.floor,
-    )
     parallel = args.parallel or (args.threads is not None and args.threads > 1)
     started = time.perf_counter()
     model, reports = train_dppmm(
         series,
         alpha=args.alpha,
-        cfg=cfg,
+        bandwidth=args.bandwidth,
         seed=args.seed,
         parallel=parallel,
         workers=args.threads,
@@ -115,7 +92,7 @@ def cmd_train(args) -> int:
     provenance = {
         "seed": args.seed,
         "alpha": args.alpha,
-        "cfg": dataclasses.asdict(cfg),
+        "bandwidth": args.bandwidth,
         "max_iter": args.max_iter,
         "reports": reports_to_list(reports),
     }
@@ -257,13 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="snapshot directory")
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--alpha", type=float, default=1e-3, help="relative stopping tolerance")
-    p.add_argument("--bins", type=int, default=500, help="KDE grid cells")
-    p.add_argument("--margin", type=float, default=0.1, help="KDE domain padding")
-    p.add_argument("--floor", type=float, default=1e-8, help="KDE density floor")
     p.add_argument(
         "--bandwidth",
+        choices=BANDWIDTH_RULES,
         default="scott",
-        help="bandwidth rule: scott, isj, or fixed:<h>",
+        help="bandwidth rule of the KDE-regularized 1D maps",
     )
     p.add_argument("--max-iter", type=int, default=None, help="iteration cap per map (default 10*d)")
     p.add_argument("--seed", type=int, default=0, help="seed for the base draw")

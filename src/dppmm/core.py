@@ -239,15 +239,19 @@ def read_snapshot_dir(path) -> SnapshotSeries:
         raise ValueError(f"no manifest.json in {root}")
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    d = int(manifest["d"])
+    try:
+        d = int(manifest["d"])
+        entries = [
+            (float(e["time"]), root / e["file"], int(e["n"])) for e in manifest["snapshots"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"manifest {manifest_path} invalid: {exc!r}") from exc
     snaps = []
-    for entry in manifest["snapshots"]:
-        samples = _read_csv_matrix(root / entry["file"])
-        if samples.shape != (int(entry["n"]), d):
-            raise ValueError(
-                f"{entry['file']}: expected shape ({entry['n']}, {d}), got {samples.shape}"
-            )
-        snaps.append(Snapshot(float(entry["time"]), samples))
+    for time, csv_path, n in entries:
+        samples = _read_csv_matrix(csv_path)
+        if samples.shape != (n, d):
+            raise ValueError(f"{csv_path}: expected shape ({n}, {d}), got {samples.shape}")
+        snaps.append(Snapshot(time, samples))
     return SnapshotSeries(tuple(snaps))
 
 

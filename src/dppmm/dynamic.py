@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AffineRescaler, SnapshotSeries, fit_rescaler
-from .ot1d import KdeConfig
+from .core import AffineRescaler, SnapshotSeries, as_sample_matrix, fit_rescaler
 from .ppmm import PPMMFitReport, PPMMMap, eval_ppmm, fit_ppmm
 
 __all__ = [
@@ -36,32 +35,21 @@ _TIME_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class DPPMMModel:
-    """Trained chain: base Gaussian, per-pair transport maps, rescaler.
+    """Trained chain: per-pair transport maps and the rescaler.
 
+    The base is always N(0, DEFAULT_BASE_VARIANCE * I) in rescaled units.
     ``maps[0]`` sends base samples onto the first snapshot; ``maps[j]``
     sends snapshot j onto snapshot j+1. ``times`` are the snapshot times in
     rescaled units, so they live in [0, 1].
     """
 
-    base_mean: np.ndarray
-    base_var: np.ndarray
     rescaler: AffineRescaler
     times: np.ndarray
     maps: tuple[PPMMMap, ...]
 
     def __post_init__(self):
-        mean = np.asarray(self.base_mean, dtype=np.float64).reshape(-1)
-        var = np.asarray(self.base_var, dtype=np.float64).reshape(-1)
         times = np.asarray(self.times, dtype=np.float64).reshape(-1)
-        d = mean.shape[0]
-        if var.shape[0] != d:
-            raise ValueError("base_mean and base_var must share length")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
-            raise ValueError("base parameters contain non-finite entries")
-        if np.any(var <= 0):
-            raise ValueError("base variances must be positive")
-        if self.rescaler.dim != d:
-            raise ValueError("rescaler dimension does not match the base")
+        d = self.rescaler.dim
         if times.shape[0] != len(self.maps):
             raise ValueError("need exactly one map per snapshot time")
         if times.shape[0] < 1:
@@ -76,23 +64,27 @@ class DPPMMModel:
                 raise ValueError(
                     f"map {j} has dimension {ppmm_map.dim}, expected {d}"
                 )
-        mean.setflags(write=False)
-        var.setflags(write=False)
         times.setflags(write=False)
-        object.__setattr__(self, "base_mean", mean)
-        object.__setattr__(self, "base_var", var)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "maps", maps)
 
     @property
     def dim(self) -> int:
-        return self.base_mean.shape[0]
+        return self.rescaler.dim
+
+
+def _base_draw(n: int, d: int, seed: int) -> np.ndarray:
+    """n draws from the base N(0, DEFAULT_BASE_VARIANCE * I_d)."""
+    rng = np.random.default_rng(seed)
+    return np.sqrt(DEFAULT_BASE_VARIANCE) * rng.standard_normal((n, d))
 
 
 def _fit_pair(args):
-    index, source, target, alpha, cfg, max_iter = args
+    index, source, target, alpha, bandwidth, max_iter = args
     try:
-        return fit_ppmm(source, target, alpha=alpha, max_iter=max_iter, cfg=cfg)
+        return fit_ppmm(
+            source, target, alpha=alpha, max_iter=max_iter, bandwidth=bandwidth
+        )
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"transport fit for snapshot pair {index} failed: {exc}") from exc
 
@@ -100,7 +92,7 @@ def _fit_pair(args):
 def train_dppmm(
     series: SnapshotSeries,
     alpha: float = 1e-3,
-    cfg: KdeConfig | None = KdeConfig(),
+    bandwidth: str | None = "scott",
     seed: int = 0,
     parallel: bool = False,
     workers: int | None = None,
@@ -113,9 +105,9 @@ def train_dppmm(
     fitted on it and applied before training. Passing a rescaler asserts the
     series is already in that rescaler's units and uses it as-is. The base
     is N(0, DEFAULT_BASE_VARIANCE * I) and its draw count matches the first
-    snapshot's sample count; ``seed`` controls only that draw. ``cfg``
-    selects the 1D map variant per fit (None for the exact sorted maps, a
-    KdeConfig for the regularized maps).
+    snapshot's sample count; ``seed`` controls only that draw.
+    ``bandwidth`` selects the 1D map variant per fit (None for the exact
+    sorted maps, a rule from BANDWIDTH_RULES for the regularized maps).
 
     ``parallel`` runs the per-pair fits concurrently on ``workers`` threads
     (default: one per pair, at most one per core); each fit is pure and
@@ -132,16 +124,11 @@ def train_dppmm(
     elif rescaler.dim != series.dim:
         raise ValueError("rescaler dimension does not match the series")
 
-    d = series.dim
-    mean = np.zeros(d)
-    var = np.full(d, DEFAULT_BASE_VARIANCE)
-    rng = np.random.default_rng(seed)
-    base = mean + np.sqrt(var) * rng.standard_normal((series[0].n, d))
-
+    base = _base_draw(series[0].n, series.dim, seed)
     sources = [base] + [snap.samples for snap in series[:-1]]
     targets = [snap.samples for snap in series]
     jobs = [
-        (j, src, tgt, alpha, cfg, max_iter)
+        (j, src, tgt, alpha, bandwidth, max_iter)
         for j, (src, tgt) in enumerate(zip(sources, targets))
     ]
     if parallel:
@@ -154,13 +141,7 @@ def train_dppmm(
 
     maps = tuple(fitted for fitted, _ in results)
     reports = tuple(report for _, report in results)
-    model = DPPMMModel(
-        base_mean=mean,
-        base_var=var,
-        rescaler=rescaler,
-        times=series.times,
-        maps=maps,
-    )
+    model = DPPMMModel(rescaler=rescaler, times=series.times, maps=maps)
     return model, reports
 
 
@@ -175,10 +156,7 @@ def generate(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    current = model.base_mean + np.sqrt(model.base_var) * rng.standard_normal(
-        (n, model.dim)
-    )
+    current = _base_draw(n, model.dim, seed)
     snapshots = []
     for ppmm_map in model.maps:
         current = eval_ppmm(ppmm_map, current)
@@ -229,26 +207,17 @@ def fit_transport_splines(times, coupled) -> SplineBundle:
         raise ValueError("spline fitting requires at least 2 snapshots")
     if np.any(np.diff(times) <= 0) or not np.all(np.isfinite(times)):
         raise ValueError("times must be finite and strictly increasing")
-    matrices = [np.asarray(c, dtype=np.float64) for c in coupled]
-    if len(matrices) != m:
-        raise ValueError(f"expected {m} snapshot matrices, got {len(matrices)}")
-    shape = matrices[0].shape
-    if len(shape) != 2:
-        raise ValueError("snapshot matrices must be 2-D")
-    for j, mat in enumerate(matrices):
-        if mat.shape != shape:
-            raise ValueError(
-                f"snapshot {j} has shape {mat.shape}, expected {shape}"
-            )
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"snapshot {j} contains non-finite entries")
-
-    values = np.stack(matrices, axis=0)
+    coupled = list(coupled)
+    if len(coupled) != m:
+        raise ValueError(f"expected {m} snapshot matrices, got {len(coupled)}")
+    values = np.stack(
+        [as_sample_matrix(c, f"snapshot {j}", 1) for j, c in enumerate(coupled)]
+    )
     rule = "not-a-knot" if m >= 4 else ("quadratic" if m == 3 else "linear")
     return SplineBundle(
         times=times,
-        n=shape[0],
-        dim=shape[1],
+        n=values.shape[1],
+        dim=values.shape[2],
         boundary_rule=rule,
         values=values,
         second=_second_derivatives(times, values),

@@ -22,7 +22,7 @@ from .projection import Direction
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model", "model_to_dict", "model_from_dict"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _map1d_to_dict(map1d) -> dict:
@@ -77,10 +77,6 @@ def model_to_dict(model: DPPMMModel, provenance: dict) -> dict:
             "time_origin": model.rescaler.time_origin,
             "time_span": model.rescaler.time_span,
         },
-        "base": {
-            "mean": model.base_mean.tolist(),
-            "var": model.base_var.tolist(),
-        },
         "times": model.times.tolist(),
         "maps": [
             {
@@ -111,8 +107,6 @@ def model_from_dict(doc: dict) -> tuple[DPPMMModel, dict]:
             time_origin=float(doc["rescaler"]["time_origin"]),
             time_span=float(doc["rescaler"]["time_span"]),
         )
-        base_mean = np.asarray(doc["base"]["mean"], dtype=np.float64)
-        d = base_mean.shape[0]
         maps = tuple(
             PPMMMap(
                 steps=tuple(
@@ -122,16 +116,12 @@ def model_from_dict(doc: dict) -> tuple[DPPMMModel, dict]:
                     )
                     for s in entry["steps"]
                 ),
-                dim=d,
+                dim=rescaler.dim,
             )
             for entry in doc["maps"]
         )
         model = DPPMMModel(
-            base_mean=base_mean,
-            base_var=np.asarray(doc["base"]["var"]),
-            rescaler=rescaler,
-            times=np.asarray(doc["times"]),
-            maps=maps,
+            rescaler=rescaler, times=np.asarray(doc["times"]), maps=maps
         )
         provenance = doc.get("provenance", {})
     except (KeyError, TypeError, IndexError) as exc:

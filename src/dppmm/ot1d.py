@@ -10,8 +10,10 @@ one density onto another:
   small constant so they are strictly increasing. Acts as the identity
   outside its padded fitting interval.
 
-Bandwidths come from Scott's rule (robust spread), the improved
-Sheather-Jones fixed point, or a user-fixed value.
+The regularized map's grid has ``KDE_BINS`` points over the pooled sample
+range padded by ``KDE_MARGIN`` on both sides, and its densities are floored
+by ``KDE_FLOOR``. Its bandwidths come from one of ``BANDWIDTH_RULES``: Scott's
+rule (robust spread) or the improved Sheather-Jones fixed point.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "KdeConfig",
+    "BANDWIDTH_RULES",
     "SortedMap1D",
     "RegularizedMap1D",
     "fit_sorted_map",
@@ -31,38 +33,11 @@ __all__ = [
     "bandwidth_isj",
 ]
 
-
-@dataclass(frozen=True)
-class KdeConfig:
-    """Settings for the regularized 1D map.
-
-    bandwidth: "scott", "isj", or a fixed positive value.
-    bins: grid resolution B (>= 8).
-    margin: padding L added on both sides of the pooled sample range.
-    floor: constant added to the KDE before renormalizing, forcing strictly
-        increasing CDFs.
-    """
-
-    bandwidth: str | float = "scott"
-    bins: int = 500
-    margin: float = 0.1
-    floor: float = 1e-8
-
-    def __post_init__(self):
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth not in ("scott", "isj"):
-                raise ValueError(
-                    f"bandwidth must be 'scott', 'isj' or a positive number, "
-                    f"got {self.bandwidth!r}"
-                )
-        elif not self.bandwidth > 0:
-            raise ValueError("fixed bandwidth must be positive")
-        if self.bins < 8:
-            raise ValueError(f"bins must be >= 8, got {self.bins}")
-        if not self.margin > 0:
-            raise ValueError("margin must be positive")
-        if not self.floor > 0:
-            raise ValueError("floor must be positive")
+BANDWIDTH_RULES = ("scott", "isj")
+KDE_BINS = 500
+KDE_MARGIN = 0.1
+KDE_FLOOR = 1e-8
+_ISJ_GRID = 256
 
 
 def _validate_1d(v, name: str, min_len: int = 2) -> np.ndarray:
@@ -323,20 +298,16 @@ def _isj_fixed_point(t: float, n: int, i_sq: np.ndarray, a_sq: np.ndarray) -> fl
     return t - (2.0 * n * np.sqrt(np.pi) * f) ** (-0.4)
 
 
-def bandwidth_isj(
-    samples, grid_size: int = 256, span: float = 1.0
-) -> tuple[float, bool]:
+def bandwidth_isj(samples, span: float = 1.0) -> tuple[float, bool]:
     """Improved Sheather-Jones bandwidth via the DCT fixed-point equation.
 
-    Bins the samples on a power-of-two grid over the data range extended by
+    Bins the samples on a 256-point grid over the data range extended by
     10% on each side, then solves t = xi * gamma^[5](t) for the squared
     (range-relative) bandwidth by bracketed root-finding on [0, 0.1].
     Returns (h, fell_back); fewer than 50 samples, a degenerate range, or a
     failed solve all fall back to Scott's rule with the flag set.
     """
     s = _validate_1d(samples, "samples")
-    if grid_size < 2 or grid_size & (grid_size - 1):
-        raise ValueError(f"grid_size must be a power of two, got {grid_size}")
     if s.shape[0] < 50:
         return bandwidth_scott(s, span=span)[0], True
     data_range = float(s.max() - s.min())
@@ -346,11 +317,11 @@ def bandwidth_isj(
     lo = s.min() - 0.1 * data_range
     hi = s.max() + 0.1 * data_range
     grid_range = hi - lo
-    counts, _ = np.histogram(s, bins=grid_size, range=(lo, hi))
+    counts, _ = np.histogram(s, bins=_ISJ_GRID, range=(lo, hi))
     relfreq = counts / s.shape[0]
 
     a = _dct2(relfreq)
-    i_sq = np.arange(1, grid_size, dtype=np.float64) ** 2
+    i_sq = np.arange(1, _ISJ_GRID, dtype=np.float64) ** 2
     a_sq = (a[1:] / 2.0) ** 2
 
     try:
@@ -364,35 +335,36 @@ def bandwidth_isj(
     return float(np.sqrt(t_star) * grid_range), False
 
 
-def resolve_bandwidth(samples, cfg: KdeConfig, span: float) -> float:
-    """Bandwidth for one sample vector under the config's selection rule."""
-    if isinstance(cfg.bandwidth, str):
-        if cfg.bandwidth == "scott":
-            return bandwidth_scott(samples, span=span)[0]
+def resolve_bandwidth(samples, rule: str, span: float) -> float:
+    """Bandwidth for one sample vector under a rule from BANDWIDTH_RULES."""
+    if rule == "scott":
+        return bandwidth_scott(samples, span=span)[0]
+    if rule == "isj":
         return bandwidth_isj(samples, span=span)[0]
-    return float(cfg.bandwidth)
+    raise ValueError(f"bandwidth rule must be one of {BANDWIDTH_RULES}, got {rule!r}")
 
 
-def fit_regularized_map(x, y, cfg: KdeConfig = KdeConfig()) -> RegularizedMap1D:
+def fit_regularized_map(x, y, bandwidth: str = "scott") -> RegularizedMap1D:
     """Fit the KDE-regularized 1D transport map from x-samples to y-samples.
 
-    The grid spans the pooled sample range padded by ``cfg.margin`` on both
-    sides. Each density gets its own bandwidth, is floored by ``cfg.floor``
-    and renormalized, and is accumulated into a strictly increasing CDF.
+    The grid spans the pooled sample range padded by KDE_MARGIN on both
+    sides. Each density gets its own bandwidth under the ``bandwidth`` rule,
+    is floored by KDE_FLOOR and renormalized, and is accumulated into a
+    strictly increasing CDF.
     """
     x = _validate_1d(x, "x")
     y = _validate_1d(y, "y")
-    lo = min(x.min(), y.min()) - cfg.margin
-    hi = max(x.max(), y.max()) + cfg.margin
-    z = np.linspace(lo, hi, cfg.bins)
-    step = (hi - lo) / (cfg.bins - 1)
+    lo = min(x.min(), y.min()) - KDE_MARGIN
+    hi = max(x.max(), y.max()) + KDE_MARGIN
+    z = np.linspace(lo, hi, KDE_BINS)
+    step = (hi - lo) / (KDE_BINS - 1)
     span = hi - lo
 
     cdfs = []
     for samples in (x, y):
-        h = resolve_bandwidth(samples, cfg, span)
+        h = resolve_bandwidth(samples, bandwidth, span)
         density = fft_kde(samples, h, z)
-        density = density + cfg.floor
+        density = density + KDE_FLOOR
         density = density / (density.sum() * step)
         cdfs.append(np.cumsum(density) * step)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import as_sample_matrix
 from .ot1d import (
-    KdeConfig,
+    BANDWIDTH_RULES,
     RegularizedMap1D,
     SortedMap1D,
     fit_regularized_map,
@@ -138,18 +138,18 @@ def fit_ppmm(
     y,
     alpha: float = 1e-3,
     max_iter: int | None = None,
-    cfg: KdeConfig | None = None,
+    bandwidth: str | None = None,
 ) -> tuple[PPMMMap, PPMMFitReport]:
     """Fit a projection-pursuit transport map from x-samples to y-samples.
 
     Each iteration takes the SAVE direction between the current samples and
-    the target, fits a 1D map along it (exact sorted map when ``cfg`` is
-    None, KDE-regularized map otherwise), and displaces the samples. After
-    every iteration the rms displacement of the original x is recorded;
-    from the second iteration on, a relative change of at most ``alpha``
-    stops the fit (a zero displacement also counts as converged). SAVE
-    reporting no informative direction or hitting ``max_iter`` (default
-    10 * d) are the other exits.
+    the target, fits a 1D map along it (exact sorted map when ``bandwidth``
+    is None, KDE-regularized map with that rule from BANDWIDTH_RULES
+    otherwise), and displaces the samples. After every iteration the rms
+    displacement of the original x is recorded; from the second iteration
+    on, a relative change of at most ``alpha`` stops the fit (a zero
+    displacement also counts as converged). SAVE reporting no informative
+    direction or hitting ``max_iter`` (default 10 * d) are the other exits.
 
     Returns the fitted map and a report whose w2_history has one entry per
     completed iteration.
@@ -163,6 +163,10 @@ def fit_ppmm(
         max_iter = 10 * d
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if bandwidth is not None and bandwidth not in BANDWIDTH_RULES:
+        raise ValueError(
+            f"bandwidth must be None or one of {BANDWIDTH_RULES}, got {bandwidth!r}"
+        )
 
     original = x
     current = x.copy()
@@ -178,10 +182,10 @@ def fit_ppmm(
         p = direction.components
         proj = current @ p
         target_proj = y @ p
-        if cfg is None:
+        if bandwidth is None:
             map1d = fit_sorted_map(proj, target_proj)
         else:
-            map1d = fit_regularized_map(proj, target_proj, cfg)
+            map1d = fit_regularized_map(proj, target_proj, bandwidth)
         current += np.outer(map1d(proj) - proj, p)
         steps.append(PPMMStep(direction, map1d))
 

@@ -16,7 +16,7 @@ from dppmm.cli import main
 from dppmm.core import AffineRescaler, Snapshot, SnapshotSeries
 from dppmm.dynamic import fit_transport_splines, generate, interpolate, train_dppmm
 from dppmm.metrics import avg_gmmd2, linear_mmd2, mmd2
-from dppmm.ot1d import KdeConfig, fft_kde, fit_sorted_map
+from dppmm.ot1d import fft_kde, fit_sorted_map
 from dppmm.ppmm import fit_ppmm
 from dppmm.projection import save_direction
 from dppmm.sde import SDESystem, euler_maruyama, make_benchmark, ornstein_uhlenbeck
@@ -52,12 +52,11 @@ def vdp_run():
     d = 2, M = 11, N = 10^4, B = 500, margin = 0.1; one training per alpha.
     """
     train, test = make_benchmark("vdp", 2, 10000, seed=7)
-    cfg = KdeConfig(bins=500, margin=0.1)
     errors = {}
     seconds = {}
     for alpha in (1e-1, 1e-2, 1e-3):
         started = time.perf_counter()
-        model, _ = train_dppmm(train, alpha=alpha, cfg=cfg, seed=0)
+        model, _ = train_dppmm(train, alpha=alpha, seed=0)
         seconds[alpha] = time.perf_counter() - started
         mats = generate(model, 10000, seed=1, rescaled=True)
         errors[alpha] = avg_gmmd2(series_from(model.times, mats), test)
@@ -185,9 +184,7 @@ def test_07_spline_knot_exactness_and_held_out_interpolation():
     # train on every other snapshot of an OU series, interpolate the rest
     train, test = make_benchmark("ou", 2, 4000, seed=11, dt=0.01)
     even = SnapshotSeries(train.snapshots[0::2])
-    model, _ = train_dppmm(
-        even, cfg=KdeConfig(bins=500), seed=0, rescaler=AffineRescaler.identity(2)
-    )
+    model, _ = train_dppmm(even, seed=0, rescaler=AffineRescaler.identity(2))
     mats = generate(model, 4000, seed=2, rescaled=True)
     bundle = fit_transport_splines(model.times, mats)
 
@@ -276,7 +273,7 @@ def test_10_command_determinism_and_parallel_equivalence(tmp_path):
     assert dir_bytes(tmp_path / "data1") == dir_bytes(tmp_path / "data2")
 
     train = ["train", "--data", str(tmp_path / "data1" / "train"),
-             "--bins", "200", "--seed", "5", "--out"]
+             "--seed", "5", "--out"]
     run(train + [str(tmp_path / "m1.json")])
     run(train + [str(tmp_path / "m2.json")])
     run(train + [str(tmp_path / "m3.json"), "--parallel", "--threads", "3"])
@@ -315,7 +312,7 @@ def test_11_training_cost_scaling_in_n_and_dimension():
         samples = []
         for _ in range(3):
             started = time.perf_counter()
-            train_dppmm(series, alpha=0.0, cfg=KdeConfig(bins=500), seed=0)
+            train_dppmm(series, alpha=0.0, seed=0)
             samples.append(time.perf_counter() - started)
         return float(np.median(samples))
 

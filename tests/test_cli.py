@@ -29,7 +29,7 @@ def pipeline(tmp_path_factory):
     rc = main(
         [
             "train", "--data", str(data / "train"), "--out", str(model),
-            "--bins", "200", "--seed", "5",
+            "--seed", "5",
         ]
     )
     assert rc == 0
@@ -86,7 +86,7 @@ class TestTrain:
         model, provenance = load_model(pipeline["model"])
         assert len(model.maps) == 5
         assert provenance["seed"] == 5
-        assert provenance["cfg"]["bins"] == 200
+        assert provenance["bandwidth"] == "scott"
         assert provenance["alpha"] == 1e-3
         assert len(provenance["reports"]) == 5
 
@@ -95,7 +95,7 @@ class TestTrain:
         rc = main(
             [
                 "train", "--data", str(pipeline["data"] / "train"),
-                "--out", str(out), "--bins", "200", "--seed", "5",
+                "--out", str(out), "--seed", "5",
             ]
         )
         assert rc == 0
@@ -106,7 +106,7 @@ class TestTrain:
         rc = main(
             [
                 "train", "--data", str(pipeline["data"] / "train"),
-                "--out", str(out), "--bins", "200", "--seed", "5",
+                "--out", str(out), "--seed", "5",
                 "--threads", "3",
             ]
         )
@@ -117,7 +117,7 @@ class TestTrain:
         rc = main(
             [
                 "train", "--data", str(pipeline["data"] / "train"),
-                "--out", str(tmp_path / "m.json"), "--bins", "200",
+                "--out", str(tmp_path / "m.json"),
             ]
         )
         assert rc == 0
@@ -133,33 +133,27 @@ class TestTrain:
         assert summary["maps"] == 5
         assert summary["seconds"] >= 0.0
 
-    def test_custom_kde_settings_reach_the_maps(self, pipeline, tmp_path):
-        out = tmp_path / "m.json"
-        rc = main(
-            [
-                "train", "--data", str(pipeline["data"] / "train"),
-                "--out", str(out), "--bandwidth", "fixed:0.075",
-                "--bins", "75", "--margin", "0.25",
-            ]
-        )
-        assert rc == 0
-        model, provenance = load_model(out)
-        assert provenance["cfg"] == {
-            "bandwidth": 0.075, "bins": 75, "margin": 0.25, "floor": 1e-8,
-        }
-        step = model.maps[0].steps[0]
-        assert step.map1d.grid.shape == (75,)
-
     def test_bad_bandwidth_exits_2(self, pipeline, tmp_path, capsys):
-        for text in ("gauss", "fixed:-1", "fixed:abc"):
-            rc = main(
-                [
-                    "train", "--data", str(pipeline["data"] / "train"),
-                    "--out", str(tmp_path / "m.json"), "--bandwidth", text,
-                ]
-            )
-            assert rc == 2
-        assert "bandwidth" in capsys.readouterr().err
+        for text in ("gauss", "fixed:0.075"):
+            with pytest.raises(SystemExit) as info:
+                main(
+                    [
+                        "train", "--data", str(pipeline["data"] / "train"),
+                        "--out", str(tmp_path / "m.json"), "--bandwidth", text,
+                    ]
+                )
+            assert info.value.code == 2
+        assert "--bandwidth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--bins", "200"], ["--margin", "0.25"], ["--floor", "1e-8"]],
+        ids=["bins", "margin", "floor"],
+    )
+    def test_removed_kde_flag_is_usage_error(self, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", "x", "--out", "y", *flag])
+        assert info.value.code == 2
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     @pytest.mark.parametrize("parallel", [[], ["--parallel"]], ids=["sequential", "parallel"])
@@ -342,6 +336,28 @@ class TestEvaluate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {},
+            {"d": 2},
+            [],
+            {"d": 2, "snapshots": [{"time": 0.0, "n": 1}]},
+        ],
+        ids=["empty", "no-snapshots", "list", "entry-without-file"],
+    )
+    def test_malformed_manifest_exits_2(self, pipeline, tmp_path, capsys, manifest):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["evaluate", "--a", str(bad), "--b", str(pipeline["data"] / "test")])
+        assert rc == 2
+        rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error: manifest") == 2
+        assert "Traceback" not in err
+
     def test_count_mismatch_exits_2(self, pipeline, tmp_path, capsys):
         csv = pipeline["data"] / "train" / "snapshot_0000.csv"
         rc = main(
@@ -379,7 +395,6 @@ class TestErrorPaths:
             [
                 "train", "--data", str(pipeline["data"] / "train"),
                 "--out", "/nonexistent-dir-for-test/model.json",
-                "--bins", "200",
             ]
         )
         assert rc == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from dppmm.core import AffineRescaler, Snapshot, SnapshotSeries
 from dppmm.dynamic import (
-    DEFAULT_BASE_VARIANCE,
     DPPMMModel,
     fit_transport_splines,
     generate,
@@ -13,8 +13,8 @@ from dppmm.dynamic import (
     train_dppmm,
 )
 from dppmm.modelio import model_to_dict
-from dppmm.ot1d import KdeConfig
 from dppmm.ppmm import PPMMMap, eval_ppmm
+from dppmm.sde import make_benchmark
 
 
 def drifting_series(seed, n=800, means=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), std=0.3):
@@ -33,8 +33,6 @@ def model_bytes(model):
 class TestModelValidation:
     def make_model(self, **overrides):
         kwargs = dict(
-            base_mean=np.zeros(2),
-            base_var=np.full(2, DEFAULT_BASE_VARIANCE),
             rescaler=AffineRescaler.identity(2),
             times=np.array([0.0, 1.0]),
             maps=(PPMMMap((), 2), PPMMMap((), 2)),
@@ -45,12 +43,6 @@ class TestModelValidation:
     def test_valid_model(self):
         m = self.make_model()
         assert m.dim == 2
-
-    def test_rejects_bad_base(self):
-        with pytest.raises(ValueError, match="positive"):
-            self.make_model(base_var=np.array([0.01, 0.0]))
-        with pytest.raises(ValueError, match="length"):
-            self.make_model(base_var=np.array([0.01]))
 
     def test_rejects_time_map_mismatch(self):
         with pytest.raises(ValueError, match="one map per"):
@@ -142,7 +134,7 @@ class TestTrainDppmm:
 
     def test_sorted_variant_available(self):
         series = drifting_series(116, n=200)
-        model, _ = train_dppmm(series, cfg=None)
+        model, _ = train_dppmm(series, bandwidth=None)
         from dppmm.ot1d import SortedMap1D
 
         assert all(
@@ -185,6 +177,35 @@ class TestGenerate:
         model, _ = train_dppmm(series)
         with pytest.raises(ValueError, match="n must be"):
             generate(model, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "bandwidth, maps_digest, samples_digest",
+        [
+            (
+                "scott",
+                "adb37a800f4f3fce4a03c60f267eb92ed663b741ef1189633f70740e0b77748d",
+                "28b0b4de60b8676d8d8545e69b48a191a74090c74a7eb07ae0dcd10b5131e70d",
+            ),
+            (
+                None,
+                "d8c9a8bec8937878a268fa217855b0a68dd1a572f4ad4eb549bc431a08aca318",
+                "80059d77f1d4c8d725c54c05f6e3aade9730da21c3ca0ce31c6cb9ae0514bafb",
+            ),
+        ],
+        ids=["scott", "sorted"],
+    )
+    def test_fit_and_generate_bytes_are_pinned(
+        self, bandwidth, maps_digest, samples_digest
+    ):
+        # SHA-256 of the fitted maps' JSON and of the generated matrices:
+        # a refactor of the fit or of generation must keep these bytes
+        train, _ = make_benchmark("ou", 3, 200, 1, m=5, dt=0.05)
+        model, _ = train_dppmm(train, bandwidth=bandwidth)
+        maps = model_to_dict(model, {})["maps"]
+        maps_json = json.dumps(maps, separators=(",", ":")).encode()
+        assert hashlib.sha256(maps_json).hexdigest() == maps_digest
+        samples = np.stack(generate(model, 200, seed=2)).astype("<f8")
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == samples_digest
 
 
 class TestTransportSplines:
@@ -273,6 +294,8 @@ class TestTransportSplines:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             fit_transport_splines([0.0, 1.0], [z, bad])
+        with pytest.raises(ValueError, match="no columns"):
+            fit_transport_splines([0.0, 1.0], [z, np.zeros((3, 0))])
 
     def test_interpolated_trajectories_connect_generated_snapshots(self):
         series = drifting_series(132, n=400)

@@ -13,7 +13,6 @@ from dppmm.modelio import (
     reports_to_list,
     save_model,
 )
-from dppmm.ot1d import KdeConfig
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +22,7 @@ def trained():
         Snapshot(float(j), rng.normal(size=(400, 2)) * 0.4 + j)
         for j in range(3)
     )
-    model, reports = train_dppmm(
-        SnapshotSeries(snaps), cfg=KdeConfig(bins=200), seed=4
-    )
+    model, reports = train_dppmm(SnapshotSeries(snaps), seed=4)
     provenance = {
         "seed": 4,
         "alpha": 1e-3,
@@ -73,7 +70,6 @@ class TestRoundTrip:
         assert set(doc) == {
             "schema_version",
             "rescaler",
-            "base",
             "times",
             "maps",
             "provenance",
@@ -104,10 +100,11 @@ class TestValidationOnLoad:
         with pytest.raises(ValueError, match="schema_version"):
             model_from_dict(doc)
 
-    def test_schema_version_1_rejected(self, trained):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_schema_version_rejected(self, trained, version):
         model, _, provenance = trained
         doc = model_to_dict(model, provenance)
-        doc["schema_version"] = 1
+        doc["schema_version"] = version
         with pytest.raises(ValueError, match="schema_version"):
             model_from_dict(doc)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dppmm.ot1d import (
-    KdeConfig,
+    KDE_BINS,
+    KDE_MARGIN,
     RegularizedMap1D,
     _dct2,
     SortedMap1D,
@@ -17,29 +18,15 @@ from dppmm.ot1d import (
 )
 
 
-class TestKdeConfig:
-    def test_defaults(self):
-        cfg = KdeConfig()
-        assert cfg.bandwidth == "scott"
-        assert cfg.bins == 500
-        assert cfg.margin == 0.1
-        assert cfg.floor == 1e-8
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            KdeConfig(bandwidth="silverman")
-        with pytest.raises(ValueError):
-            KdeConfig(bandwidth=-0.5)
-        with pytest.raises(ValueError):
-            KdeConfig(bins=7)
-        with pytest.raises(ValueError):
-            KdeConfig(margin=0.0)
-        with pytest.raises(ValueError):
-            KdeConfig(floor=0.0)
-
-    def test_fixed_bandwidth_accepted(self):
-        cfg = KdeConfig(bandwidth=0.25)
-        assert resolve_bandwidth(np.array([0.0, 1.0, 2.0]), cfg, span=1.0) == 0.25
+class TestResolveBandwidth:
+    def test_unknown_rule_raises(self):
+        s = np.array([0.0, 1.0, 2.0])
+        assert resolve_bandwidth(s, "scott", span=1.0) == bandwidth_scott(s)[0]
+        for rule in ("silverman", "fixed:0.25", 0.25):
+            with pytest.raises(ValueError, match="bandwidth rule"):
+                resolve_bandwidth(s, rule, span=1.0)
+        with pytest.raises(ValueError, match="bandwidth rule"):
+            fit_regularized_map(s, s, "silverman")
 
 
 class TestSortedMap1D:
@@ -221,10 +208,6 @@ class TestBandwidthScott:
 
 
 class TestBandwidthIsj:
-    def test_grid_size_must_be_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            bandwidth_isj(np.random.default_rng(0).normal(size=100), grid_size=300)
-
     def test_small_sample_falls_back(self):
         rng = np.random.default_rng(43)
         s = rng.normal(size=30)
@@ -340,9 +323,9 @@ class TestRegularizedMap1D:
         rng = np.random.default_rng(53)
         x = rng.normal(0.0, 0.5, size=8000)
         y = rng.normal(1.0, 1.0, size=8000)
-        m = fit_regularized_map(x, y, KdeConfig(bins=1000))
+        m = fit_regularized_map(x, y)
         t = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
-        np.testing.assert_allclose(m(t), 2.0 * t + 1.0, atol=0.1)
+        np.testing.assert_allclose(m(t), 2.0 * t + 1.0, atol=0.1)  # measured 0.042
 
     def test_scalar_call_returns_float(self):
         rng = np.random.default_rng(54)
@@ -354,11 +337,10 @@ class TestFitRegularizedMap:
     def test_grid_spans_padded_pooled_range(self):
         x = np.array([0.0, 1.0, 2.0])
         y = np.array([-1.0, 0.5, 3.0])
-        cfg = KdeConfig(margin=0.25, bins=64)
-        m = fit_regularized_map(x, y, cfg)
-        assert m.lo == -1.25
-        assert m.hi == 3.25
-        assert m.grid.shape == (64,)
+        m = fit_regularized_map(x, y)
+        assert m.lo == -1.0 - KDE_MARGIN
+        assert m.hi == 3.0 + KDE_MARGIN
+        assert m.grid.shape == (KDE_BINS,)
         assert m.grid[0] == m.lo and m.grid[-1] == m.hi
 
     def test_cdfs_strictly_increasing_to_one(self):
@@ -374,8 +356,8 @@ class TestFitRegularizedMap:
         rng = np.random.default_rng(56)
         x = rng.normal(size=6000)
         y = rng.gamma(3.0, 1.0, size=6000)
-        m = fit_regularized_map(x, y, KdeConfig(bins=800))
+        m = fit_regularized_map(x, y)
         q = np.linspace(10, 90, 9)
-        np.testing.assert_allclose(
+        np.testing.assert_allclose(  # measured 0.035
             np.percentile(m(x), q), np.percentile(y, q), atol=0.15
         )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dppmm.ot1d import KdeConfig, SortedMap1D
+from dppmm.ot1d import SortedMap1D
 from dppmm.ppmm import (
     PPMMFitReport,
     PPMMMap,
@@ -109,6 +109,10 @@ class TestFitPpmm:
             fit_ppmm(x, x, max_iter=0)
         with pytest.raises(ValueError, match="2 rows"):
             fit_ppmm(np.zeros((1, 2)), x)
+        # identical inputs would stop before any 1D map is fitted, so this
+        # raises only if the rule is checked up front
+        with pytest.raises(ValueError, match="bandwidth"):
+            fit_ppmm(x, x, bandwidth="silverman")
 
     def test_identical_inputs_stop_without_informative_direction(self):
         rng = np.random.default_rng(61)
@@ -224,7 +228,7 @@ class TestFitPpmm:
         rng = np.random.default_rng(70)
         x = rng.normal(size=(2000, 2)) * 0.2
         y = rng.normal(size=(2000, 2)) * 0.2 + np.array([0.6, 0.0])
-        m, report = fit_ppmm(x, y, cfg=KdeConfig(bins=400))
+        m, report = fit_ppmm(x, y, bandwidth="scott")
         from dppmm.ot1d import RegularizedMap1D
 
         assert all(isinstance(s.map1d, RegularizedMap1D) for s in m.steps)
