@@ -30,11 +30,9 @@ from .dynamic import fit_transport_splines, generate, interpolate, train_dppmm
 from .metrics import BandwidthGrid, per_snapshot_gmmd2
 from .modelio import load_model, reports_to_list, save_model
 from .ot1d import BANDWIDTH_RULES
-from .sde import make_benchmark
+from .sde import BENCHMARKS, make_benchmark
 
 __all__ = ["main"]
-
-_SYSTEM_DEFAULT_DIM = {"vdp": 2, "ou": 2, "lorenz96": 4}
 
 
 def _emit(doc: dict) -> None:
@@ -51,10 +49,9 @@ def _read_samples(path_text: str) -> SnapshotSeries:
 
 
 def cmd_simulate(args) -> int:
-    d = args.d if args.d is not None else _SYSTEM_DEFAULT_DIM[args.system]
     started = time.perf_counter()
     train, test = make_benchmark(
-        args.system, d, args.n, args.seed, m=args.m, dt=args.dt
+        args.system, args.d, args.n, args.seed, m=args.m, dt=args.dt
     )
     out = Path(args.out)
     write_snapshot_dir(train, out / "train")
@@ -63,7 +60,7 @@ def cmd_simulate(args) -> int:
         {
             "command": "simulate",
             "system": args.system,
-            "d": d,
+            "d": train.dim,
             "n": args.n,
             "m": args.m,
             "seed": args.seed,
@@ -120,16 +117,9 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     model, _ = load_model(args.model)
     started = time.perf_counter()
-    matrices = generate(model, args.n, args.seed, rescaled=args.keep_rescaled)
-    times = (
-        model.times
-        if args.keep_rescaled
-        else model.rescaler.invert_time(model.times)
-    )
+    matrices = generate(model, args.n, args.seed)
     series = SnapshotSeries(
-        tuple(
-            Snapshot(float(t), mat) for t, mat in zip(times, matrices)
-        )
+        tuple(Snapshot(t, mat) for t, mat in zip(model.times, matrices))
     )
     write_snapshot_dir(series, args.out)
     _emit(
@@ -146,8 +136,7 @@ def cmd_sample(args) -> int:
 
 def cmd_interpolate(args) -> int:
     model, _ = load_model(args.model)
-    knots = model.rescaler.invert_time(model.times)
-    lo, hi = float(knots[0]), float(knots[-1])
+    lo, hi = float(model.times[0]), float(model.times[-1])
     requested = [float(t) for t in args.times]
     for t in requested:
         if not lo <= t <= hi:
@@ -160,16 +149,10 @@ def cmd_interpolate(args) -> int:
     started = time.perf_counter()
     coupled = generate(model, args.n, args.seed, rescaled=True)
     bundle = fit_transport_splines(model.times, coupled)
-    snaps = []
-    for t in requested:
-        ts = float(model.rescaler.apply_time(t))
-        # float noise from the unit round trip must not trip the range check
-        ts = min(max(ts, bundle.t_min), bundle.t_max)
-        mat = interpolate(bundle, ts)
-        if not args.keep_rescaled:
-            mat = model.rescaler.invert(mat)
-        snaps.append(Snapshot(t, mat))
-    write_snapshot_dir(SnapshotSeries(tuple(snaps)), args.out)
+    snaps = tuple(
+        Snapshot(t, model.rescaler.invert(interpolate(bundle, t))) for t in requested
+    )
+    write_snapshot_dir(SnapshotSeries(snaps), args.out)
     _emit(
         {
             "command": "interpolate",
@@ -185,9 +168,7 @@ def cmd_interpolate(args) -> int:
 def cmd_evaluate(args) -> int:
     series_a = _read_samples(args.a)
     series_b = _read_samples(args.b)
-    grid = BandwidthGrid(
-        np.logspace(np.log10(args.grid_min), np.log10(args.grid_max), args.grid_size)
-    )
+    grid = BandwidthGrid.default()
     estimator = None if args.estimator == "auto" else args.estimator
     started = time.perf_counter()
     per_snapshot = [
@@ -221,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate a benchmark system into train/test snapshots")
-    p.add_argument("--system", required=True, choices=sorted(_SYSTEM_DEFAULT_DIM))
+    p.add_argument("--system", required=True, choices=sorted(BENCHMARKS))
     p.add_argument("--d", type=int, default=None, help="state dimension (system default if omitted)")
     p.add_argument("--n", type=int, default=10_000, help="trajectories per split")
     p.add_argument("--m", type=int, default=11, help="snapshots per split")
@@ -251,11 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10_000, help="trajectories to generate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output snapshot directory")
-    p.add_argument(
-        "--keep-rescaled",
-        action="store_true",
-        help="write model-space units instead of original units",
-    )
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("interpolate", help="evaluate transport splines at requested times")
@@ -265,12 +241,11 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         nargs="+",
         type=float,
-        help="strictly increasing times in original units",
+        help="strictly increasing times within the model's snapshot times",
     )
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output snapshot directory")
-    p.add_argument("--keep-rescaled", action="store_true")
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("evaluate", help="generalized MMD between two snapshot sets")
@@ -279,9 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--estimator", choices=("auto", "quadratic", "linear"), default="auto"
     )
-    p.add_argument("--grid-min", type=float, default=1e-2)
-    p.add_argument("--grid-max", type=float, default=1e2)
-    p.add_argument("--grid-size", type=int, default=15)
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=cmd_evaluate)
 

@@ -1,10 +1,10 @@
 """Shared domain types: timestamped sample snapshots and affine rescaling.
 
 All training and evaluation happens in rescaled coordinates: sample
-coordinates affinely mapped into [-1, 1]^d (pooled over all snapshots) and
-snapshot times mapped onto [0, 1]. The rescaler is fit once on the training
-series, stored inside the model, and inverted when samples are reported back
-in their original units.
+coordinates affinely mapped into [-1, 1]^d, pooled over all snapshots.
+Snapshot times keep the units they came in. The rescaler is fit once on the
+training series, stored inside the model, and inverted when samples are
+reported back in their original units.
 """
 
 from __future__ import annotations
@@ -113,16 +113,14 @@ class SnapshotSeries:
 
 @dataclass(frozen=True)
 class AffineRescaler:
-    """Componentwise affine map x -> (x - shift) / scale, t -> (t - origin) / span.
+    """Componentwise affine map x -> (x - shift) / scale.
 
-    Fit so the training data lands in [-1, 1]^d and training times in [0, 1].
-    `invert` is the exact algebraic inverse of `apply`.
+    Fit so the training data lands in [-1, 1]^d. `invert` is the exact
+    algebraic inverse of `apply`.
     """
 
     shift: np.ndarray  # (d,) per-dimension center
     scale: np.ndarray  # (d,) per-dimension half-range, > 0
-    time_origin: float
-    time_span: float
 
     def __post_init__(self):
         shift = np.asarray(self.shift, dtype=np.float64).reshape(-1)
@@ -133,14 +131,10 @@ class AffineRescaler:
             raise ValueError("rescaler parameters must be finite")
         if np.any(scale <= 0):
             raise ValueError("scale entries must be positive")
-        if not self.time_span > 0:
-            raise ValueError("time_span must be positive")
         shift.setflags(write=False)
         scale.setflags(write=False)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "time_origin", float(self.time_origin))
-        object.__setattr__(self, "time_span", float(self.time_span))
 
     @property
     def dim(self) -> int:
@@ -162,23 +156,13 @@ class AffineRescaler:
         self._check_dim(x)
         return x * self.scale + self.shift
 
-    def apply_time(self, t):
-        return (np.asarray(t, dtype=np.float64) - self.time_origin) / self.time_span
-
-    def invert_time(self, t):
-        return np.asarray(t, dtype=np.float64) * self.time_span + self.time_origin
-
     def apply_series(self, series: SnapshotSeries) -> SnapshotSeries:
-        return SnapshotSeries(
-            tuple(
-                Snapshot(float(self.apply_time(s.time)), self.apply(s.samples))
-                for s in series
-            )
-        )
+        """The series with every snapshot's samples rescaled; times unchanged."""
+        return SnapshotSeries(tuple(Snapshot(s.time, self.apply(s.samples)) for s in series))
 
     @classmethod
     def identity(cls, d: int) -> "AffineRescaler":
-        return cls(np.zeros(d), np.ones(d), 0.0, 1.0)
+        return cls(np.zeros(d), np.ones(d))
 
 
 def fit_rescaler(series: SnapshotSeries) -> AffineRescaler:
@@ -196,8 +180,7 @@ def fit_rescaler(series: SnapshotSeries) -> AffineRescaler:
     degenerate = span <= 0
     scale = np.where(degenerate, 1.0, span / 2.0)
     shift = np.where(degenerate, lo, (lo + hi) / 2.0)
-    times = series.times
-    return AffineRescaler(shift, scale, float(times[0]), float(times[-1] - times[0]))
+    return AffineRescaler(shift, scale)
 
 
 def write_snapshot_dir(series: SnapshotSeries, path) -> None:
@@ -248,6 +231,8 @@ def read_snapshot_dir(path) -> SnapshotSeries:
         raise ValueError(f"manifest {manifest_path} invalid: {exc!r}") from exc
     snaps = []
     for time, csv_path, n in entries:
+        if not csv_path.is_file():
+            raise ValueError(f"manifest {manifest_path} names a missing file {csv_path}")
         samples = _read_csv_matrix(csv_path)
         if samples.shape != (n, d):
             raise ValueError(f"{csv_path}: expected shape ({n}, {d}), got {samples.shape}")

@@ -30,8 +30,6 @@ __all__ = [
 
 DEFAULT_BASE_VARIANCE = 0.01
 
-_TIME_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class DPPMMModel:
@@ -40,7 +38,8 @@ class DPPMMModel:
     The base is always N(0, DEFAULT_BASE_VARIANCE * I) in rescaled units.
     ``maps[0]`` sends base samples onto the first snapshot; ``maps[j]``
     sends snapshot j onto snapshot j+1. ``times`` are the snapshot times in
-    rescaled units, so they live in [0, 1].
+    the units of the training data; the maps never see them, so any finite,
+    strictly increasing times are valid.
     """
 
     rescaler: AffineRescaler
@@ -56,8 +55,6 @@ class DPPMMModel:
             raise ValueError("model needs at least one snapshot time")
         if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
             raise ValueError("times must be finite and strictly increasing")
-        if times[0] < -_TIME_SLACK or times[-1] > 1.0 + _TIME_SLACK:
-            raise ValueError("times must lie in [0, 1] (rescaled units)")
         maps = tuple(self.maps)
         for j, ppmm_map in enumerate(maps):
             if ppmm_map.dim != d:
@@ -102,10 +99,12 @@ def train_dppmm(
     """Fit the full chain of transport maps over a snapshot series.
 
     With ``rescaler`` None the series is treated as raw data: a rescaler is
-    fitted on it and applied before training. Passing a rescaler asserts the
-    series is already in that rescaler's units and uses it as-is. The base
-    is N(0, DEFAULT_BASE_VARIANCE * I) and its draw count matches the first
-    snapshot's sample count; ``seed`` controls only that draw.
+    fitted on its coordinates and applied before training. Passing a
+    rescaler asserts the coordinates are already in that rescaler's units
+    and uses it as-is. Either way the model keeps the series' times as they
+    are. The base is N(0, DEFAULT_BASE_VARIANCE * I) and its draw count
+    matches the first snapshot's sample count; ``seed`` controls only that
+    draw.
     ``bandwidth`` selects the 1D map variant per fit (None for the exact
     sorted maps, a rule from BANDWIDTH_RULES for the regularized maps).
 

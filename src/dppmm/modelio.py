@@ -22,7 +22,7 @@ from .projection import Direction
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model", "model_to_dict", "model_from_dict"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _map1d_to_dict(map1d) -> dict:
@@ -58,14 +58,7 @@ def _map1d_from_dict(d: dict):
 
 
 def reports_to_list(reports) -> list[dict]:
-    return [
-        {
-            "w2_history": list(r.w2_history),
-            "stop_reason": r.stop_reason,
-            "k_final": r.k_final,
-        }
-        for r in reports
-    ]
+    return [{"w2_history": list(r.w2_history), "stop_reason": r.stop_reason} for r in reports]
 
 
 def model_to_dict(model: DPPMMModel, provenance: dict) -> dict:
@@ -74,8 +67,6 @@ def model_to_dict(model: DPPMMModel, provenance: dict) -> dict:
         "rescaler": {
             "shift": model.rescaler.shift.tolist(),
             "scale": model.rescaler.scale.tolist(),
-            "time_origin": model.rescaler.time_origin,
-            "time_span": model.rescaler.time_span,
         },
         "times": model.times.tolist(),
         "maps": [
@@ -104,8 +95,6 @@ def model_from_dict(doc: dict) -> tuple[DPPMMModel, dict]:
         rescaler = AffineRescaler(
             shift=np.asarray(doc["rescaler"]["shift"]),
             scale=np.asarray(doc["rescaler"]["scale"]),
-            time_origin=float(doc["rescaler"]["time_origin"]),
-            time_span=float(doc["rescaler"]["time_span"]),
         )
         maps = tuple(
             PPMMMap(

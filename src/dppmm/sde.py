@@ -23,13 +23,15 @@ __all__ = [
     "drift",
     "euler_maruyama",
     "make_benchmark",
+    "BENCHMARKS",
     "BENCHMARK_SNAPSHOTS",
 ]
 
 # Snapshot count of the standard benchmark protocol.
 BENCHMARK_SNAPSHOTS = 11
 
-_KINDS = ("vdp", "ou", "lorenz96")
+# Names of the benchmark systems, which are also the SDESystem kinds.
+BENCHMARKS = ("vdp", "ou", "lorenz96")
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class SDESystem:
     init_std: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in BENCHMARKS:
+            raise ValueError(f"kind must be one of {BENCHMARKS}, got {self.kind!r}")
         if self.kind == "vdp" and self.dim != 2:
             raise ValueError("the Van der Pol system is two-dimensional")
         if self.kind == "ou" and self.dim < 2:
@@ -213,21 +215,21 @@ def euler_maruyama(
     return SnapshotSeries(tuple(snapshots))
 
 
-def _system_for(name: str, d: int) -> SDESystem:
+def _system_for(name: str, d: int | None) -> SDESystem:
+    """The named benchmark system at dimension d (None for its default)."""
     if name == "vdp":
-        if d != 2:
+        if d not in (None, 2):
             raise ValueError("the vdp benchmark requires d = 2")
         return vanderpol()
-    if name == "ou":
-        return ornstein_uhlenbeck(dim=d)
-    if name == "lorenz96":
-        return lorenz96(dim=d)
-    raise ValueError(f"unknown benchmark {name!r}; expected one of {_KINDS}")
+    if name not in BENCHMARKS:
+        raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARKS}")
+    make = ornstein_uhlenbeck if name == "ou" else lorenz96
+    return make() if d is None else make(dim=d)
 
 
 def make_benchmark(
     name: str,
-    d: int,
+    d: int | None,
     n: int,
     seed: int,
     m: int = BENCHMARK_SNAPSHOTS,
@@ -235,13 +237,23 @@ def make_benchmark(
 ) -> tuple[SnapshotSeries, SnapshotSeries]:
     """Simulate one benchmark system into rescaled train and test series.
 
-    Two independent streams spawned from ``seed`` drive the training and
-    held-out runs. Both series are rescaled (coordinates into [-1, 1]^d,
-    times into [0, 1]) by the rescaler fitted on the training series alone.
+    ``d`` None takes the system's default dimension. Two independent streams
+    spawned from ``seed`` drive the training and held-out runs. Both series
+    are rescaled by the rescaler fitted on the training series alone, which
+    maps its coordinates into [-1, 1]^d. Paths start at t = 0 and their
+    times are divided by the training series' last time, so they run from 0
+    to 1.
     """
     system = _system_for(name, d)
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     train_raw = euler_maruyama(system, n, dt, train_seed, store=m)
     test_raw = euler_maruyama(system, n, dt, test_seed, store=m)
     rescaler = fit_rescaler(train_raw)
-    return rescaler.apply_series(train_raw), rescaler.apply_series(test_raw)
+    horizon = train_raw.times[-1]
+
+    def rescale(raw: SnapshotSeries) -> SnapshotSeries:
+        return SnapshotSeries(
+            tuple(Snapshot(s.time / horizon, rescaler.apply(s.samples)) for s in raw)
+        )
+
+    return rescale(train_raw), rescale(test_raw)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from dppmm.cli import main
-from dppmm.core import read_snapshot_dir
+from dppmm.core import Snapshot, SnapshotSeries, read_snapshot_dir, write_snapshot_dir
+from dppmm.dynamic import train_dppmm
 from dppmm.modelio import load_model
 
 
@@ -145,16 +147,6 @@ class TestTrain:
             assert info.value.code == 2
         assert "--bandwidth" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag",
-        [["--bins", "200"], ["--margin", "0.25"], ["--floor", "1e-8"]],
-        ids=["bins", "margin", "floor"],
-    )
-    def test_removed_kde_flag_is_usage_error(self, flag):
-        with pytest.raises(SystemExit) as info:
-            main(["train", "--data", "x", "--out", "y", *flag])
-        assert info.value.code == 2
-
     @pytest.mark.parametrize("threads", ["0", "-2"])
     @pytest.mark.parametrize("parallel", [[], ["--parallel"]], ids=["sequential", "parallel"])
     def test_threads_below_one_exits_2(self, pipeline, tmp_path, capsys, threads, parallel):
@@ -175,8 +167,7 @@ class TestSample:
         series = read_snapshot_dir(pipeline["gen"])
         assert len(series) == 5
         assert all(s.n == 200 for s in series)
-        # simulate already rescales, so the model's input units are [0, 1]
-        # times and sample times come back on that scale
+        # simulate writes times in [0, 1] and sample writes the training times
         np.testing.assert_allclose(series.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-9)
 
     def test_seed_reproducible(self, pipeline, tmp_path):
@@ -192,19 +183,36 @@ class TestSample:
                 pipeline["gen"] / name
             ).read_bytes()
 
-    def test_keep_rescaled_stays_in_model_units(self, pipeline, tmp_path):
+    def test_times_stay_in_data_units(self, tmp_path):
+        # a time rescaling round trip wrote 0.09999999999999999 for 0.1 here
+        times = (0.0, 0.1, 2.9)
+        rng = np.random.default_rng(0)
+        series = SnapshotSeries(
+            tuple(Snapshot(t, rng.normal(t, 1.0, size=(50, 2))) for t in times)
+        )
+        write_snapshot_dir(series, tmp_path / "data")
+        model = tmp_path / "model.json"
         rc = main(
             [
-                "sample", "--model", str(pipeline["model"]), "--n", "200",
-                "--seed", "7", "--out", str(tmp_path / "scaled"),
-                "--keep-rescaled",
+                "train", "--data", str(tmp_path / "data"), "--out", str(model),
+                "--max-iter", "2",
             ]
         )
         assert rc == 0
-        series = read_snapshot_dir(tmp_path / "scaled")
-        np.testing.assert_allclose(series.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
-        pooled = np.vstack([s.samples for s in series])
-        assert pooled.min() > -1.3 and pooled.max() < 1.3
+        rc = main(
+            ["sample", "--model", str(model), "--n", "20", "--out", str(tmp_path / "gen")]
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "gen" / "manifest.json").read_text())
+        assert [e["time"] for e in manifest["snapshots"]] == list(times)
+        rc = main(
+            [
+                "interpolate", "--model", str(model), "--n", "20",
+                "--times", "0.0", "1.5", "2.9", "--out", str(tmp_path / "mid"),
+            ]
+        )
+        assert rc == 0
+        np.testing.assert_array_equal(read_snapshot_dir(tmp_path / "mid").times, [0.0, 1.5, 2.9])
 
     def test_missing_model_exits_2(self, tmp_path, capsys):
         rc = main(
@@ -343,8 +351,9 @@ class TestEvaluate:
             {"d": 2},
             [],
             {"d": 2, "snapshots": [{"time": 0.0, "n": 1}]},
+            {"d": 2, "snapshots": [{"time": 0.0, "file": "nope.csv", "n": 1}]},
         ],
-        ids=["empty", "no-snapshots", "list", "entry-without-file"],
+        ids=["empty", "no-snapshots", "list", "entry-without-file", "missing-file"],
     )
     def test_malformed_manifest_exits_2(self, pipeline, tmp_path, capsys, manifest):
         bad = tmp_path / "bad"
@@ -365,18 +374,6 @@ class TestEvaluate:
         )
         assert rc == 2
         assert "counts differ" in capsys.readouterr().err
-
-    def test_custom_grid(self, pipeline, capsys):
-        rc = main(
-            [
-                "evaluate", "--a", str(pipeline["data"] / "train"),
-                "--b", str(pipeline["data"] / "test"),
-                "--grid-min", "0.1", "--grid-max", "10", "--grid-size", "5",
-            ]
-        )
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        np.testing.assert_allclose(report["grid"], np.logspace(-1, 1, 5))
 
 
 class TestErrorPaths:
@@ -405,6 +402,32 @@ class TestErrorPaths:
             main(["train", "--data", "x", "--out", "y", "--frobnicate"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["train", "--data", "x", "--out", "y"], ["--bins", "200"]),
+            (["train", "--data", "x", "--out", "y"], ["--margin", "0.25"]),
+            (["train", "--data", "x", "--out", "y"], ["--floor", "1e-8"]),
+            (["sample", "--model", "x", "--out", "y"], ["--keep-rescaled"]),
+            (
+                ["interpolate", "--model", "x", "--times", "0", "--out", "y"],
+                ["--keep-rescaled"],
+            ),
+            (["evaluate", "--a", "x", "--b", "y"], ["--grid-min", "0.1"]),
+            (["evaluate", "--a", "x", "--b", "y"], ["--grid-max", "10"]),
+            (["evaluate", "--a", "x", "--b", "y"], ["--grid-size", "5"]),
+        ],
+        ids=[
+            "train-bins", "train-margin", "train-floor", "sample-keep-rescaled",
+            "interpolate-keep-rescaled", "evaluate-grid-min", "evaluate-grid-max",
+            "evaluate-grid-size",
+        ],
+    )
+    def test_removed_flag_is_usage_error(self, command, flag):
+        with pytest.raises(SystemExit) as info:
+            main([*command, *flag])
+        assert info.value.code == 2
+
     def test_help_via_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dppmm.cli", "--help"],
@@ -415,18 +438,30 @@ class TestErrorPaths:
         assert "simulate" in proc.stdout and "evaluate" in proc.stdout
 
 
+def _run_python(code: str, *dirs: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with the repo's ``dirs`` on PYTHONPATH."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [*(str(root / d) for d in dirs), env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
 class TestImport:
     def test_import_does_not_load_scipy(self):
         # the library is numpy-only; scipy would add most of every call's startup
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import sys, dppmm.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
+        proc = _run_python(code, "src")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_benchmark_tracer_finds_what_it_wraps(self):
+        # the traced benchmark pass wraps package functions by name and reads
+        # train_dppmm's parallel keyword; renaming either breaks that pass
+        proc = _run_python("from tracing import Tracer; Tracer().install()", "src", "perfbench")
+        assert proc.returncode == 0, proc.stderr
+        assert "parallel" in inspect.signature(train_dppmm).parameters

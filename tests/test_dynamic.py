@@ -48,11 +48,12 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="one map per"):
             self.make_model(maps=(PPMMMap((), 2),))
 
-    def test_rejects_times_outside_unit_interval(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            self.make_model(times=np.array([0.0, 1.5]))
-        with pytest.raises(ValueError, match="increasing"):
-            self.make_model(times=np.array([0.5, 0.5]))
+    def test_rejects_non_finite_or_non_increasing_times(self):
+        for times in ([0.0, np.inf], [np.nan, 1.0], [0.5, 0.5], [2.0, 1.0]):
+            with pytest.raises(ValueError, match="finite and strictly increasing"):
+                self.make_model(times=np.array(times))
+        # times keep their data units: nothing confines them to [0, 1]
+        assert self.make_model(times=np.array([3.0, 10.5])).times[-1] == 10.5
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -69,7 +70,7 @@ class TestTrainDppmm:
         series = drifting_series(110)
         model, reports = train_dppmm(series, seed=1)
         assert len(model.maps) == len(series) == len(reports)
-        np.testing.assert_allclose(model.times, [0.0, 0.5, 1.0], atol=1e-12)
+        np.testing.assert_array_equal(model.times, series.times)
         generated = generate(model, 4000, seed=2)
         for mats, mu in zip(generated, ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))):
             np.testing.assert_allclose(mats.mean(axis=0), mu, atol=0.07)
@@ -91,7 +92,7 @@ class TestTrainDppmm:
 
     def test_external_rescaler_is_used_verbatim(self):
         series = drifting_series(112, n=300)
-        r = AffineRescaler(np.zeros(2), np.full(2, 4.0), 0.0, 2.0)
+        r = AffineRescaler(np.zeros(2), np.full(2, 4.0))
         scaled = r.apply_series(series)
         model, _ = train_dppmm(scaled, rescaler=r)
         assert model.rescaler is r

@@ -100,7 +100,7 @@ class TestValidationOnLoad:
         with pytest.raises(ValueError, match="schema_version"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_schema_version_rejected(self, trained, version):
         model, _, provenance = trained
         doc = model_to_dict(model, provenance)
