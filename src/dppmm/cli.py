@@ -48,6 +48,11 @@ def _read_samples(path_text: str) -> SnapshotSeries:
     raise ValueError(f"no snapshot directory or CSV file at {path}")
 
 
+def _max_abs(series: SnapshotSeries) -> list[float]:
+    """Largest |x| of each snapshot, so a blown-up map shows in the summary."""
+    return [float(np.abs(snap.samples).max()) for snap in series]
+
+
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     train, test = make_benchmark(
@@ -128,6 +133,7 @@ def cmd_sample(args) -> int:
             "snapshots": len(series),
             "n": args.n,
             "out": args.out,
+            "max_abs": _max_abs(series),
             "seconds": round(time.perf_counter() - started, 3),
         }
     )
@@ -152,13 +158,15 @@ def cmd_interpolate(args) -> int:
     snaps = tuple(
         Snapshot(t, model.rescaler.invert(interpolate(bundle, t))) for t in requested
     )
-    write_snapshot_dir(SnapshotSeries(snaps), args.out)
+    series = SnapshotSeries(snaps)
+    write_snapshot_dir(series, args.out)
     _emit(
         {
             "command": "interpolate",
             "times": requested,
             "n": args.n,
             "out": args.out,
+            "max_abs": _max_abs(series),
             "seconds": round(time.perf_counter() - started, 3),
         }
     )
@@ -213,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit the transport chain on a snapshot directory")
     p.add_argument("--data", required=True, help="snapshot directory")
-    p.add_argument("--out", required=True, help="model JSON path")
+    p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--alpha", type=float, default=1e-3, help="relative stopping tolerance")
     p.add_argument(
         "--bandwidth",

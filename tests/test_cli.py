@@ -214,6 +214,20 @@ class TestSample:
         assert rc == 0
         np.testing.assert_array_equal(read_snapshot_dir(tmp_path / "mid").times, [0.0, 1.5, 2.9])
 
+    def test_summary_reports_max_abs_of_written_snapshots(self, pipeline, tmp_path, capsys):
+        for command, extra in (("sample", []), ("interpolate", ["--times", "0.1", "0.6"])):
+            out = tmp_path / command
+            rc = main(
+                [
+                    command, "--model", str(pipeline["model"]), "--n", "50",
+                    "--seed", "3", *extra, "--out", str(out),
+                ]
+            )
+            assert rc == 0
+            summary = json.loads(capsys.readouterr().out)
+            written = read_snapshot_dir(out)
+            assert summary["max_abs"] == [float(np.abs(s.samples).max()) for s in written]
+
     def test_missing_model_exits_2(self, tmp_path, capsys):
         rc = main(
             [

@@ -1,41 +1,83 @@
+import io
 import json
+import re
+import time
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dppmm.core import Snapshot, SnapshotSeries
-from dppmm.dynamic import generate, train_dppmm
-from dppmm.modelio import (
-    SCHEMA_VERSION,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    reports_to_list,
-    save_model,
-)
+from dppmm.cli import main
+from dppmm.core import Snapshot, SnapshotSeries, write_snapshot_dir
+from dppmm.dynamic import DPPMMModel, generate, train_dppmm
+from dppmm.modelio import SCHEMA_VERSION, load_model, reports_to_list, save_model
+from dppmm.ot1d import KDE_BINS
+from dppmm.ppmm import PPMMMap
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def drifting_snapshots(seed=140):
+    rng = np.random.default_rng(seed)
+    return tuple(
+        Snapshot(float(j), rng.normal(size=(400, 2)) * 0.4 + j) for j in range(3)
+    )
+
+
+def fit(snaps, **kwargs):
+    model, reports = train_dppmm(SnapshotSeries(snaps), seed=4, **kwargs)
+    provenance = {"seed": 4, "alpha": 1e-3, "reports": reports_to_list(reports)}
+    return model, reports, provenance
 
 
 @pytest.fixture(scope="module")
 def trained():
-    rng = np.random.default_rng(140)
-    snaps = tuple(
-        Snapshot(float(j), rng.normal(size=(400, 2)) * 0.4 + j)
-        for j in range(3)
-    )
-    model, reports = train_dppmm(SnapshotSeries(snaps), seed=4)
-    provenance = {
-        "seed": 4,
-        "alpha": 1e-3,
-        "reports": reports_to_list(reports),
-    }
+    return fit(drifting_snapshots())
+
+
+@pytest.fixture(scope="module")
+def sorted_model():
+    return fit(drifting_snapshots(), bandwidth=None)
+
+
+@pytest.fixture(scope="module")
+def zero_step_model():
+    # snapshot 1 repeats snapshot 0, so map 1 stops before its first step
+    snaps = drifting_snapshots()
+    snaps = (snaps[0], Snapshot(1.0, snaps[0].samples), snaps[2])
+    model, reports, provenance = fit(snaps)
+    assert reports[1].stop_reason == "no_informative_direction"
+    assert reports[1].k_final == 0 and model.maps[1].steps == ()
     return model, reports, provenance
+
+
+def entries(path) -> dict[str, bytes]:
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def write_entries(path, content: dict[str, bytes]) -> None:
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in content.items():
+            archive.writestr(name, data)
+
+
+def npy(arr, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(arr), allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def array(content, name) -> np.ndarray:
+    return np.lib.format.read_array(io.BytesIO(content[name + ".npy"])).copy()
 
 
 class TestRoundTrip:
     def test_save_load_save_is_byte_identical(self, tmp_path, trained):
         model, _, provenance = trained
-        p1 = tmp_path / "model.json"
-        p2 = tmp_path / "model2.json"
+        p1 = tmp_path / "model.npz"
+        p2 = tmp_path / "model2.npz"
         save_model(p1, model, provenance)
         loaded, loaded_prov = load_model(p1)
         save_model(p2, loaded, loaded_prov)
@@ -43,7 +85,7 @@ class TestRoundTrip:
 
     def test_loaded_model_evaluates_bit_exactly(self, tmp_path, trained):
         model, _, provenance = trained
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.npz"
         save_model(path, model, provenance)
         loaded, _ = load_model(path)
         a = generate(model, 300, seed=7)
@@ -51,105 +93,246 @@ class TestRoundTrip:
         for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma, mb)
 
+    @pytest.mark.parametrize("fixture", ["sorted_model", "zero_step_model"])
+    def test_edge_case_round_trip(self, tmp_path, request, fixture):
+        model, _, provenance = request.getfixturevalue(fixture)
+        p1 = tmp_path / "model.npz"
+        p2 = tmp_path / "model2.npz"
+        save_model(p1, model, provenance)
+        loaded, loaded_prov = load_model(p1)
+        save_model(p2, loaded, loaded_prov)
+        assert p1.read_bytes() == p2.read_bytes()
+        for ma, mb in zip(generate(model, 300, seed=7), generate(loaded, 300, seed=7)):
+            np.testing.assert_array_equal(ma, mb)
+
     def test_provenance_preserved(self, tmp_path, trained):
         model, reports, provenance = trained
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.npz"
         save_model(path, model, provenance)
         _, loaded_prov = load_model(path)
         assert loaded_prov["seed"] == 4
         assert loaded_prov["reports"] == reports_to_list(reports)
 
-    def test_file_layout(self, tmp_path, trained):
+    def test_writes_exactly_the_given_path(self, tmp_path, trained):
         model, _, provenance = trained
-        path = tmp_path / "model.json"
+        save_model(tmp_path / "model.json", model, provenance)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch, trained):
+        model, _, provenance = trained
+        real_localtime = time.localtime
+        paths = []
+        for k, now in enumerate((1.0e9, 2.0e9)):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            monkeypatch.setattr(
+                time, "localtime", lambda secs=None, now=now: real_localtime(now)
+            )
+            paths.append(tmp_path / f"m{k}.npz")
+            save_model(paths[-1], model, provenance)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_file_layout(self, tmp_path, zero_step_model):
+        model, reports, provenance = zero_step_model
+        path = tmp_path / "model.npz"
         save_model(path, model, provenance)
-        text = path.read_text(encoding="utf-8")
-        assert text.endswith("\n")
-        doc = json.loads(text)
-        assert doc["schema_version"] == SCHEMA_VERSION
-        assert set(doc) == {
-            "schema_version",
-            "rescaler",
-            "times",
-            "maps",
-            "provenance",
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+        assert all(i.date_time == (1980, 1, 1, 0, 0, 0) for i in infos)
+        regularized = ["direction", "cdf_source", "cdf_target", "domain"]
+        assert [i.filename for i in infos] == [
+            "header.json", "shift.npy", "scale.npy", "times.npy",
+            *(f"map0/{n}.npy" for n in regularized),
+            "map1/direction.npy",
+            *(f"map2/{n}.npy" for n in regularized),
+        ]
+        content = entries(path)
+        header = json.loads(content["header.json"])
+        assert header == {
+            "schema_version": SCHEMA_VERSION,
+            "maps": ["regularized", None, "regularized"],
+            "provenance": provenance,
         }
-        # compact separators: no spaces after commas or colons
-        assert ", " not in text and ": " not in text
-        # a regularized step stores no grid: it is linspace(lo, hi, len(cdf))
-        map1d = doc["maps"][0]["steps"][0]["map1d"]
-        assert set(map1d) == {"variant", "cdf_source", "cdf_target", "lo", "hi"}
-        assert map1d["variant"] == "regularized"
+        for j, report in enumerate(reports):
+            k = report.k_final
+            assert array(content, f"map{j}/direction").shape == (k, 2)
+            if k:
+                assert array(content, f"map{j}/cdf_source").shape == (k, KDE_BINS)
+                domain = array(content, f"map{j}/domain")
+                assert domain.shape == (k, 2) and np.all(domain[:, 0] < domain[:, 1])
+
+    def test_sorted_map_layout(self, tmp_path, sorted_model):
+        model, reports, provenance = sorted_model
+        path = tmp_path / "model.npz"
+        save_model(path, model, provenance)
+        content = entries(path)
+        assert json.loads(content["header.json"])["maps"] == ["sorted"] * 3
+        for j, report in enumerate(reports):
+            assert array(content, f"map{j}/knots_x").shape == (report.k_final, 400)
+            assert array(content, f"map{j}/knots_y").shape == (report.k_final, 400)
+            assert f"map{j}/cdf_source.npy" not in content
+
+
+def readme_entry_names() -> set[str]:
+    section = README.read_text(encoding="utf-8").split("## Model file format")[1]
+    block = section.split("```")[1]
+    return {line.split()[0] for line in block.splitlines()[1:] if line[:1].strip()}
+
+
+def test_cli_model_opens_with_plain_numpy_and_matches_readme(tmp_path):
+    write_snapshot_dir(SnapshotSeries(drifting_snapshots()), tmp_path / "data")
+    path = tmp_path / "model.json"
+    rc = main(["train", "--data", str(tmp_path / "data"), "--out", str(path)])
+    assert rc == 0
+    with np.load(path, allow_pickle=False) as archive:
+        names = {re.sub(r"^map\d+/", "map{j}/", name) for name in archive.files}
+        header = json.loads(archive["header.json"])
+        assert archive["times"].tolist() == [0.0, 1.0, 2.0]
+        assert archive["map0/direction"].shape[1] == 2
+    assert header["schema_version"] == SCHEMA_VERSION
+    sorted_only = {"map{j}/knots_x", "map{j}/knots_y"}
+    assert names == readme_entry_names() - sorted_only
+
+
+def edit(fn):
+    """A corruption that rewrites the archive's entries with fn(entries)."""
+
+    def make(src: Path, dst: Path):
+        content = entries(src)
+        fn(content)
+        write_entries(dst, content)
+
+    return make
+
+
+def set_array(name, change):
+    def fn(content):
+        content[name + ".npy"] = npy(change(array(content, name)))
+
+    return edit(fn)
+
+
+def set_header(**changes):
+    def fn(content):
+        header = json.loads(content["header.json"])
+        header.update(changes)
+        content["header.json"] = json.dumps(header).encode()
+
+    return edit(fn)
+
+
+def set_item(index, value):
+    def change(arr):
+        arr[index] = value
+        return arr
+
+    return change
+
+
+V4_JSON = (
+    '{"schema_version":4,"rescaler":{"shift":[0.0,0.0],"scale":[1.0,1.0]},'
+    '"times":[0.0],"maps":[{"steps":[]}],"provenance":{}}\n'
+)
+
+# name -> (make(src, dst) writing a corrupted copy of the model at src, match)
+CORRUPTIONS = {
+    "schema-v4 json": (
+        lambda src, dst: dst.write_text(V4_JSON, encoding="utf-8"), "not a schema-5"
+    ),
+    "truncated archive": (
+        lambda src, dst: dst.write_bytes(src.read_bytes()[: src.stat().st_size // 2]),
+        "not a schema-5",
+    ),
+    "missing entry": (edit(lambda c: c.pop("map2/domain.npy")), "invalid"),
+    "missing header": (edit(lambda c: c.pop("header.json")), "invalid"),
+    "object dtype": (
+        edit(lambda c: c.update(
+            {"map0/direction.npy": npy(np.array([[1.0, 0.0]], dtype=object), True)}
+        )),
+        "allow_pickle",
+    ),
+    "float32 entry": (set_array("times", lambda a: a.astype(np.float32)), "float32"),
+    "wrong-shape cdf": (set_array("map0/cdf_target", lambda a: a[:, :-1]), "shape"),
+    "wrong-shape direction": (set_array("map1/direction", lambda a: a[:, :1]), "shape"),
+    "scale longer than shift": (set_array("scale", lambda a: np.append(a, 1.0)), "shape"),
+    "nan in cdf": (set_array("map0/cdf_source", set_item((0, 3), np.nan)), "finite"),
+    "steps without variant": (set_header(maps=["regularized", None, "regularized"]), "variant"),
+    "wrong schema_version": (set_header(schema_version=999), "schema_version"),
+}
+
+
+@pytest.fixture
+def saved(tmp_path, trained):
+    model, _, provenance = trained
+    path = tmp_path / "good.npz"
+    save_model(path, model, provenance)
+    return path
+
+
+def rejected(src, make, match):
+    """Load the corrupted copy of src; the error must mention match."""
+    dst = src.with_name("bad.npz")
+    make(src, dst)
+    with pytest.raises(ValueError, match=match):
+        load_model(dst)
 
 
 class TestValidationOnLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
-            load_model(tmp_path / "absent.json")
+            load_model(tmp_path / "absent.npz")
 
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_model(path)
+    def test_invalid_json(self, saved):
+        rejected(saved, edit(lambda c: c.update({"header.json": b"{not json"})), "invalid")
 
-    def test_wrong_schema_version(self, trained):
-        model, _, provenance = trained
-        doc = model_to_dict(model, provenance)
-        doc["schema_version"] = 999
-        with pytest.raises(ValueError, match="schema_version"):
-            model_from_dict(doc)
+    def test_wrong_schema_version(self, saved):
+        rejected(saved, set_header(schema_version=999), "schema_version")
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_older_schema_version_rejected(self, trained, version):
-        model, _, provenance = trained
-        doc = model_to_dict(model, provenance)
-        doc["schema_version"] = version
-        with pytest.raises(ValueError, match="schema_version"):
-            model_from_dict(doc)
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_older_schema_version_rejected(self, saved, version):
+        rejected(saved, set_header(schema_version=version), "schema_version")
 
-    def test_missing_key_reports_invalid(self, trained):
-        model, _, provenance = trained
-        doc = model_to_dict(model, provenance)
-        del doc["rescaler"]
-        with pytest.raises(ValueError, match="invalid"):
-            model_from_dict(doc)
+    def test_missing_key_reports_invalid(self, saved):
+        rejected(saved, edit(lambda c: c.pop("shift.npy")), "invalid")
 
-    def test_corrupt_direction_caught_by_domain_validation(self, trained):
-        model, _, provenance = trained
-        doc = json.loads(json.dumps(model_to_dict(model, provenance)))
-        doc["maps"][0]["steps"][0]["direction"] = [5.0, 5.0]
-        with pytest.raises(ValueError, match="unit norm"):
-            model_from_dict(doc)
+    def test_corrupt_direction_caught_by_domain_validation(self, saved):
+        rejected(saved, set_array("map0/direction", set_item(0, [5.0, 5.0])), "unit norm")
 
-    def test_unknown_map_variant(self, trained):
-        model, _, provenance = trained
-        doc = json.loads(json.dumps(model_to_dict(model, provenance)))
-        doc["maps"][0]["steps"][0]["map1d"]["variant"] = "spline"
-        with pytest.raises(ValueError, match="variant"):
-            model_from_dict(doc)
+    def test_unknown_map_variant(self, saved):
+        rejected(saved, set_header(maps=["regularized", "spline", "regularized"]), "variant")
 
     @pytest.mark.parametrize("where", ["cdf_source", "knots_x", "times"])
-    def test_nan_in_file_rejected(self, tmp_path, trained, where):
-        # json accepts the NaN literal, so the domain constructors must refuse it
-        model, _, provenance = trained
-        doc = model_to_dict(model, provenance)
-        if where == "times":
-            doc["times"][1] = float("nan")
-        elif where == "cdf_source":
-            doc["maps"][0]["steps"][0]["map1d"]["cdf_source"][3] = float("nan")
-        else:
-            doc["maps"][0]["steps"][0]["map1d"] = {
-                "variant": "sorted", "knots_x": [0.0, float("nan"), 1.0],
-                "knots_y": [0.0, 1.0, 2.0],
-            }
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert "NaN" in path.read_text(encoding="utf-8")
-        with pytest.raises(ValueError, match="finite"):
-            load_model(path)
+    def test_nan_in_file_rejected(self, tmp_path, trained, sorted_model, where):
+        model, _, provenance = sorted_model if where == "knots_x" else trained
+        path = tmp_path / "good.npz"
+        save_model(path, model, provenance)
+        index = 1 if where == "times" else (0, 3)
+        name = where if where == "times" else f"map0/{where}"
+        rejected(path, set_array(name, set_item(index, np.nan)), "finite")
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_load_rejects(self, saved, case):
+        rejected(saved, *CORRUPTIONS[case])
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_cli_exits_2(self, saved, case, tmp_path, capsys):
+        make, match = CORRUPTIONS[case]
+        bad = tmp_path / "bad.npz"
+        make(saved, bad)
+        rc = main(["sample", "--model", str(bad), "--n", "5", "--out", str(tmp_path / "gen")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and re.search(match, err)
+        assert not (tmp_path / "gen").exists()
 
     def test_nan_rejected_at_save(self, trained):
         model, _, _ = trained
         with pytest.raises(ValueError):
             save_model("/dev/null", model, {"bad": float("nan")})
+
+    def test_mixed_variants_rejected_at_save(self, trained, sorted_model):
+        model = trained[0]
+        steps = model.maps[0].steps[:1] + sorted_model[0].maps[0].steps[:1]
+        mixed = DPPMMModel(model.rescaler, model.times[:1], (PPMMMap(steps, 2),))
+        with pytest.raises(ValueError, match="mixes"):
+            save_model("/dev/null", mixed, {})
