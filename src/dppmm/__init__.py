@@ -47,12 +47,11 @@ from .ot1d import (
 from .ppmm import (
     PPMMFitReport,
     PPMMMap,
-    PPMMStep,
     approx_w2,
     eval_ppmm,
     fit_ppmm,
 )
-from .projection import Direction, SaveDiagnostics, save_direction
+from .projection import SaveDiagnostics, save_direction
 from .sde import (
     SDESystem,
     drift,
@@ -70,10 +69,8 @@ __all__ = [
     "BANDWIDTH_RULES",
     "BandwidthGrid",
     "DPPMMModel",
-    "Direction",
     "PPMMFitReport",
     "PPMMMap",
-    "PPMMStep",
     "RegularizedMap1D",
     "SDESystem",
     "SaveDiagnostics",

@@ -10,6 +10,9 @@ one density onto another:
   small constant so they are strictly increasing. Acts as the identity
   outside its padded fitting interval.
 
+Each class holds k maps, one per row of the matrices named in its ``FIELDS``,
+checks each matrix once, and evaluates map i as ``m(t, row=i)``.
+
 The regularized map's grid has ``KDE_BINS`` points over the pooled sample
 range padded by ``KDE_MARGIN`` on both sides, and its densities are floored
 by ``KDE_FLOOR``. Its bandwidths come from one of ``BANDWIDTH_RULES``: Scott's
@@ -49,117 +52,135 @@ def _validate_1d(v, name: str, min_len: int = 2) -> np.ndarray:
     return v
 
 
+def _as_rows(a, name: str) -> np.ndarray:
+    """A vector or (k, n) matrix as a read-only (k, n) float64 view."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim not in (1, 2):
+        raise ValueError(f"{name} must be a vector or a matrix, got shape {a.shape}")
+    a = a[None] if a.ndim == 1 else a.view()
+    a.setflags(write=False)
+    return a
+
+
+def _edge_slope(kx: np.ndarray, ky: np.ndarray, i0: int, i1: int) -> float:
+    dx = kx[i1] - kx[i0]
+    return max(0.0, (ky[i1] - ky[i0]) / dx) if dx > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class SortedMap1D:
-    """Piecewise-linear monotone map through matched order statistics.
+    """Piecewise-linear monotone maps through matched order statistics.
 
-    Linear extension beyond the extreme knots with the boundary segment
-    slope, clamped nonnegative.
+    Row i of the (k, n) knot matrices is map i; a single map may be given
+    as two vectors. Linear extension beyond the extreme knots with the
+    boundary segment slope, clamped nonnegative.
     """
+
+    FIELDS = ("knots_x", "knots_y")
 
     knots_x: np.ndarray
     knots_y: np.ndarray
 
     def __post_init__(self):
-        kx = np.asarray(self.knots_x, dtype=np.float64).reshape(-1)
-        ky = np.asarray(self.knots_y, dtype=np.float64).reshape(-1)
-        if kx.shape != ky.shape or kx.shape[0] < 2:
-            raise ValueError("knot vectors must share length >= 2")
+        kx = _as_rows(self.knots_x, "knots_x")
+        ky = _as_rows(self.knots_y, "knots_y")
+        if kx.shape != ky.shape or not len(kx) or kx.shape[1] < 2:
+            raise ValueError(f"knots need one shape (k >= 1, n >= 2), got {kx.shape}, {ky.shape}")
         if not (np.all(np.isfinite(kx)) and np.all(np.isfinite(ky))):
             raise ValueError("knots contain non-finite entries")
-        if np.any(np.diff(kx) < 0) or np.any(np.diff(ky) < 0):
+        if np.any(np.diff(kx, axis=1) < 0) or np.any(np.diff(ky, axis=1) < 0):
             raise ValueError("knots must be nondecreasing")
-        kx.setflags(write=False)
-        ky.setflags(write=False)
         object.__setattr__(self, "knots_x", kx)
         object.__setattr__(self, "knots_y", ky)
 
-    def _edge_slope(self, i0: int, i1: int) -> float:
-        dx = self.knots_x[i1] - self.knots_x[i0]
-        if dx <= 0:
-            return 0.0
-        return max(0.0, (self.knots_y[i1] - self.knots_y[i0]) / dx)
+    def __len__(self) -> int:
+        return self.knots_x.shape[0]
 
-    def __call__(self, t):
+    def __call__(self, t, row: int = 0):
         t = np.asarray(t, dtype=np.float64)
-        kx, ky = self.knots_x, self.knots_y
+        kx, ky = self.knots_x[row], self.knots_y[row]
         out = np.interp(t, kx, ky)
         lo, hi = kx[0], kx[-1]
         below = t < lo
         if np.any(below):
-            out = np.where(below, ky[0] + self._edge_slope(0, 1) * (t - lo), out)
+            out = np.where(below, ky[0] + _edge_slope(kx, ky, 0, 1) * (t - lo), out)
         above = t > hi
         if np.any(above):
-            out = np.where(above, ky[-1] + self._edge_slope(-2, -1) * (t - hi), out)
+            out = np.where(above, ky[-1] + _edge_slope(kx, ky, -2, -1) * (t - hi), out)
         return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
 class RegularizedMap1D:
-    """KDE-regularized map: inverse-target-CDF composed with source CDF.
+    """KDE-regularized maps: inverse-target-CDF composed with source CDF.
 
-    Defined by strictly increasing CDF vectors for source and target on the
-    equispaced grid ``linspace(lo, hi, len(cdf_source))`` spanning the padded
-    interval [lo, hi]. Evaluates to the identity outside [lo, hi].
+    Map i is row i of the (k, bins) CDF matrices and of the (k, 2) ``domain``
+    matrix; a single map may be given as vectors. Its strictly increasing CDFs
+    live on the grid ``linspace(lo, hi, bins)`` over its padded interval
+    [lo, hi] = domain[i]; outside that interval it is the identity.
     """
+
+    FIELDS = ("cdf_source", "cdf_target", "domain")
 
     cdf_source: np.ndarray
     cdf_target: np.ndarray
-    lo: float
-    hi: float
+    domain: np.ndarray
     grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        f = np.asarray(self.cdf_source, dtype=np.float64).reshape(-1)
-        g = np.asarray(self.cdf_target, dtype=np.float64).reshape(-1)
-        b = f.shape[0]
-        if b < 8 or g.shape[0] != b:
-            raise ValueError("CDF vectors must share length >= 8")
-        if not -np.inf < self.lo < self.hi < np.inf:
+        f = _as_rows(self.cdf_source, "cdf_source")
+        g = _as_rows(self.cdf_target, "cdf_target")
+        domain = _as_rows(self.domain, "domain")
+        k, b = f.shape
+        if g.shape != f.shape or not k or b < 8:
+            raise ValueError(f"CDFs need one shape (k >= 1, bins >= 8), got {f.shape}, {g.shape}")
+        if domain.shape != (k, 2):
+            raise ValueError(f"domain has shape {domain.shape}, expected {(k, 2)}")
+        lo, hi = domain.T
+        if not np.all((-np.inf < lo) & (lo < hi) & (hi < np.inf)):
             raise ValueError("domain must satisfy finite lo < hi")
         for name, c in (("source", f), ("target", g)):
             if not np.all(np.isfinite(c)):
                 raise ValueError(f"{name} CDF contains non-finite entries")
-            if np.any(np.diff(c) <= 0):
+            if np.any(np.diff(c, axis=1) <= 0):
                 raise ValueError(f"{name} CDF must be strictly increasing")
-            if c[0] < 0 or c[-1] > 1 + 1e-9:
+            if np.any(c[:, 0] < 0) or np.any(c[:, -1] > 1 + 1e-9):
                 raise ValueError(f"{name} CDF must stay within [0, 1]")
-        z = np.linspace(float(self.lo), float(self.hi), b)
-        for arr in (z, f, g):
-            arr.setflags(write=False)
+        z = np.linspace(lo, hi, b, axis=1)
+        z.setflags(write=False)
         object.__setattr__(self, "grid", z)
         object.__setattr__(self, "cdf_source", f)
         object.__setattr__(self, "cdf_target", g)
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "domain", domain)
 
-    def __call__(self, t):
+    def __len__(self) -> int:
+        return self.cdf_source.shape[0]
+
+    def __call__(self, t, row: int = 0):
         t = np.asarray(t, dtype=np.float64)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         out = t.copy()  # identity outside the fitted interval
-        inside = (t >= self.lo) & (t <= self.hi)
+        lo, hi = self.domain[row]
+        inside = (t >= lo) & (t <= hi)
         if np.any(inside):
-            u = np.interp(t[inside], self.grid, self.cdf_source)
-            out[inside] = np.interp(u, self.cdf_target, self.grid)
+            z = self.grid[row]
+            u = np.interp(t[inside], z, self.cdf_source[row])
+            out[inside] = np.interp(u, self.cdf_target[row], z)
         return float(out[0]) if scalar else out
 
 
 def fit_sorted_map(x, y) -> SortedMap1D:
     """Fit the exact empirical 1D transport map by sorting.
 
-    Equal sample sizes pair the i-th order statistics directly. Unequal
-    sizes evaluate the target empirical quantile function (linear between
-    order statistics at midpoint plotting positions) at the source plotting
-    positions (i - 1/2) / N1.
+    Evaluates the target empirical quantile function (linear between order
+    statistics at midpoint plotting positions) at the source plotting
+    positions (i - 1/2) / N1. Equal sample sizes share the plotting
+    positions, so the i-th order statistics pair exactly.
     """
-    x = _validate_1d(x, "x")
-    y = _validate_1d(y, "y")
-    xs = np.sort(x)
-    ys = np.sort(y)
+    xs = np.sort(_validate_1d(x, "x"))
+    ys = np.sort(_validate_1d(y, "y"))
     n1, n2 = xs.shape[0], ys.shape[0]
-    if n1 == n2:
-        return SortedMap1D(xs, ys)
     p_src = (np.arange(1, n1 + 1) - 0.5) / n1
     p_tgt = (np.arange(1, n2 + 1) - 0.5) / n2
     return SortedMap1D(xs, np.interp(p_src, p_tgt, ys))
@@ -368,7 +389,4 @@ def fit_regularized_map(x, y, bandwidth: str = "scott") -> RegularizedMap1D:
         density = density / (density.sum() * step)
         cdfs.append(np.cumsum(density) * step)
 
-    return RegularizedMap1D(cdfs[0], cdfs[1], lo, hi)
-
-
-Map1D = SortedMap1D | RegularizedMap1D
+    return RegularizedMap1D(cdfs[0], cdfs[1], (lo, hi))

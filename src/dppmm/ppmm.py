@@ -23,10 +23,9 @@ from .ot1d import (
     fit_regularized_map,
     fit_sorted_map,
 )
-from .projection import Direction, save_direction
+from .projection import save_direction
 
 __all__ = [
-    "PPMMStep",
     "PPMMMap",
     "PPMMFitReport",
     "fit_ppmm",
@@ -37,34 +36,36 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PPMMStep:
-    """One rank-one transport update: a direction and the 1D map along it."""
-
-    direction: Direction
-    map1d: SortedMap1D | RegularizedMap1D
-
-
-@dataclass(frozen=True)
 class PPMMMap:
-    """An ordered chain of PPMM steps acting on d-dimensional samples."""
+    """A chain of rank-one transport updates acting on d-dimensional samples.
 
-    steps: tuple[PPMMStep, ...]
-    dim: int
+    Step i moves samples along row i of the (k, d) ``directions`` matrix by
+    map i (row i) of ``maps1d``. A chain without steps has a (0, d) matrix
+    and ``maps1d`` None.
+    """
+
+    directions: np.ndarray
+    maps1d: SortedMap1D | RegularizedMap1D | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        object.__setattr__(self, "steps", tuple(self.steps))
-        for i, step in enumerate(self.steps):
-            if step.direction.dim != self.dim:
-                raise ValueError(
-                    f"step {i} direction has dimension {step.direction.dim}, "
-                    f"expected {self.dim}"
-                )
+        p = as_sample_matrix(self.directions, "directions", 0).view()
+        norms = np.linalg.norm(p, axis=1)
+        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+        if off.size:
+            raise ValueError(f"direction {off[0]} must have unit norm, got {norms[off[0]]!r}")
+        rows = 0 if self.maps1d is None else len(self.maps1d)
+        if rows != len(p):
+            raise ValueError(f"{len(p)} directions but {rows} 1D maps")
+        p.setflags(write=False)
+        object.__setattr__(self, "directions", p)
+
+    @property
+    def dim(self) -> int:
+        return self.directions.shape[1]
 
     @property
     def iterations(self) -> int:
-        return len(self.steps)
+        return self.directions.shape[0]
 
     def __call__(self, x):
         return eval_ppmm(self, x)
@@ -120,10 +121,9 @@ def eval_ppmm(ppmm_map: PPMMMap, x) -> np.ndarray:
     """
     x = as_sample_matrix(x, "x", 0, ppmm_map.dim)
     out = x.copy()
-    for step in ppmm_map.steps:
-        p = step.direction.components
+    for i, p in enumerate(ppmm_map.directions):
         proj = out @ p
-        out += np.outer(step.map1d(proj) - proj, p)
+        out += np.outer(ppmm_map.maps1d(proj, i) - proj, p)
     return out
 
 
@@ -170,16 +170,16 @@ def fit_ppmm(
 
     original = x
     current = x.copy()
-    steps: list[PPMMStep] = []
+    directions: list[np.ndarray] = []
+    maps1d: list[SortedMap1D | RegularizedMap1D] = []
     history: list[float] = []
     stop_reason = "max_iter"
 
     for k in range(1, max_iter + 1):
-        direction, diag = save_direction(current, y)
+        p, diag = save_direction(current, y)
         if not diag.informative:
             stop_reason = "no_informative_direction"
             break
-        p = direction.components
         proj = current @ p
         target_proj = y @ p
         if bandwidth is None:
@@ -187,7 +187,8 @@ def fit_ppmm(
         else:
             map1d = fit_regularized_map(proj, target_proj, bandwidth)
         current += np.outer(map1d(proj) - proj, p)
-        steps.append(PPMMStep(direction, map1d))
+        directions.append(p)
+        maps1d.append(map1d)
 
         history.append(_rms(current - original))
         if k >= 2 and converged(history[-2], history[-1], alpha):
@@ -195,4 +196,8 @@ def fit_ppmm(
             break
 
     report = PPMMFitReport(w2_history=tuple(history), stop_reason=stop_reason)
-    return PPMMMap(tuple(steps), d), report
+    stacked = None
+    if maps1d:
+        cls = type(maps1d[0])
+        stacked = cls(*(np.concatenate([getattr(m, f) for m in maps1d]) for f in cls.FIELDS))
+    return PPMMMap(np.array(directions).reshape(-1, d), stacked), report

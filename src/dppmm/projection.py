@@ -15,30 +15,11 @@ import numpy as np
 
 from .core import as_sample_matrix
 
-__all__ = ["Direction", "SaveDiagnostics", "save_direction"]
+__all__ = ["SaveDiagnostics", "save_direction"]
 
 # Below this top eigenvalue the SAVE matrix is numerically zero and the
 # direction carries no information.
 INFORMATIVE_EIGENVALUE = 1e-10
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A unit-norm projection direction in R^d."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.components, dtype=np.float64).reshape(-1)
-        norm = np.linalg.norm(v)
-        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction must have unit norm, got {norm!r}")
-        v.setflags(write=False)
-        object.__setattr__(self, "components", v)
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
 
 
 @dataclass(frozen=True)
@@ -57,7 +38,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 def save_direction(
     x: np.ndarray, y: np.ndarray, ridge: float = 1e-8
-) -> tuple[Direction, SaveDiagnostics]:
+) -> tuple[np.ndarray, SaveDiagnostics]:
     """Direction along which the two samples' projected variances differ most.
 
     Parameters
@@ -68,8 +49,8 @@ def save_direction(
 
     Returns
     -------
-    (Direction, SaveDiagnostics). The direction is unit-norm with its first
-    nonzero component positive; ``informative`` is False when the SAVE matrix
+    (direction, SaveDiagnostics). The direction is a unit (d,) vector with its
+    first nonzero component positive; ``informative`` is False when the SAVE matrix
     is numerically zero (caller should treat the pair as already matched).
     """
     x = as_sample_matrix(x, "x", 2)
@@ -123,4 +104,4 @@ def save_direction(
         top_eigenvalue=top_eigenvalue,
         informative=top_eigenvalue >= INFORMATIVE_EIGENVALUE,
     )
-    return Direction(direction), diagnostics
+    return direction, diagnostics

@@ -60,7 +60,7 @@ class TestSnapshot:
         lambda z: gmmd2(z, z),
         lambda z: save_direction(z, z),
         lambda z: fit_ppmm(z, z),
-        lambda z: eval_ppmm(PPMMMap((), 1), z),
+        lambda z: eval_ppmm(PPMMMap(np.zeros((0, 1))), z),
     ],
     ids=["Snapshot", "gmmd2", "save_direction", "fit_ppmm", "eval_ppmm"],
 )

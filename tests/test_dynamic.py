@@ -26,19 +26,20 @@ def drifting_series(seed, n=800, means=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), std
     return SnapshotSeries(snaps)
 
 
-def _map1d_fields(map1d):
-    if isinstance(map1d, SortedMap1D):
+def _map1d_fields(maps1d, i):
+    if isinstance(maps1d, SortedMap1D):
         return {
             "variant": "sorted",
-            "knots_x": map1d.knots_x.tolist(),
-            "knots_y": map1d.knots_y.tolist(),
+            "knots_x": maps1d.knots_x[i].tolist(),
+            "knots_y": maps1d.knots_y[i].tolist(),
         }
+    lo, hi = maps1d.domain[i].tolist()
     return {
         "variant": "regularized",
-        "cdf_source": map1d.cdf_source.tolist(),
-        "cdf_target": map1d.cdf_target.tolist(),
-        "lo": map1d.lo,
-        "hi": map1d.hi,
+        "cdf_source": maps1d.cdf_source[i].tolist(),
+        "cdf_target": maps1d.cdf_target[i].tolist(),
+        "lo": lo,
+        "hi": hi,
     }
 
 
@@ -47,11 +48,8 @@ def maps_json(model):
     maps = [
         {
             "steps": [
-                {
-                    "direction": step.direction.components.tolist(),
-                    "map1d": _map1d_fields(step.map1d),
-                }
-                for step in ppmm_map.steps
+                {"direction": p.tolist(), "map1d": _map1d_fields(ppmm_map.maps1d, i)}
+                for i, p in enumerate(ppmm_map.directions)
             ]
         }
         for ppmm_map in model.maps
@@ -64,7 +62,7 @@ class TestModelValidation:
         kwargs = dict(
             rescaler=AffineRescaler.identity(2),
             times=np.array([0.0, 1.0]),
-            maps=(PPMMMap((), 2), PPMMMap((), 2)),
+            maps=(PPMMMap(np.zeros((0, 2))), PPMMMap(np.zeros((0, 2)))),
         )
         kwargs.update(overrides)
         return DPPMMModel(**kwargs)
@@ -75,7 +73,7 @@ class TestModelValidation:
 
     def test_rejects_time_map_mismatch(self):
         with pytest.raises(ValueError, match="one map per"):
-            self.make_model(maps=(PPMMMap((), 2),))
+            self.make_model(maps=(PPMMMap(np.zeros((0, 2))),))
 
     def test_rejects_non_finite_or_non_increasing_times(self):
         for times in ([0.0, np.inf], [np.nan, 1.0], [0.5, 0.5], [2.0, 1.0]):
@@ -86,7 +84,7 @@ class TestModelValidation:
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            self.make_model(maps=(PPMMMap((), 3), PPMMMap((), 2)))
+            self.make_model(maps=(PPMMMap(np.zeros((0, 3))), PPMMMap(np.zeros((0, 2)))))
 
 
 class TestTrainDppmm:
@@ -165,13 +163,7 @@ class TestTrainDppmm:
     def test_sorted_variant_available(self):
         series = drifting_series(116, n=200)
         model, _ = train_dppmm(series, bandwidth=None)
-        from dppmm.ot1d import SortedMap1D
-
-        assert all(
-            isinstance(step.map1d, SortedMap1D)
-            for ppmm_map in model.maps
-            for step in ppmm_map.steps
-        )
+        assert all(isinstance(m.maps1d, SortedMap1D) for m in model.maps)
 
 
 class TestGenerate:

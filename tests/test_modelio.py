@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -10,10 +11,9 @@ import pytest
 
 from dppmm.cli import main
 from dppmm.core import Snapshot, SnapshotSeries, write_snapshot_dir
-from dppmm.dynamic import DPPMMModel, generate, train_dppmm
+from dppmm.dynamic import generate, train_dppmm
 from dppmm.modelio import SCHEMA_VERSION, load_model, reports_to_list, save_model
 from dppmm.ot1d import KDE_BINS
-from dppmm.ppmm import PPMMMap
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,7 +48,7 @@ def zero_step_model():
     snaps = (snaps[0], Snapshot(1.0, snaps[0].samples), snaps[2])
     model, reports, provenance = fit(snaps)
     assert reports[1].stop_reason == "no_informative_direction"
-    assert reports[1].k_final == 0 and model.maps[1].steps == ()
+    assert reports[1].k_final == 0 and model.maps[1].maps1d is None
     return model, reports, provenance
 
 
@@ -161,6 +161,28 @@ class TestRoundTrip:
                 domain = array(content, f"map{j}/domain")
                 assert domain.shape == (k, 2) and np.all(domain[:, 0] < domain[:, 1])
 
+    def test_cli_train_file_bytes_are_pinned(self, tmp_path):
+        # SHA-256 of the schema-5 file that `train` (scott maps) writes; a
+        # refactor of the in-memory chain must keep the file byte for byte
+        write_snapshot_dir(SnapshotSeries(drifting_snapshots()), tmp_path / "data")
+        path = tmp_path / "model.npz"
+        assert main(["train", "--data", str(tmp_path / "data"), "--out", str(path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "864720bc954507bf61bfe483c60707f234b0897ad02f690f3bad74c36d9119ce"
+
+    @pytest.mark.parametrize(
+        "fixture, digest",
+        [
+            ("sorted_model", "4a42f1d3620f4c38d8ad32c6ab2bac6531de8ad6582c3131796b5f346c485e5e"),
+            ("zero_step_model", "3dca04bb7125dd35d499c052f744a4e6558f8eebdfafe493cc1060a26f38472f"),
+        ],
+    )
+    def test_saved_file_bytes_are_pinned(self, tmp_path, request, fixture, digest):
+        model, _, provenance = request.getfixturevalue(fixture)
+        path = tmp_path / "model.npz"
+        save_model(path, model, provenance)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_sorted_map_layout(self, tmp_path, sorted_model):
         model, reports, provenance = sorted_model
         path = tmp_path / "model.npz"
@@ -256,6 +278,9 @@ CORRUPTIONS = {
     "wrong-shape direction": (set_array("map1/direction", lambda a: a[:, :1]), "shape"),
     "scale longer than shift": (set_array("scale", lambda a: np.append(a, 1.0)), "shape"),
     "nan in cdf": (set_array("map0/cdf_source", set_item((0, 3), np.nan)), "finite"),
+    # the last row of the last map: a check of row 0 alone misses these
+    "nan in last cdf row": (set_array("map2/cdf_target", set_item((-1, 3), np.nan)), "finite"),
+    "non-unit last direction": (set_array("map2/direction", set_item(-1, [0.6, 0.6])), "unit norm"),
     "steps without variant": (set_header(maps=["regularized", None, "regularized"]), "variant"),
     "wrong schema_version": (set_header(schema_version=999), "schema_version"),
 }
@@ -263,7 +288,8 @@ CORRUPTIONS = {
 
 @pytest.fixture
 def saved(tmp_path, trained):
-    model, _, provenance = trained
+    model, reports, provenance = trained
+    assert reports[-1].k_final >= 2  # so the last-row cases miss row 0
     path = tmp_path / "good.npz"
     save_model(path, model, provenance)
     return path
@@ -330,9 +356,9 @@ class TestValidationOnLoad:
         with pytest.raises(ValueError):
             save_model("/dev/null", model, {"bad": float("nan")})
 
-    def test_mixed_variants_rejected_at_save(self, trained, sorted_model):
-        model = trained[0]
-        steps = model.maps[0].steps[:1] + sorted_model[0].maps[0].steps[:1]
-        mixed = DPPMMModel(model.rescaler, model.times[:1], (PPMMMap(steps, 2),))
-        with pytest.raises(ValueError, match="mixes"):
-            save_model("/dev/null", mixed, {})
+    def test_decreasing_knots_in_last_row_rejected(self, tmp_path, sorted_model):
+        model, reports, provenance = sorted_model
+        assert reports[-1].k_final >= 2
+        path = tmp_path / "good.npz"
+        save_model(path, model, provenance)
+        rejected(path, set_array("map2/knots_x", set_item((-1, 0), 1e6)), "nondecreasing")

@@ -51,6 +51,9 @@ class TestSortedMap1D:
             SortedMap1D(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             SortedMap1D(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        knots = np.tile([0.0, 1.0, 2.0], (3, 1))
+        with pytest.raises(ValueError, match="nondecreasing"):  # last row only
+            SortedMap1D(knots, np.vstack([knots[:2], knots[2, ::-1]]))
 
     def test_scalar_and_array_calls(self):
         m = SortedMap1D(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
@@ -71,8 +74,8 @@ class TestFitSortedMap:
         x = rng.normal(size=50)
         y = rng.normal(size=50) * 2 + 1
         m = fit_sorted_map(x, y)
-        np.testing.assert_array_equal(m.knots_x, np.sort(x))
-        np.testing.assert_array_equal(m.knots_y, np.sort(y))
+        np.testing.assert_array_equal(m.knots_x[0], np.sort(x))
+        np.testing.assert_array_equal(m.knots_y[0], np.sort(y))
         np.testing.assert_array_equal(np.sort(m(x)), np.sort(y))
 
     def test_sorted_pairing_minimizes_squared_cost(self):
@@ -101,8 +104,8 @@ class TestFitSortedMap:
         m = fit_sorted_map(np.array([1.0, 0.0]), np.array([2.0, 0.0, 1.0]))
         # source plotting positions 0.25, 0.75 against target quantile
         # function through (1/6, 0), (1/2, 1), (5/6, 2)
-        np.testing.assert_allclose(m.knots_x, [0.0, 1.0])
-        np.testing.assert_allclose(m.knots_y, [0.25, 1.75])
+        np.testing.assert_allclose(m.knots_x[0], [0.0, 1.0])
+        np.testing.assert_allclose(m.knots_y[0], [0.25, 1.75])
 
     def test_unequal_sizes_quantile_consistency(self):
         rng = np.random.default_rng(24)
@@ -277,36 +280,59 @@ class TestBandwidthIsj:
 class TestRegularizedMap1D:
     def test_validation(self):
         good = np.linspace(0.01, 0.99, 16)
-        with pytest.raises(ValueError, match="length"):
-            RegularizedMap1D(good, good[:-1], 0.0, 1.0)
+        with pytest.raises(ValueError, match="one shape"):
+            RegularizedMap1D(good, good[:-1], (0.0, 1.0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            RegularizedMap1D(np.full(16, 0.5), good, 0.0, 1.0)
+            RegularizedMap1D(np.full(16, 0.5), good, (0.0, 1.0))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            RegularizedMap1D(good, good + 0.5, 0.0, 1.0)
+            RegularizedMap1D(good, good + 0.5, (0.0, 1.0))
         with pytest.raises(ValueError, match="lo < hi"):
-            RegularizedMap1D(good, good, 1.0, 0.0)
+            RegularizedMap1D(good, good, (1.0, 0.0))
         with pytest.raises(ValueError, match="lo < hi"):
-            RegularizedMap1D(good, good, 0.0, np.inf)
+            RegularizedMap1D(good, good, (0.0, np.inf))
+        with pytest.raises(ValueError, match="domain has shape"):
+            RegularizedMap1D(good, good, (0.0, 0.5, 1.0))
+        # k = 3 maps with the fault in the last row only
+        rows = np.tile(good, (3, 1))
+        domain = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="lo < hi"):
+            RegularizedMap1D(rows, rows, domain)
+        with pytest.raises(ValueError, match="domain has shape"):
+            RegularizedMap1D(rows, rows, domain[:2])
+        flat = rows.copy()
+        flat[-1, 5] = flat[-1, 4]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RegularizedMap1D(rows, flat, domain[:1].repeat(3, axis=0))
+
+    def test_rows_evaluate_as_separate_maps(self):
+        m = SortedMap1D([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 3.0]])
+        assert len(m) == 2
+        assert m(0.5) == 0.5 and m(0.5, row=1) == 2.0
+        cdf = np.linspace(0.01, 0.99, 16)
+        r = RegularizedMap1D([cdf, cdf], [cdf, cdf], [[0.0, 1.0], [2.0, 3.0]])
+        assert r(0.5, row=0) == 0.5 and r(0.5, row=1) == 0.5  # outside [2, 3]
+        np.testing.assert_array_equal(r.grid[1], np.linspace(2.0, 3.0, 16))
 
     def test_grid_is_derived_from_domain_and_cdf_length(self):
         good = np.linspace(0.01, 0.99, 16)
-        m = RegularizedMap1D(good, good, -0.5, 2.0)
-        np.testing.assert_array_equal(m.grid, np.linspace(-0.5, 2.0, 16))
+        m = RegularizedMap1D(good, good, (-0.5, 2.0))
+        np.testing.assert_array_equal(m.grid, [np.linspace(-0.5, 2.0, 16)])
         assert not m.grid.flags.writeable
 
     def test_identity_outside_domain(self):
         rng = np.random.default_rng(50)
         m = fit_regularized_map(rng.normal(size=200), rng.normal(size=200) + 1)
-        assert m(m.lo - 5.0) == m.lo - 5.0
-        assert m(m.hi + 2.5) == m.hi + 2.5
-        out = m(np.array([m.lo - 1.0, m.hi + 1.0]))
-        np.testing.assert_array_equal(out, [m.lo - 1.0, m.hi + 1.0])
+        lo, hi = m.domain[0]
+        assert m(lo - 5.0) == lo - 5.0
+        assert m(hi + 2.5) == hi + 2.5
+        out = m(np.array([lo - 1.0, hi + 1.0]))
+        np.testing.assert_array_equal(out, [lo - 1.0, hi + 1.0])
 
     def test_self_map_is_identity_inside(self):
         rng = np.random.default_rng(51)
         x = rng.normal(size=400)
         m = fit_regularized_map(x, x.copy())
-        t = np.linspace(m.lo, m.hi, 777)
+        t = np.linspace(*m.domain[0], 777)
         assert np.max(np.abs(m(t) - t)) <= 1e-12
 
     def test_monotone_inside(self):
@@ -314,7 +340,7 @@ class TestRegularizedMap1D:
         m = fit_regularized_map(
             rng.normal(size=500), rng.uniform(-2, 2, size=700)
         )
-        t = np.linspace(m.lo, m.hi, 2000)
+        t = np.linspace(*m.domain[0], 2000)
         assert np.all(np.diff(m(t)) >= 0)
 
     def test_gaussian_to_gaussian_closed_form(self):
@@ -338,15 +364,16 @@ class TestFitRegularizedMap:
         x = np.array([0.0, 1.0, 2.0])
         y = np.array([-1.0, 0.5, 3.0])
         m = fit_regularized_map(x, y)
-        assert m.lo == -1.0 - KDE_MARGIN
-        assert m.hi == 3.0 + KDE_MARGIN
-        assert m.grid.shape == (KDE_BINS,)
-        assert m.grid[0] == m.lo and m.grid[-1] == m.hi
+        lo, hi = m.domain[0]
+        assert lo == -1.0 - KDE_MARGIN
+        assert hi == 3.0 + KDE_MARGIN
+        assert m.grid.shape == (1, KDE_BINS)
+        assert m.grid[0, 0] == lo and m.grid[0, -1] == hi
 
     def test_cdfs_strictly_increasing_to_one(self):
         rng = np.random.default_rng(55)
         m = fit_regularized_map(rng.normal(size=300), rng.normal(size=300) * 2)
-        for cdf in (m.cdf_source, m.cdf_target):
+        for cdf in (m.cdf_source[0], m.cdf_target[0]):
             assert np.all(np.diff(cdf) > 0)
             np.testing.assert_allclose(cdf[-1], 1.0, rtol=1e-9)
 

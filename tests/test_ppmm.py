@@ -5,13 +5,11 @@ from dppmm.ot1d import SortedMap1D
 from dppmm.ppmm import (
     PPMMFitReport,
     PPMMMap,
-    PPMMStep,
     approx_w2,
     converged,
     eval_ppmm,
     fit_ppmm,
 )
-from dppmm.projection import Direction
 
 
 class TestConvergedPredicate:
@@ -48,17 +46,41 @@ class TestReportAndMapTypes:
         assert report.k_final == len(report.w2_history) == 2
 
     def test_map_dimension_checks(self):
-        step = PPMMStep(
-            Direction(np.array([1.0, 0.0])),
-            SortedMap1D(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-        )
-        with pytest.raises(ValueError, match="dimension"):
-            PPMMMap((step,), 3)
-        m = PPMMMap((step,), 2)
-        assert m.iterations == 1
+        identity = SortedMap1D(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="2-D"):
+            PPMMMap(np.array([1.0, 0.0]), identity)
+        with pytest.raises(ValueError, match="no columns"):
+            PPMMMap(np.zeros((0, 0)))
+        m = PPMMMap(np.array([[1.0, 0.0]]), identity)
+        assert m.iterations == 1 and m.dim == 2
+
+    def test_map_rejects_row_count_mismatch(self):
+        knots = np.array([[0.0, 1.0], [0.0, 2.0]])
+        two_maps = SortedMap1D(knots, knots)
+        with pytest.raises(ValueError, match="1 directions but 2 1D maps"):
+            PPMMMap(np.array([[1.0, 0.0]]), two_maps)
+        with pytest.raises(ValueError, match="2 directions but 0 1D maps"):
+            PPMMMap(np.eye(2))
+
+    def test_map_rejects_non_unit_row(self):
+        # the last row is off, so a check of row 0 alone would pass it
+        knots = np.array([[0.0, 1.0]] * 3)
+        maps1d = SortedMap1D(knots, knots)
+        for bad in ([0.6, 0.6], [1.0 + 1e-11, 0.0]):
+            with pytest.raises(ValueError, match="direction 2 must have unit norm"):
+                PPMMMap(np.array([[1.0, 0.0], [0.6, 0.8], bad]), maps1d)
+        with pytest.raises(ValueError, match="non-finite"):
+            PPMMMap(np.array([[1.0, 0.0], [0.6, 0.8], [np.nan, 0.0]]), maps1d)
+        PPMMMap(np.array([[1.0, 0.0], [0.6, 0.8], [1.0 + 1e-13, 0.0]]), maps1d)
+
+    def test_map_directions_read_only(self):
+        directions = np.array([[1.0, 0.0]])
+        m = PPMMMap(directions, SortedMap1D([0.0, 1.0], [0.0, 1.0]))
+        with pytest.raises(ValueError):
+            m.directions[0, 0] = 0.0
 
     def test_empty_chain_is_identity(self):
-        m = PPMMMap((), 3)
+        m = PPMMMap(np.zeros((0, 3)))
         x = np.random.default_rng(0).normal(size=(10, 3))
         np.testing.assert_array_equal(m(x), x)
         assert approx_w2(m, x) == 0.0
@@ -68,7 +90,7 @@ class TestEvalPpmm:
     def test_single_step_moves_along_direction_only(self):
         p = np.array([0.0, 1.0])
         shift = SortedMap1D(np.array([-5.0, 5.0]), np.array([-3.0, 7.0]))  # +2
-        m = PPMMMap((PPMMStep(Direction(p), shift),), 2)
+        m = PPMMMap(p[None], shift)
         x = np.array([[1.0, 0.5], [-2.0, 3.0]])
         out = m(x)
         np.testing.assert_allclose(out[:, 0], x[:, 0])
@@ -77,7 +99,7 @@ class TestEvalPpmm:
     def test_input_not_mutated(self):
         p = np.array([1.0, 0.0])
         shift = SortedMap1D(np.array([-5.0, 5.0]), np.array([-4.0, 6.0]))
-        m = PPMMMap((PPMMStep(Direction(p), shift),), 2)
+        m = PPMMMap(p[None], shift)
         x = np.zeros((4, 2))
         m(x)
         np.testing.assert_array_equal(x, 0.0)
@@ -88,14 +110,14 @@ class TestEvalPpmm:
         y = rng.normal(size=(300, 4)) @ np.diag([1.0, 2.0, 1.0, 1.0])
         m, _ = fit_ppmm(x, y, max_iter=3, alpha=0.0)
         disp = m(x) - x
-        basis = np.array([s.direction.components for s in m.steps]).T
+        basis = m.directions.T
         # residual after projecting displacements onto the step-direction span
         coef, *_ = np.linalg.lstsq(basis, disp.T, rcond=None)
         residual = disp.T - basis @ coef
         assert np.max(np.abs(residual)) <= 1e-9
 
     def test_rejects_wrong_dimension(self):
-        m = PPMMMap((), 3)
+        m = PPMMMap(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="columns"):
             eval_ppmm(m, np.zeros((5, 2)))
 
@@ -231,7 +253,8 @@ class TestFitPpmm:
         m, report = fit_ppmm(x, y, bandwidth="scott")
         from dppmm.ot1d import RegularizedMap1D
 
-        assert all(isinstance(s.map1d, RegularizedMap1D) for s in m.steps)
+        assert isinstance(m.maps1d, RegularizedMap1D)
+        assert len(m.maps1d) == report.k_final
         pushed = m(x)
         np.testing.assert_allclose(pushed.mean(axis=0), y.mean(axis=0), atol=0.05)
 

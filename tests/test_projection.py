@@ -3,7 +3,6 @@ import pytest
 
 from dppmm.projection import (
     INFORMATIVE_EIGENVALUE,
-    Direction,
     SaveDiagnostics,
     save_direction,
 )
@@ -29,19 +28,6 @@ def save_objective(x, y, p, ridge=1e-8):
     q = np.linalg.solve(w, p)
     q = q / np.linalg.norm(q)
     return float(q @ m @ q)
-
-
-class TestDirection:
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            Direction(np.array([1.0, 1.0]))
-        d = Direction(np.array([0.6, 0.8]))
-        assert d.dim == 2
-
-    def test_read_only(self):
-        d = Direction(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            d.components[0] = 0.0
 
 
 class TestValidation:
@@ -79,8 +65,10 @@ class TestIdenticalInputs:
         y[:, 1] *= 3.0
         direction, diag = save_direction(x, y)
         assert diag.informative
+        assert direction.shape == (3,)
+        assert abs(np.linalg.norm(direction) - 1.0) <= 1e-12
         # variance differs only along e2
-        assert abs(direction.components[1]) > 0.99
+        assert abs(direction[1]) > 0.99
 
 
 class TestScanOracle:
@@ -102,7 +90,7 @@ class TestScanOracle:
             save_objective(x, y, np.array([np.cos(a), np.sin(a)])) for a in angles
         ]
         best = max(scan)
-        fitted = save_objective(x, y, direction.components)
+        fitted = save_objective(x, y, direction)
         assert fitted >= best - 1e-6
         np.testing.assert_allclose(fitted, diag.top_eigenvalue, rtol=1e-10)
 
@@ -118,7 +106,7 @@ class TestScanOracle:
             gxy.top_eigenvalue, gyx.top_eigenvalue, rtol=1e-8
         )
         np.testing.assert_allclose(
-            np.abs(dxy.components @ dyx.components), 1.0, atol=1e-8
+            np.abs(dxy @ dyx), 1.0, atol=1e-8
         )
 
 
@@ -135,7 +123,7 @@ class TestEquivariance:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         dr, gr = save_direction(x @ q.T, y @ q.T, ridge=0.0)
         np.testing.assert_allclose(
-            np.abs(dr.components @ (q @ d0.components)), 1.0, atol=1e-6
+            np.abs(dr @ (q @ d0)), 1.0, atol=1e-6
         )
         np.testing.assert_allclose(gr.top_eigenvalue, g0.top_eigenvalue, rtol=1e-6)
 
@@ -145,8 +133,8 @@ class TestEquivariance:
         y = rng.normal(size=(100, 3)) * 2
         d1, _ = save_direction(x, y)
         d2, _ = save_direction(x.copy(), y.copy())
-        np.testing.assert_array_equal(d1.components, d2.components)
-        first = d1.components[np.abs(d1.components) > 1e-14][0]
+        np.testing.assert_array_equal(d1, d2)
+        first = d1[np.abs(d1) > 1e-14][0]
         assert first > 0
 
     def test_diagnostics_named_tuple_like(self):
