@@ -53,7 +53,8 @@ class Snapshot:
     samples: np.ndarray  # (N, d)
 
     def __post_init__(self):
-        x = as_sample_matrix(self.samples, "samples", 1)
+        # a view, so the caller's own array stays writable
+        x = as_sample_matrix(self.samples, "samples", 1).view()
         x.setflags(write=False)
         object.__setattr__(self, "samples", x)
         object.__setattr__(self, "time", float(self.time))

@@ -53,11 +53,12 @@ def _validate_1d(v, name: str, min_len: int = 2) -> np.ndarray:
 
 
 def _as_rows(a, name: str) -> np.ndarray:
-    """A vector or (k, n) matrix as a read-only (k, n) float64 view."""
-    a = np.asarray(a, dtype=np.float64)
+    """A vector or (k, n) matrix as a private read-only (k, n) float64 copy,
+    so that no caller can change a validated map behind its checks."""
+    a = np.array(a, dtype=np.float64)
     if a.ndim not in (1, 2):
         raise ValueError(f"{name} must be a vector or a matrix, got shape {a.shape}")
-    a = a[None] if a.ndim == 1 else a.view()
+    a = a[None] if a.ndim == 1 else a
     a.setflags(write=False)
     return a
 

@@ -48,7 +48,8 @@ class PPMMMap:
     maps1d: SortedMap1D | RegularizedMap1D | None = None
 
     def __post_init__(self):
-        p = as_sample_matrix(self.directions, "directions", 0).view()
+        # a private copy, so that no caller can change a checked direction
+        p = as_sample_matrix(np.array(self.directions, dtype=np.float64), "directions", 0)
         norms = np.linalg.norm(p, axis=1)
         off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
         if off.size:

@@ -9,6 +9,7 @@ rescales both splits with the rescaler fitted on the training split.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +157,30 @@ def drift(system: SDESystem, x) -> np.ndarray:
         return np.stack([x2, c * (1.0 - x1 * x1) * x2 - x1], axis=-1)
     if system.kind == "ou":
         return -system.param * x
-    # lorenz96: dx_i = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F, cyclic indices
-    f = system.param
-    return (
-        (np.roll(x, -1, axis=-1) - np.roll(x, 2, axis=-1)) * np.roll(x, 1, axis=-1)
-        - x
-        + f
-    )
+    # lorenz96: dx_i = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F, cyclic indices.
+    # Each shift is a two-slice concatenation, and the terms accumulate in
+    # place in that order, which rounds exactly as the expression does.
+    v = np.concatenate((x[..., 1:], x[..., :1]), axis=-1)
+    v -= np.concatenate((x[..., -2:], x[..., :-2]), axis=-1)
+    v *= np.concatenate((x[..., -1:], x[..., :-1]), axis=-1)
+    v -= x
+    v += system.param
+    return v
+
+
+def _kept_steps(system: SDESystem, n: int, dt: float, store: int | None) -> list[int]:
+    """Validate the integration settings; return the kept step indices."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 < dt <= system.horizon:
+        raise ValueError(f"dt must lie in (0, horizon], got {dt}")
+    steps = math.ceil(system.horizon / dt)
+    if store is None:
+        store = steps + 1
+    elif not 2 <= store <= steps + 1:
+        raise ValueError(f"store must lie in [2, {steps + 1}], got {store}")
+    # the spacing steps / (store - 1) is at least 1, so the indices are distinct
+    return np.round(np.linspace(0.0, steps, store)).astype(np.intp).tolist()
 
 
 def euler_maruyama(
@@ -171,6 +189,8 @@ def euler_maruyama(
     dt: float,
     seed,
     store: int | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> SnapshotSeries:
     """Integrate N sample paths with the explicit Euler-Maruyama scheme.
 
@@ -181,38 +201,60 @@ def euler_maruyama(
     nearest-index rounding); None keeps every step. ``seed`` feeds numpy's
     default generator, so an integer or a SeedSequence both give
     reproducible output.
+
+    ``out``, when given, is a writable C-contiguous float64 array of shape
+    (kept steps, n, d) that receives the kept states; the returned snapshots
+    are read-only views of it. None allocates it here. The loop draws noise
+    into one reused buffer and updates the state in place, so a step
+    allocates nothing beyond the drift's own temporaries. A call touches no
+    state but its own generator and ``out``, so ``make_benchmark`` runs its
+    two splits concurrently and their bytes do not depend on the thread
+    schedule.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 < dt <= system.horizon:
-        raise ValueError(f"dt must lie in (0, horizon], got {dt}")
-    steps = math.ceil(system.horizon / dt)
-    if store is None:
-        store = steps + 1
-    elif not 2 <= store <= steps + 1:
-        raise ValueError(f"store must lie in [2, {steps + 1}], got {store}")
-    keep = set(np.round(np.linspace(0.0, steps, store)).astype(np.intp).tolist())
+    keep = _kept_steps(system, n, dt, store)
+    shape = (len(keep), n, system.dim)
+    if out is None:
+        out = np.empty(shape)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == shape
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError(
+            f"out must be a writable C-contiguous float64 array of shape {shape}"
+        )
 
     rng = np.random.default_rng(seed)
     means = system.init_means
     component = rng.integers(means.shape[0], size=n)
     x = means[component] + system.init_std * rng.standard_normal((n, system.dim))
+    out[0] = x
 
-    # x is rebound before the in-place noise add, so a kept state is never written
-    snapshots = [Snapshot(0.0, x)]
+    noise = np.empty_like(x)
+    finite = np.empty(x.shape, dtype=bool)
     noise_scale = math.sqrt(2.0 * system.diffusion * dt)
-    for j in range(1, steps + 1):
-        x = x + drift(system, x) * dt
+    k = 1
+    for j in range(1, keep[-1] + 1):  # the last kept step is the last step
+        step = drift(system, x)
+        step *= dt
+        x += step
         if noise_scale > 0.0:
-            x += noise_scale * rng.standard_normal((n, system.dim))
-        if not np.all(np.isfinite(x)):
-            bad = np.argwhere(~np.isfinite(x))[0, 0]
+            rng.standard_normal(out=noise)
+            noise *= noise_scale
+            x += noise
+        if not np.isfinite(x, out=finite).all():
+            bad = np.argwhere(~finite)[0, 0]
             raise RuntimeError(
                 f"non-finite state in trajectory {bad} at step {j}"
             )
-        if j in keep:
-            snapshots.append(Snapshot(j * dt, x))
-    return SnapshotSeries(tuple(snapshots))
+        if j == keep[k]:
+            out[k] = x
+            k += 1
+    return SnapshotSeries(
+        tuple(Snapshot(j * dt, state) for j, state in zip(keep, out))
+    )
 
 
 def _system_for(name: str, d: int | None) -> SDESystem:
@@ -238,22 +280,36 @@ def make_benchmark(
     """Simulate one benchmark system into rescaled train and test series.
 
     ``d`` None takes the system's default dimension. Two independent streams
-    spawned from ``seed`` drive the training and held-out runs. Both series
-    are rescaled by the rescaler fitted on the training series alone, which
-    maps its coordinates into [-1, 1]^d. Paths start at t = 0 and their
-    times are divided by the training series' last time, so they run from 0
-    to 1.
+    spawned from ``seed`` drive the training and held-out runs, which
+    integrate concurrently: the held-out run on one helper thread, the
+    training run on the calling thread. Each writes only its own stream and
+    its own half of one (2, m, n, d) state array allocated here, so the
+    output bytes do not depend on the thread schedule. Both series are
+    rescaled, in that array, by the rescaler fitted on the training series
+    alone, which maps its coordinates into [-1, 1]^d; the returned snapshots
+    are read-only views of it. Paths start at t = 0 and their times are
+    divided by the training series' last time, so they run from 0 to 1.
     """
     system = _system_for(name, d)
+    m = len(_kept_steps(system, n, dt, m))  # rejects bad settings first
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
-    train_raw = euler_maruyama(system, n, dt, train_seed, store=m)
-    test_raw = euler_maruyama(system, n, dt, test_seed, store=m)
-    rescaler = fit_rescaler(train_raw)
-    horizon = train_raw.times[-1]
-
-    def rescale(raw: SnapshotSeries) -> SnapshotSeries:
-        return SnapshotSeries(
-            tuple(Snapshot(s.time / horizon, rescaler.apply(s.samples)) for s in raw)
+    # allocated on the calling thread: a helper thread's own malloc arena
+    # would keep the held-out states' pages after the thread exits
+    states = np.empty((2, m, n, system.dim))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        test_run = pool.submit(
+            euler_maruyama, system, n, dt, test_seed, store=m, out=states[1]
         )
-
-    return rescale(train_raw), rescale(test_raw)
+        train_raw = euler_maruyama(system, n, dt, train_seed, store=m, out=states[0])
+        test_run.result()
+    rescaler = fit_rescaler(train_raw)
+    # in place, with the operations and order of AffineRescaler.apply
+    states -= rescaler.shift
+    states /= rescaler.scale
+    times = train_raw.times.tolist()
+    return tuple(
+        SnapshotSeries(
+            tuple(Snapshot(t / times[-1], state) for t, state in zip(times, split))
+        )
+        for split in states
+    )

@@ -34,6 +34,11 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             s.samples[0, 0] = 7.0
 
+    def test_caller_array_stays_writable(self):
+        x = np.zeros((2, 2))
+        s = Snapshot(0.0, x)
+        assert x.flags.writeable and not s.samples.flags.writeable
+
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             Snapshot(0.0, np.zeros(5))

@@ -55,6 +55,18 @@ class TestSortedMap1D:
         with pytest.raises(ValueError, match="nondecreasing"):  # last row only
             SortedMap1D(knots, np.vstack([knots[:2], knots[2, ::-1]]))
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3)])
+    def test_knots_are_private_copies(self, shape):
+        kx = np.array([0.0, 1.0, 2.0]).reshape(shape)
+        ky = np.array([0.0, 2.0, 4.0]).reshape(shape)
+        m = SortedMap1D(kx, ky)
+        kx.flat[1] = -3.0  # would make the stored knots decreasing
+        ky.flat[2] = 9.0
+        assert kx.flags.writeable
+        np.testing.assert_array_equal(m.knots_x, [[0.0, 1.0, 2.0]])
+        np.testing.assert_array_equal(m.knots_y, [[0.0, 2.0, 4.0]])
+        assert m(1.5) == 3.0
+
     def test_scalar_and_array_calls(self):
         m = SortedMap1D(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
         assert isinstance(m(0.5), float)
@@ -312,6 +324,20 @@ class TestRegularizedMap1D:
         r = RegularizedMap1D([cdf, cdf], [cdf, cdf], [[0.0, 1.0], [2.0, 3.0]])
         assert r(0.5, row=0) == 0.5 and r(0.5, row=1) == 0.5  # outside [2, 3]
         np.testing.assert_array_equal(r.grid[1], np.linspace(2.0, 3.0, 16))
+
+    def test_cdfs_and_domain_are_private_copies(self):
+        f = np.linspace(0.01, 0.99, 16)[None]
+        g = f ** 2
+        domain = np.array([[0.0, 1.0]])
+        m = RegularizedMap1D(f, g, domain)
+        before = m(0.3)
+        f[0, 3] = 0.0  # would break strict monotonicity
+        g[0, :] = 0.5
+        domain[0] = (5.0, 4.0)  # would break lo < hi
+        np.testing.assert_array_equal(m.cdf_source, [np.linspace(0.01, 0.99, 16)])
+        np.testing.assert_array_equal(m.cdf_target, [np.linspace(0.01, 0.99, 16) ** 2])
+        np.testing.assert_array_equal(m.domain, [[0.0, 1.0]])
+        assert m(0.3) == before
 
     def test_grid_is_derived_from_domain_and_cdf_length(self):
         good = np.linspace(0.01, 0.99, 16)

@@ -79,6 +79,13 @@ class TestReportAndMapTypes:
         with pytest.raises(ValueError):
             m.directions[0, 0] = 0.0
 
+    def test_map_directions_are_a_private_copy(self):
+        directions = np.array([[1.0, 0.0]])
+        m = PPMMMap(directions, SortedMap1D([0.0, 1.0], [0.0, 1.0]))
+        directions[0, 0] = 5.0  # a non-unit row the map must not see
+        assert directions.flags.writeable
+        np.testing.assert_array_equal(m.directions, [[1.0, 0.0]])
+
     def test_empty_chain_is_identity(self):
         m = PPMMMap(np.zeros((0, 3)))
         x = np.random.default_rng(0).normal(size=(10, 3))

@@ -1,8 +1,13 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import dppmm.sde
+from dppmm import cli
+from dppmm.core import fit_rescaler
 from dppmm.sde import (
     BENCHMARK_SNAPSHOTS,
     SDESystem,
@@ -96,6 +101,19 @@ class TestDrift:
         with pytest.raises(ValueError, match="dimension"):
             drift(vanderpol(), np.zeros(3))
 
+    @pytest.mark.parametrize("d", [4, 10])
+    def test_lorenz96_bit_identical_to_roll_formula(self, d):
+        s = lorenz96(dim=d, forcing=2.0)
+        x = 4.0 * np.random.default_rng(d).normal(size=(3, 5, d))
+        for arr in (x, x[1], x[2, 4]):
+            expected = (
+                (np.roll(arr, -1, axis=-1) - np.roll(arr, 2, axis=-1))
+                * np.roll(arr, 1, axis=-1)
+                - arr
+                + s.param
+            )
+            assert np.array_equal(drift(s, arr), expected)
+
 
 class TestEulerMaruyama:
     def test_deterministic_ou_matches_exponential_decay(self):
@@ -160,6 +178,32 @@ class TestEulerMaruyama:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.samples, sb.samples)
 
+    def test_out_receives_kept_states_as_snapshot_views(self):
+        s = ornstein_uhlenbeck(dim=3)
+        out = np.empty((4, 6, 3))
+        series = euler_maruyama(s, n=6, dt=0.1, seed=9, store=4, out=out)
+        reference = euler_maruyama(s, n=6, dt=0.1, seed=9, store=4)
+        assert out.flags.writeable
+        for k, (snap, ref) in enumerate(zip(series, reference)):
+            assert np.shares_memory(snap.samples, out[k])
+            assert not snap.samples.flags.writeable
+            np.testing.assert_array_equal(out[k], ref.samples)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((5, 6, 3)),
+            np.empty((4, 6, 3), dtype=np.float32),
+            np.empty((4, 6, 6))[..., ::2],
+            np.empty((4, 6, 3)).tolist(),
+            np.frombuffer(bytes(4 * 6 * 3 * 8)).reshape(4, 6, 3),
+        ],
+        ids=["shape", "dtype", "non-contiguous", "list", "read-only"],
+    )
+    def test_out_validation(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            euler_maruyama(ornstein_uhlenbeck(dim=3), 6, 0.1, 9, store=4, out=out)
+
     def test_validation(self):
         s = vanderpol()
         with pytest.raises(ValueError, match="n must be"):
@@ -213,6 +257,69 @@ class TestMakeBenchmark:
             make_benchmark("vdp", d=3, n=10, seed=0)
         with pytest.raises(ValueError, match="unknown benchmark"):
             make_benchmark("heat", d=2, n=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "name,system",
+        [("vdp", vanderpol()), ("ou", ornstein_uhlenbeck(dim=3)), ("lorenz96", lorenz96(dim=4))],
+    )
+    def test_concurrent_splits_match_sequential_runs(self, name, system):
+        # the reference integrates the two spawned streams one after the
+        # other; a short switch interval interleaves the concurrent splits
+        seeds = np.random.SeedSequence(3).spawn(2)
+        raw = [euler_maruyama(system, 60, 0.05, sq, store=5) for sq in seeds]
+        rescaler = fit_rescaler(raw[0])
+        horizon = raw[0].times[-1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            splits = make_benchmark(name, system.dim, 60, seed=3, m=5, dt=0.05)
+        finally:
+            sys.setswitchinterval(interval)
+        for split, ref in zip(splits, raw):
+            assert split.times.tobytes() == (ref.times / horizon).tobytes()
+            for snap, r in zip(split, ref):
+                assert snap.samples.tobytes() == rescaler.apply(r.samples).tobytes()
+
+    def test_splits_run_through_module_function_on_two_threads(self, monkeypatch):
+        # perfbench's tracer times the module-level euler_maruyama, so both
+        # splits must call it; the held-out split runs on a helper thread
+        calls = []
+        original = dppmm.sde.euler_maruyama
+
+        def recording(*args, **kwargs):
+            calls.append((threading.current_thread(), kwargs["out"].shape))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dppmm.sde, "euler_maruyama", recording)
+        make_benchmark("ou", 2, 10, seed=0, m=3, dt=0.1)
+        assert sorted(shape for _, shape in calls) == [(3, 10, 2)] * 2
+        assert {thread is threading.main_thread() for thread, _ in calls} == {True, False}
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["train", "test"])
+    def test_blowup_in_one_split(self, monkeypatch, tmp_path, helper):
+        # one split's drift turns row 3 infinite at its 5th step; the error
+        # names it, the CLI exits 1 and the helper thread is joined
+        original = dppmm.sde.drift
+        calls = threading.local()
+
+        def faulty(system, x):
+            v = original(system, x)
+            on_helper = threading.current_thread() is not threading.main_thread()
+            calls.n = getattr(calls, "n", 0) + 1
+            if on_helper == helper and calls.n == 5:
+                v[3, 1] = np.inf
+            return v
+
+        monkeypatch.setattr(dppmm.sde, "drift", faulty)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="trajectory 3 at step 5"):
+            make_benchmark("ou", 2, 10, seed=0, m=3, dt=0.1)
+        assert threading.active_count() == threads
+        argv = ["simulate", "--system", "ou", "--d", "2", "--n", "10", "--m", "3",
+                "--dt", "0.1", "--out", str(tmp_path / "data")]
+        calls = threading.local()  # fresh per-thread drift counts for the CLI run
+        assert cli.main(argv) == 1
+        assert threading.active_count() == threads
 
     def test_pinned_bytes(self):
         # SHA-256 over each split's times, then each snapshot's samples, for
