@@ -180,8 +180,13 @@ def cmd_evaluate(args) -> int:
     estimator = None if args.estimator == "auto" else args.estimator
     started = time.perf_counter()
     per_snapshot = [
-        {"time": t, "gmmd2": value, "estimator": chosen}
-        for t, value, chosen in per_snapshot_gmmd2(series_a, series_b, grid, estimator)
+        {"time": t, "gmmd2": value, "estimator": chosen,
+         "max_abs_a": max_a, "max_abs_b": max_b}
+        for (t, value, chosen), max_a, max_b in zip(
+            per_snapshot_gmmd2(series_a, series_b, grid, estimator),
+            _max_abs(series_a),
+            _max_abs(series_b),
+        )
     ]
     report = {
         "command": "evaluate",

@@ -321,6 +321,12 @@ class TestEvaluate:
         np.testing.assert_allclose(
             report["average_gmmd2"], np.mean([e["gmmd2"] for e in per]), rtol=1e-12
         )
+        # the largest |x| of each compared snapshot sits beside its figure
+        for name, key in (("train", "max_abs_a"), ("test", "max_abs_b")):
+            series = read_snapshot_dir(pipeline["data"] / name)
+            assert [e[key] for e in per] == [
+                float(np.abs(s.samples).max()) for s in series
+            ]
         # independent draws of the same law: small discrepancy
         assert report["average_gmmd2"] < 0.05
 
@@ -380,6 +386,18 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.count("error: manifest") == 2
         assert "Traceback" not in err
+
+    def test_linear_on_unequal_sizes_exits_2(self, pipeline, capsys):
+        # 200 generated rows against 300 test rows at the same times: the
+        # error is raised in a worker thread and still reaches the exit code
+        rc = main(
+            [
+                "evaluate", "--a", str(pipeline["gen"]),
+                "--b", str(pipeline["data"] / "test"), "--estimator", "linear",
+            ]
+        )
+        assert rc == 2
+        assert "linear estimator requires equal shapes" in capsys.readouterr().err
 
     def test_count_mismatch_exits_2(self, pipeline, tmp_path, capsys):
         csv = pipeline["data"] / "train" / "snapshot_0000.csv"

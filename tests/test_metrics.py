@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from dppmm.core import Snapshot, SnapshotSeries
 from dppmm.metrics import (
+    _BLOCK,
     _EXP_ZERO,
     BandwidthGrid,
     avg_gmmd2,
@@ -117,12 +120,13 @@ class TestMmd2:
             mmd2(np.zeros((2, 1)), np.zeros((2, 1)), -1.0)
 
     def test_blockwise_consistency_across_sizes(self):
-        # one set larger than the tile edge: off-diagonal tiles, a one-row
-        # last diagonal tile (2049 rows), and bandwidths where all or part of
-        # the kernel terms underflow must agree with the dense reference
+        # sets larger than the tile edge: off-diagonal tiles, a one-row last
+        # diagonal tile (_BLOCK + 1 rows), a partial last tile, and bandwidths
+        # where all or part of the kernel terms underflow must agree with the
+        # dense reference
         rng = np.random.default_rng(84)
         y = rng.normal(size=(300, 2))
-        for n in (2049, 2500):
+        for n in (_BLOCK + 1, 2 * _BLOCK + _BLOCK // 3):
             x = rng.normal(size=(n, 2))
             for sigma in (0.005, 0.1, 1.0, 2.0, 10.0):
                 np.testing.assert_allclose(
@@ -279,6 +283,38 @@ class TestAvgGmmd2:
         short = SnapshotSeries(b.snapshots[:2])
         with pytest.raises(ValueError, match="counts differ"):
             avg_gmmd2(a, short)
+
+    def test_concurrent_pairs_match_sequential_calls(self):
+        # more pairs than cores, mixed and unequal sizes, both estimators
+        rng = np.random.default_rng(95)
+        pairs = max(7, (os.cpu_count() or 1) + 1)
+        sizes = [(40, 60), (_BLOCK + 1, 300), (2002, 2002), (120, 120), (7, 9)]
+        sizes = [sizes[j % len(sizes)] for j in range(pairs)]
+        times = [0.25 * j for j in range(pairs)]
+        a = SnapshotSeries(
+            tuple(Snapshot(t, rng.normal(size=(n1, 3))) for t, (n1, _) in zip(times, sizes))
+        )
+        b = SnapshotSeries(
+            tuple(
+                Snapshot(t, rng.normal(size=(n2, 3)) + 0.1 * j)
+                for j, (t, (_, n2)) in enumerate(zip(times, sizes))
+            )
+        )
+        grid = BandwidthGrid.default()
+        sequential = []
+        for sa, sb in zip(a, b):
+            chosen = choose_estimator(sa.n, sb.n)
+            value = gmmd2(sa.samples, sb.samples, grid, chosen)
+            sequential.append((sa.time, value, chosen))
+        assert {est for _, _, est in sequential} == {"linear", "quadratic"}
+        assert per_snapshot_gmmd2(a, b, grid) == sequential
+        assert per_snapshot_gmmd2(a, b, grid) == per_snapshot_gmmd2(a, b, grid)
+
+    def test_worker_error_reaches_caller(self):
+        a, _ = self.make_pair(96, n=40)
+        _, b = self.make_pair(97, n=50)
+        with pytest.raises(ValueError, match="linear estimator requires equal shapes"):
+            per_snapshot_gmmd2(a, b, estimator="linear")
 
     def test_auto_estimator_follows_size_rule(self):
         # small snapshots use the quadratic path: auto must equal quadratic
