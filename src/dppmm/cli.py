@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     Snapshot,
     SnapshotSeries,
+    checked_array,
     read_snapshot_csv,
     read_snapshot_dir,
     write_snapshot_dir,
@@ -149,8 +150,7 @@ def cmd_interpolate(args) -> int:
             raise ValueError(
                 f"time {t} outside the interpolation range [{lo}, {hi}]"
             )
-    if np.any(np.diff(requested) <= 0) and len(requested) > 1:
-        raise ValueError("requested times must be strictly increasing")
+    checked_array(requested, "requested times", ndim=1, order="strictly increasing")
 
     started = time.perf_counter()
     coupled = generate(model, args.n, args.seed, rescaled=True)

@@ -27,21 +27,46 @@ __all__ = [
 ]
 
 
-def as_sample_matrix(x, name: str, min_rows: int, dim: int | None = None) -> np.ndarray:
-    """``x`` as a finite float64 (N, d) matrix with N >= min_rows and d >= 1
-    (d == dim when given); anything else raises ValueError naming ``name``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D (N, d) sample matrix, got ndim={x.ndim}")
-    n, d = x.shape
+_ORDERS = {"strictly increasing": np.greater, "nondecreasing": np.greater_equal}
+
+
+def checked_array(
+    x, name: str, min_rows: int = 1, dim: int | None = None, *,
+    ndim: int = 2, order: str | None = None, frozen: str | None = None,
+) -> np.ndarray:
+    """``x`` as a finite float64 array; anything else raises ValueError naming ``name``.
+
+    ``ndim`` 2 asks for an (N, d) matrix and 3 for an (M, N, d) stack of
+    them, with N >= min_rows and d >= 1 (d == dim when given); ``ndim`` 1
+    flattens ``x`` of any shape into a vector of at least min_rows entries
+    (exactly dim when given). ``order`` "strictly increasing" or
+    "nondecreasing" also asks for that order along the last axis. ``frozen``
+    "view" returns a read-only view, so that bulk samples are never copied,
+    and "copy" a private read-only copy, so that no caller can change a
+    checked array behind its checks.
+    """
+    x = (np.array if frozen == "copy" else np.asarray)(x, dtype=np.float64)
+    if ndim == 1:
+        x = x.reshape(-1)
+    elif x.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got ndim={x.ndim}")
+    n, d = x.shape[0 if ndim == 1 else -2], x.shape[-1]
+    rows, cols = ("entries", "entries") if ndim == 1 else ("rows", "columns")
     if n < min_rows:
-        raise ValueError(f"{name} needs at least {min_rows} rows, got {n}")
-    if d < 1:
-        raise ValueError(f"{name} has no columns")
+        raise ValueError(f"{name} needs at least {min_rows} {rows}, got {n}")
+    if d < 1 and ndim > 1:
+        raise ValueError(f"{name} has no {cols}")
     if dim is not None and d != dim:
-        raise ValueError(f"{name} has {d} columns, expected {dim}")
-    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} has {d} {cols}, expected {dim}")
+    finite = np.all(np.isfinite(x))
+    if order is not None:
+        if not (finite and np.all(_ORDERS[order](np.diff(x, axis=-1), 0))):
+            raise ValueError(f"{name} must be finite and {order}")
+    elif not finite:
         raise ValueError(f"{name} contains non-finite entries")
+    if frozen is not None:
+        x = x.view()
+        x.setflags(write=False)
     return x
 
 
@@ -53,10 +78,7 @@ class Snapshot:
     samples: np.ndarray  # (N, d)
 
     def __post_init__(self):
-        # a view, so the caller's own array stays writable
-        x = as_sample_matrix(self.samples, "samples", 1).view()
-        x.setflags(write=False)
-        object.__setattr__(self, "samples", x)
+        object.__setattr__(self, "samples", checked_array(self.samples, "samples", frozen="view"))
         object.__setattr__(self, "time", float(self.time))
         if not np.isfinite(self.time):
             raise ValueError("snapshot time must be finite")
@@ -84,14 +106,11 @@ class SnapshotSeries:
 
     def __post_init__(self):
         snaps = tuple(self.snapshots)
-        if len(snaps) < 1:
-            raise ValueError("series must contain at least one snapshot")
+        times = [s.time for s in snaps]
+        checked_array(times, "snapshot times", ndim=1, order="strictly increasing")
         dims = {s.dim for s in snaps}
         if len(dims) != 1:
             raise ValueError(f"snapshots disagree on dimension: {sorted(dims)}")
-        times = np.array([s.time for s in snaps])
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("snapshot times must be strictly increasing")
         object.__setattr__(self, "snapshots", snaps)
 
     def __len__(self) -> int:
@@ -124,16 +143,10 @@ class AffineRescaler:
     scale: np.ndarray  # (d,) per-dimension half-range, > 0
 
     def __post_init__(self):
-        shift = np.asarray(self.shift, dtype=np.float64).reshape(-1)
-        scale = np.asarray(self.scale, dtype=np.float64).reshape(-1)
-        if shift.shape != scale.shape:
-            raise ValueError("shift and scale must have equal length")
-        if not (np.all(np.isfinite(shift)) and np.all(np.isfinite(scale))):
-            raise ValueError("rescaler parameters must be finite")
+        shift = checked_array(self.shift, "shift", ndim=1, frozen="copy")
+        scale = checked_array(self.scale, "scale", 1, len(shift), ndim=1, frozen="copy")
         if np.any(scale <= 0):
             raise ValueError("scale entries must be positive")
-        shift.setflags(write=False)
-        scale.setflags(write=False)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "scale", scale)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AffineRescaler, SnapshotSeries, as_sample_matrix, fit_rescaler
+from .core import AffineRescaler, SnapshotSeries, checked_array, fit_rescaler
 from .ppmm import PPMMFitReport, PPMMMap, eval_ppmm, fit_ppmm
 
 __all__ = [
@@ -47,21 +47,18 @@ class DPPMMModel:
     maps: tuple[PPMMMap, ...]
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64).reshape(-1)
+        times = checked_array(
+            self.times, "times", ndim=1, order="strictly increasing", frozen="copy"
+        )
         d = self.rescaler.dim
-        if times.shape[0] != len(self.maps):
-            raise ValueError("need exactly one map per snapshot time")
-        if times.shape[0] < 1:
-            raise ValueError("model needs at least one snapshot time")
-        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be finite and strictly increasing")
         maps = tuple(self.maps)
+        if len(times) != len(maps):
+            raise ValueError("need exactly one map per snapshot time")
         for j, ppmm_map in enumerate(maps):
             if ppmm_map.dim != d:
                 raise ValueError(
                     f"map {j} has dimension {ppmm_map.dim}, expected {d}"
                 )
-        times.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "maps", maps)
 
@@ -169,19 +166,41 @@ def generate(
 class SplineBundle:
     """Per-trajectory, per-coordinate cubic interpolant between snapshots.
 
-    boundary_rule records the effective rule for the knot count: not-a-knot
-    for 4 or more knots, the unique quadratic through 3 knots, linear for 2.
-    ``values`` keeps the (M, N, d) knot matrices so evaluation at a knot
-    time can return them verbatim; ``second`` holds the (M, N, d) second
-    derivatives at the knots.
+    ``values`` keeps the (M, N, d) knot matrices, one per time in ``times``,
+    so evaluation at a knot time can return them verbatim; ``second`` holds
+    the (M, N, d) second derivatives at the knots, derived from both.
     """
 
     times: np.ndarray
-    n: int
-    dim: int
-    boundary_rule: str
     values: np.ndarray = field(repr=False)
-    second: np.ndarray = field(repr=False)
+    second: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        times = checked_array(
+            self.times, "times", 2, ndim=1, order="strictly increasing", frozen="copy"
+        )
+        values = checked_array(self.values, "values", ndim=3, frozen="copy")
+        if len(values) != len(times):
+            raise ValueError(f"expected {len(times)} snapshot matrices, got {len(values)}")
+        second = checked_array(_second_derivatives(times, values), "second", ndim=3, frozen="view")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "second", second)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[2]
+
+    @property
+    def boundary_rule(self) -> str:
+        """The effective end condition for the knot count: not-a-knot for 4
+        or more knots, the unique quadratic through 3 knots, linear for 2."""
+        m = len(self.times)
+        return "not-a-knot" if m >= 4 else ("quadratic" if m == 3 else "linear")
 
     @property
     def t_min(self) -> float:
@@ -200,26 +219,8 @@ def fit_transport_splines(times, coupled) -> SplineBundle:
     per trajectory per coordinate (not-a-knot ends; 3 knots degrade to the
     unique quadratic, 2 knots to the connecting line).
     """
-    times = np.asarray(times, dtype=np.float64).reshape(-1)
-    m = times.shape[0]
-    if m < 2:
-        raise ValueError("spline fitting requires at least 2 snapshots")
-    if np.any(np.diff(times) <= 0) or not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite and strictly increasing")
-    coupled = list(coupled)
-    if len(coupled) != m:
-        raise ValueError(f"expected {m} snapshot matrices, got {len(coupled)}")
-    values = np.stack(
-        [as_sample_matrix(c, f"snapshot {j}", 1) for j, c in enumerate(coupled)]
-    )
-    rule = "not-a-knot" if m >= 4 else ("quadratic" if m == 3 else "linear")
     return SplineBundle(
-        times=times,
-        n=values.shape[1],
-        dim=values.shape[2],
-        boundary_rule=rule,
-        values=values,
-        second=_second_derivatives(times, values),
+        times, [checked_array(c, f"snapshot {j}") for j, c in enumerate(coupled)]
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SnapshotSeries, as_sample_matrix
+from .core import SnapshotSeries, checked_array
 
 __all__ = [
     "BandwidthGrid",
@@ -50,14 +50,11 @@ class BandwidthGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.shape[0] < 1:
-            raise ValueError("bandwidth grid must be non-empty")
-        if not np.all(np.isfinite(v)) or v[0] <= 0:
-            raise ValueError("bandwidths must be finite and positive")
-        if np.any(np.diff(v) <= 0):
-            raise ValueError("bandwidths must be strictly increasing")
-        v.setflags(write=False)
+        v = checked_array(
+            self.values, "bandwidths", ndim=1, order="strictly increasing", frozen="copy"
+        )
+        if v[0] <= 0:
+            raise ValueError("bandwidths must be positive")
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -188,8 +185,8 @@ def gmmd2(
     """Generalized MMD^2: maximum of the chosen estimator over the grid."""
     if grid is None:
         grid = BandwidthGrid.default()
-    x = as_sample_matrix(x, "x", 2)
-    y = as_sample_matrix(y, "y", 2, x.shape[1])
+    x = checked_array(x, "x", 2)
+    y = checked_array(y, "y", 2, x.shape[1])
     if estimator == "quadratic":
         values = _mmd2_grid(x, y, grid.values)
     elif estimator == "linear":

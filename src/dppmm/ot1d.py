@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import checked_array
+
 __all__ = [
     "BANDWIDTH_RULES",
     "SortedMap1D",
@@ -41,26 +43,6 @@ KDE_BINS = 500
 KDE_MARGIN = 0.1
 KDE_FLOOR = 1e-8
 _ISJ_GRID = 256
-
-
-def _validate_1d(v, name: str, min_len: int = 2) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.shape[0] < min_len:
-        raise ValueError(f"{name} needs at least {min_len} samples, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
-def _as_rows(a, name: str) -> np.ndarray:
-    """A vector or (k, n) matrix as a private read-only (k, n) float64 copy,
-    so that no caller can change a validated map behind its checks."""
-    a = np.array(a, dtype=np.float64)
-    if a.ndim not in (1, 2):
-        raise ValueError(f"{name} must be a vector or a matrix, got shape {a.shape}")
-    a = a[None] if a.ndim == 1 else a
-    a.setflags(write=False)
-    return a
 
 
 def _edge_slope(kx: np.ndarray, ky: np.ndarray, i0: int, i1: int) -> float:
@@ -83,14 +65,12 @@ class SortedMap1D:
     knots_y: np.ndarray
 
     def __post_init__(self):
-        kx = _as_rows(self.knots_x, "knots_x")
-        ky = _as_rows(self.knots_y, "knots_y")
-        if kx.shape != ky.shape or not len(kx) or kx.shape[1] < 2:
+        kx, ky = (
+            checked_array(np.atleast_2d(k), name, order="nondecreasing", frozen="copy")
+            for k, name in ((self.knots_x, "knots_x"), (self.knots_y, "knots_y"))
+        )
+        if kx.shape != ky.shape or kx.shape[1] < 2:
             raise ValueError(f"knots need one shape (k >= 1, n >= 2), got {kx.shape}, {ky.shape}")
-        if not (np.all(np.isfinite(kx)) and np.all(np.isfinite(ky))):
-            raise ValueError("knots contain non-finite entries")
-        if np.any(np.diff(kx, axis=1) < 0) or np.any(np.diff(ky, axis=1) < 0):
-            raise ValueError("knots must be nondecreasing")
         object.__setattr__(self, "knots_x", kx)
         object.__setattr__(self, "knots_y", ky)
 
@@ -129,24 +109,24 @@ class RegularizedMap1D:
     grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        f = _as_rows(self.cdf_source, "cdf_source")
-        g = _as_rows(self.cdf_target, "cdf_target")
-        domain = _as_rows(self.domain, "domain")
+        # a domain row (lo, hi) is strictly increasing exactly when lo < hi
+        f, g, domain = (
+            checked_array(np.atleast_2d(a), name, order="strictly increasing", frozen="copy")
+            for a, name in (
+                (self.cdf_source, "cdf_source"),
+                (self.cdf_target, "cdf_target"),
+                (self.domain, "domain (lo < hi)"),
+            )
+        )
         k, b = f.shape
-        if g.shape != f.shape or not k or b < 8:
+        if g.shape != f.shape or b < 8:
             raise ValueError(f"CDFs need one shape (k >= 1, bins >= 8), got {f.shape}, {g.shape}")
         if domain.shape != (k, 2):
             raise ValueError(f"domain has shape {domain.shape}, expected {(k, 2)}")
-        lo, hi = domain.T
-        if not np.all((-np.inf < lo) & (lo < hi) & (hi < np.inf)):
-            raise ValueError("domain must satisfy finite lo < hi")
         for name, c in (("source", f), ("target", g)):
-            if not np.all(np.isfinite(c)):
-                raise ValueError(f"{name} CDF contains non-finite entries")
-            if np.any(np.diff(c, axis=1) <= 0):
-                raise ValueError(f"{name} CDF must be strictly increasing")
             if np.any(c[:, 0] < 0) or np.any(c[:, -1] > 1 + 1e-9):
                 raise ValueError(f"{name} CDF must stay within [0, 1]")
+        lo, hi = domain.T
         z = np.linspace(lo, hi, b, axis=1)
         z.setflags(write=False)
         object.__setattr__(self, "grid", z)
@@ -179,8 +159,8 @@ def fit_sorted_map(x, y) -> SortedMap1D:
     positions (i - 1/2) / N1. Equal sample sizes share the plotting
     positions, so the i-th order statistics pair exactly.
     """
-    xs = np.sort(_validate_1d(x, "x"))
-    ys = np.sort(_validate_1d(y, "y"))
+    xs = np.sort(checked_array(x, "x", 2, ndim=1))
+    ys = np.sort(checked_array(y, "y", 2, ndim=1))
     n1, n2 = xs.shape[0], ys.shape[0]
     p_src = (np.arange(1, n1 + 1) - 0.5) / n1
     p_tgt = (np.arange(1, n2 + 1) - 0.5) / n2
@@ -195,16 +175,14 @@ def fft_kde(samples, bandwidth: float, grid) -> np.ndarray:
     ``bandwidth`` via zero-padded FFT (no wrap-around). Negative ringing is
     clamped and the result normalized so cell_width * sum(density) = 1.
     """
-    z = np.asarray(grid, dtype=np.float64).reshape(-1)
+    z = checked_array(grid, "grid", 8, ndim=1, order="strictly increasing")
     b = z.shape[0]
-    if b < 8:
-        raise ValueError(f"grid needs at least 8 points, got {b}")
     dz = np.diff(z)
-    if np.any(dz <= 0) or not np.allclose(dz, dz[0], rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be strictly increasing and equispaced")
+    if np.any(np.abs(dz - dz[0]) > 1e-9 * dz[0]):
+        raise ValueError("grid must be equispaced")
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    s = _validate_1d(samples, "samples", min_len=1)
+    s = checked_array(samples, "samples", ndim=1)
     if s.min() < z[0] or s.max() > z[-1]:
         raise ValueError("samples fall outside the grid range")
 
@@ -240,7 +218,7 @@ def bandwidth_scott(samples, span: float = 1.0) -> tuple[float, bool]:
     Returns (h, degenerate). Zero spread falls back to h = 1e-3 * span with
     the degenerate flag set; ``span`` should then be the KDE grid width.
     """
-    s = _validate_1d(samples, "samples")
+    s = checked_array(samples, "samples", 2, ndim=1)
     sd = float(s.std(ddof=1))
     q75, q25 = np.percentile(s, [75.0, 25.0])
     sigma = min(sd, (q75 - q25) / 1.349)
@@ -329,7 +307,7 @@ def bandwidth_isj(samples, span: float = 1.0) -> tuple[float, bool]:
     Returns (h, fell_back); fewer than 50 samples, a degenerate range, or a
     failed solve all fall back to Scott's rule with the flag set.
     """
-    s = _validate_1d(samples, "samples")
+    s = checked_array(samples, "samples", 2, ndim=1)
     if s.shape[0] < 50:
         return bandwidth_scott(s, span=span)[0], True
     data_range = float(s.max() - s.min())
@@ -374,8 +352,8 @@ def fit_regularized_map(x, y, bandwidth: str = "scott") -> RegularizedMap1D:
     is floored by KDE_FLOOR and renormalized, and is accumulated into a
     strictly increasing CDF.
     """
-    x = _validate_1d(x, "x")
-    y = _validate_1d(y, "y")
+    x = checked_array(x, "x", 2, ndim=1)
+    y = checked_array(y, "y", 2, ndim=1)
     lo = min(x.min(), y.min()) - KDE_MARGIN
     hi = max(x.max(), y.max()) + KDE_MARGIN
     z = np.linspace(lo, hi, KDE_BINS)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_sample_matrix
+from .core import checked_array
 from .ot1d import (
     BANDWIDTH_RULES,
     RegularizedMap1D,
@@ -48,8 +48,7 @@ class PPMMMap:
     maps1d: SortedMap1D | RegularizedMap1D | None = None
 
     def __post_init__(self):
-        # a private copy, so that no caller can change a checked direction
-        p = as_sample_matrix(np.array(self.directions, dtype=np.float64), "directions", 0)
+        p = checked_array(self.directions, "directions", 0, frozen="copy")
         norms = np.linalg.norm(p, axis=1)
         off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
         if off.size:
@@ -57,7 +56,6 @@ class PPMMMap:
         rows = 0 if self.maps1d is None else len(self.maps1d)
         if rows != len(p):
             raise ValueError(f"{len(p)} directions but {rows} 1D maps")
-        p.setflags(write=False)
         object.__setattr__(self, "directions", p)
 
     @property
@@ -120,7 +118,7 @@ def eval_ppmm(ppmm_map: PPMMMap, x) -> np.ndarray:
     Rows are independent; components orthogonal to every step direction are
     untouched. An empty chain is the identity.
     """
-    x = as_sample_matrix(x, "x", 0, ppmm_map.dim)
+    x = checked_array(x, "x", 0, ppmm_map.dim)
     out = x.copy()
     for i, p in enumerate(ppmm_map.directions):
         proj = out @ p
@@ -130,7 +128,7 @@ def eval_ppmm(ppmm_map: PPMMMap, x) -> np.ndarray:
 
 def approx_w2(ppmm_map: PPMMMap, x) -> float:
     """Root-mean-square displacement of x under the full chain."""
-    x = as_sample_matrix(x, "x", 0, ppmm_map.dim)
+    x = checked_array(x, "x", 0, ppmm_map.dim)
     return _rms(eval_ppmm(ppmm_map, x) - x)
 
 
@@ -155,8 +153,8 @@ def fit_ppmm(
     Returns the fitted map and a report whose w2_history has one entry per
     completed iteration.
     """
-    x = as_sample_matrix(x, "x", 2)
-    y = as_sample_matrix(y, "y", 2, x.shape[1])
+    x = checked_array(x, "x", 2)
+    y = checked_array(y, "y", 2, x.shape[1])
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     d = x.shape[1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_sample_matrix
+from .core import checked_array
 
 __all__ = ["SaveDiagnostics", "save_direction"]
 
@@ -53,8 +53,8 @@ def save_direction(
     first nonzero component positive; ``informative`` is False when the SAVE matrix
     is numerically zero (caller should treat the pair as already matched).
     """
-    x = as_sample_matrix(x, "x", 2)
-    y = as_sample_matrix(y, "y", 2, x.shape[1])
+    x = checked_array(x, "x", 2)
+    y = checked_array(y, "y", 2, x.shape[1])
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
 

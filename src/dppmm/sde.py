@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Snapshot, SnapshotSeries, fit_rescaler
+from .core import Snapshot, SnapshotSeries, checked_array, fit_rescaler
 
 __all__ = [
     "SDESystem",
@@ -68,13 +68,9 @@ class SDESystem:
             raise ValueError("horizon must be positive")
         if self.init_std < 0:
             raise ValueError("init_std must be nonnegative")
-        means = np.asarray(self.init_means, dtype=np.float64)
-        means = np.atleast_2d(means)
-        if means.ndim != 2 or means.shape[1] != self.dim:
-            raise ValueError("init_means must be (components, dim)")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("init_means contains non-finite entries")
-        means.setflags(write=False)
+        means = checked_array(
+            np.atleast_2d(self.init_means), "init_means", 1, self.dim, frozen="copy"
+        )
         object.__setattr__(self, "init_means", means)
 
 

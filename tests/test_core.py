@@ -10,9 +10,12 @@ from dppmm.core import (
     read_snapshot_dir,
     write_snapshot_dir,
 )
-from dppmm.metrics import gmmd2
+from dppmm.dynamic import DPPMMModel, fit_transport_splines
+from dppmm.metrics import BandwidthGrid, gmmd2
+from dppmm.ot1d import RegularizedMap1D, SortedMap1D
 from dppmm.ppmm import PPMMMap, eval_ppmm, fit_ppmm
 from dppmm.projection import save_direction
+from dppmm.sde import SDESystem
 
 
 def make_series(rng, times=(0.0, 1.0, 2.0), n=50, d=3, spread=2.0):
@@ -73,6 +76,63 @@ def test_zero_columns_rejected_alike(call):
     # every entry point that takes a sample matrix shares one validator
     with pytest.raises(ValueError, match=r"^(x|samples) has no columns$"):
         call(np.zeros((5, 0)))
+
+
+# name -> (the caller's arrays, a constructor taking them, the object's array fields)
+FROZEN_TYPES = {
+    "Snapshot": (lambda: [np.zeros((3, 2))], lambda x: Snapshot(0.0, x), ("samples",)),
+    "AffineRescaler": (lambda: [np.zeros(2), np.ones(2)], AffineRescaler, ("shift", "scale")),
+    "BandwidthGrid": (lambda: [np.array([0.5, 1.0, 2.0])], BandwidthGrid, ("values",)),
+    "DPPMMModel": (
+        lambda: [np.array([0.0, 1.0])],
+        lambda t: DPPMMModel(AffineRescaler.identity(2), t, (PPMMMap(np.zeros((0, 2))),) * 2),
+        ("times",),
+    ),
+    "SplineBundle": (
+        lambda: [np.array([0.0, 0.5, 1.0]), *(np.full((2, 2), v) for v in (0.0, 1.0, 3.0))],
+        lambda t, *knots: fit_transport_splines(t, knots),
+        ("times", "values", "second"),
+    ),
+    "SDESystem": (
+        lambda: [np.array([[1.0, 1.0]])],
+        lambda m: SDESystem("vdp", 2, 1.0, 0.0, 1.0, m, 0.1),
+        ("init_means",),
+    ),
+    "PPMMMap": (
+        lambda: [np.array([[1.0, 0.0]])],
+        lambda p: PPMMMap(p, SortedMap1D([0.0, 1.0], [0.0, 1.0])),
+        ("directions",),
+    ),
+    "SortedMap1D": (
+        lambda: [np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0])],
+        SortedMap1D,
+        ("knots_x", "knots_y"),
+    ),
+    "RegularizedMap1D": (
+        lambda: [np.linspace(0.01, 0.99, 16), np.linspace(0.01, 0.99, 16) ** 2, np.array([0.0, 1.0])],
+        RegularizedMap1D,
+        ("cdf_source", "cdf_target", "domain"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_TYPES)
+def test_checked_types_hold_read_only_arrays(name):
+    arrays, make, fields = FROZEN_TYPES[name]
+    caller = arrays()
+    obj = make(*caller)
+    held = [getattr(obj, f) for f in fields]
+    before = [a.copy() for a in held]
+    for a in caller:
+        assert a.flags.writeable
+        a.flat[0] = -3.0  # mostly a value the constructor would reject
+    assert not any(a.flags.writeable for a in held)
+    if name == "Snapshot":
+        # a view, so that bulk samples are never copied
+        np.testing.assert_array_equal(obj.samples, caller[0])
+    else:
+        for a, b in zip(held, before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestSnapshotSeries:
