@@ -73,6 +73,19 @@ class TestReportAndMapTypes:
             PPMMMap(np.array([[1.0, 0.0], [0.6, 0.8], [np.nan, 0.0]]), maps1d)
         PPMMMap(np.array([[1.0, 0.0], [0.6, 0.8], [1.0 + 1e-13, 0.0]]), maps1d)
 
+    def test_map_directions_read_only(self):
+        directions = np.array([[1.0, 0.0]])
+        m = PPMMMap(directions, SortedMap1D([0.0, 1.0], [0.0, 1.0]))
+        with pytest.raises(ValueError):
+            m.directions[0, 0] = 0.0
+
+    def test_map_directions_are_a_private_copy(self):
+        directions = np.array([[1.0, 0.0]])
+        m = PPMMMap(directions, SortedMap1D([0.0, 1.0], [0.0, 1.0]))
+        directions[0, 0] = 5.0  # a non-unit row the map must not see
+        assert directions.flags.writeable
+        np.testing.assert_array_equal(m.directions, [[1.0, 0.0]])
+
     def test_empty_chain_is_identity(self):
         m = PPMMMap(np.zeros((0, 3)))
         x = np.random.default_rng(0).normal(size=(10, 3))
