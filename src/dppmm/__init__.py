@@ -8,7 +8,6 @@ benchmark systems and MMD-based evaluation used to validate it.
 
 from .core import (
     AffineRescaler,
-    Snapshot,
     SnapshotSeries,
     fit_rescaler,
     read_snapshot_csv,
@@ -74,7 +73,6 @@ __all__ = [
     "RegularizedMap1D",
     "SDESystem",
     "SaveDiagnostics",
-    "Snapshot",
     "SnapshotSeries",
     "SortedMap1D",
     "SplineBundle",

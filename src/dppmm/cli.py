@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    Snapshot,
     SnapshotSeries,
     checked_array,
     read_snapshot_csv,
@@ -45,13 +44,13 @@ def _read_samples(path_text: str) -> SnapshotSeries:
     if path.is_dir():
         return read_snapshot_dir(path)
     if path.is_file():
-        return SnapshotSeries((read_snapshot_csv(path),))
+        return read_snapshot_csv(path)
     raise ValueError(f"no snapshot directory or CSV file at {path}")
 
 
 def _max_abs(series: SnapshotSeries) -> list[float]:
     """Largest |x| of each snapshot, so a blown-up map shows in the summary."""
-    return [float(np.abs(snap.samples).max()) for snap in series]
+    return [float(np.abs(x).max()) for x in series.samples]
 
 
 def cmd_simulate(args) -> int:
@@ -124,9 +123,7 @@ def cmd_sample(args) -> int:
     model, _ = load_model(args.model)
     started = time.perf_counter()
     matrices = generate(model, args.n, args.seed)
-    series = SnapshotSeries(
-        tuple(Snapshot(t, mat) for t, mat in zip(model.times, matrices))
-    )
+    series = SnapshotSeries(model.times, matrices)
     write_snapshot_dir(series, args.out)
     _emit(
         {
@@ -155,10 +152,9 @@ def cmd_interpolate(args) -> int:
     started = time.perf_counter()
     coupled = generate(model, args.n, args.seed, rescaled=True)
     bundle = fit_transport_splines(model.times, coupled)
-    snaps = tuple(
-        Snapshot(t, model.rescaler.invert(interpolate(bundle, t))) for t in requested
+    series = SnapshotSeries(
+        requested, [model.rescaler.invert(interpolate(bundle, t)) for t in requested]
     )
-    series = SnapshotSeries(snaps)
     write_snapshot_dir(series, args.out)
     _emit(
         {

@@ -1,4 +1,7 @@
-"""Shared domain types: timestamped sample snapshots and affine rescaling.
+"""Shared domain types: a snapshot series and affine rescaling.
+
+A snapshot series is a vector of strictly increasing times plus one (N_j, d)
+sample matrix per time, each drawn from the density at that time.
 
 All training and evaluation happens in rescaled coordinates: sample
 coordinates affinely mapped into [-1, 1]^d, pooled over all snapshots.
@@ -17,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "Snapshot",
     "SnapshotSeries",
     "AffineRescaler",
     "fit_rescaler",
@@ -71,64 +73,38 @@ def checked_array(
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """Samples drawn from the underlying density at one fixed time."""
-
-    time: float
-    samples: np.ndarray  # (N, d)
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", checked_array(self.samples, "samples", frozen="view"))
-        object.__setattr__(self, "time", float(self.time))
-        if not np.isfinite(self.time):
-            raise ValueError("snapshot time must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-
-@dataclass(frozen=True)
 class SnapshotSeries:
-    """Ordered snapshots of a single evolving density.
+    """Samples of a single evolving density at strictly increasing times.
 
-    Times are strictly increasing and all snapshots share dimension d;
-    per-snapshot sample counts may differ. A single snapshot is allowed so
-    that evaluation can compare lone sample files; training requires M >= 2,
-    enforced at the training boundary.
+    ``times`` is a private read-only (M,) copy. ``samples`` holds M
+    read-only views of (N_j, d) matrices, so that bulk samples are never
+    copied: all share d, and the sample counts N_j may differ. A single
+    snapshot is allowed so that evaluation can compare lone sample files;
+    training requires M >= 2, enforced at the training boundary.
     """
 
-    snapshots: tuple[Snapshot, ...]
+    times: np.ndarray  # (M,)
+    samples: tuple[np.ndarray, ...]  # M matrices (N_j, d)
 
     def __post_init__(self):
-        snaps = tuple(self.snapshots)
-        times = [s.time for s in snaps]
-        checked_array(times, "snapshot times", ndim=1, order="strictly increasing")
-        dims = {s.dim for s in snaps}
+        times = checked_array(
+            self.times, "snapshot times", ndim=1, order="strictly increasing", frozen="copy"
+        )
+        samples = tuple(checked_array(x, "samples", frozen="view") for x in self.samples)
+        if len(samples) != len(times):
+            raise ValueError(f"{len(times)} snapshot times for {len(samples)} sample matrices")
+        dims = {x.shape[1] for x in samples}
         if len(dims) != 1:
             raise ValueError(f"snapshots disagree on dimension: {sorted(dims)}")
-        object.__setattr__(self, "snapshots", snaps)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def __iter__(self):
-        return iter(self.snapshots)
-
-    def __getitem__(self, j) -> Snapshot:
-        return self.snapshots[j]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
+        return len(self.times)
 
     @property
     def dim(self) -> int:
-        return self.snapshots[0].dim
+        return self.samples[0].shape[1]
 
 
 @dataclass(frozen=True)
@@ -170,10 +146,6 @@ class AffineRescaler:
         self._check_dim(x)
         return x * self.scale + self.shift
 
-    def apply_series(self, series: SnapshotSeries) -> SnapshotSeries:
-        """The series with every snapshot's samples rescaled; times unchanged."""
-        return SnapshotSeries(tuple(Snapshot(s.time, self.apply(s.samples)) for s in series))
-
     @classmethod
     def identity(cls, d: int) -> "AffineRescaler":
         return cls(np.zeros(d), np.ones(d))
@@ -187,7 +159,7 @@ def fit_rescaler(series: SnapshotSeries) -> AffineRescaler:
     """
     if len(series) < 2:
         raise ValueError("rescaler fitting needs at least two snapshots")
-    pooled = np.vstack([s.samples for s in series])
+    pooled = np.vstack(series.samples)
     lo = pooled.min(axis=0)
     hi = pooled.max(axis=0)
     span = hi - lo
@@ -205,10 +177,10 @@ def write_snapshot_dir(series: SnapshotSeries, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     entries = []
-    for j, snap in enumerate(series):
+    for j, (time, x) in enumerate(zip(series.times.tolist(), series.samples)):
         fname = f"snapshot_{j:04d}.csv"
-        _write_csv_matrix(root / fname, snap.samples)
-        entries.append({"time": snap.time, "file": fname, "n": snap.n})
+        _write_csv_matrix(root / fname, x)
+        entries.append({"time": time, "file": fname, "n": x.shape[0]})
     manifest = {"d": series.dim, "snapshots": entries}
     with open(root / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -243,20 +215,20 @@ def read_snapshot_dir(path) -> SnapshotSeries:
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"manifest {manifest_path} invalid: {exc!r}") from exc
-    snaps = []
-    for time, csv_path, n in entries:
+    samples = []
+    for _, csv_path, n in entries:
         if not csv_path.is_file():
             raise ValueError(f"manifest {manifest_path} names a missing file {csv_path}")
-        samples = _read_csv_matrix(csv_path)
-        if samples.shape != (n, d):
-            raise ValueError(f"{csv_path}: expected shape ({n}, {d}), got {samples.shape}")
-        snaps.append(Snapshot(time, samples))
-    return SnapshotSeries(tuple(snaps))
+        x = _read_csv_matrix(csv_path)
+        if x.shape != (n, d):
+            raise ValueError(f"{csv_path}: expected shape ({n}, {d}), got {x.shape}")
+        samples.append(x)
+    return SnapshotSeries([time for time, _, _ in entries], samples)
 
 
-def read_snapshot_csv(path, time: float = 0.0) -> Snapshot:
-    """Read a single headerless CSV file as a snapshot at the given time."""
-    return Snapshot(time, _read_csv_matrix(path))
+def read_snapshot_csv(path) -> SnapshotSeries:
+    """Read a single headerless CSV file as a one-snapshot series at time 0."""
+    return SnapshotSeries([0.0], [_read_csv_matrix(path)])
 
 
 def _read_csv_matrix(path) -> np.ndarray:

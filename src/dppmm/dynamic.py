@@ -114,18 +114,18 @@ def train_dppmm(
         raise ValueError("training requires at least 2 snapshots")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    samples = series.samples
     if rescaler is None:
         rescaler = fit_rescaler(series)
-        series = rescaler.apply_series(series)
+        samples = [rescaler.apply(x) for x in samples]
     elif rescaler.dim != series.dim:
         raise ValueError("rescaler dimension does not match the series")
 
-    base = _base_draw(series[0].n, series.dim, seed)
-    sources = [base] + [snap.samples for snap in series[:-1]]
-    targets = [snap.samples for snap in series]
+    base = _base_draw(samples[0].shape[0], series.dim, seed)
+    sources = [base, *samples[:-1]]
     jobs = [
         (j, src, tgt, alpha, bandwidth, max_iter)
-        for j, (src, tgt) in enumerate(zip(sources, targets))
+        for j, (src, tgt) in enumerate(zip(sources, samples))
     ]
     if parallel:
         if workers is None:

@@ -228,22 +228,21 @@ def per_snapshot_gmmd2(
         raise ValueError(
             f"snapshot counts differ: {len(series_a)} vs {len(series_b)}"
         )
-    chosen = []
-    for snap_a, snap_b in zip(series_a, series_b):
-        if abs(snap_a.time - snap_b.time) > _TIME_MATCH_TOL:
-            raise ValueError(
-                f"snapshot times differ: {snap_a.time!r} vs {snap_b.time!r}"
-            )
-        chosen.append(
-            choose_estimator(snap_a.n, snap_b.n) if estimator is None else estimator
-        )
+    differ = np.flatnonzero(np.abs(series_a.times - series_b.times) > _TIME_MATCH_TOL)
+    if differ.size:
+        ta, tb = float(series_a.times[differ[0]]), float(series_b.times[differ[0]])
+        raise ValueError(f"snapshot times differ: {ta!r} vs {tb!r}")
+    chosen = [
+        choose_estimator(len(x), len(y)) if estimator is None else estimator
+        for x, y in zip(series_a.samples, series_b.samples)
+    ]
 
-    def score(snap_a, snap_b, est):
-        return gmmd2(snap_a.samples, snap_b.samples, grid, est)
+    def score(x, y, est):
+        return gmmd2(x, y, grid, est)
 
     with ThreadPoolExecutor(max_workers=min(len(chosen), os.cpu_count() or 1)) as pool:
-        values = list(pool.map(score, series_a, series_b, chosen))
-    return [(snap.time, v, est) for snap, v, est in zip(series_a, values, chosen)]
+        values = list(pool.map(score, series_a.samples, series_b.samples, chosen))
+    return list(zip(series_a.times.tolist(), values, chosen))
 
 
 def avg_gmmd2(

@@ -5,6 +5,7 @@ one density onto another:
 
 * ``SortedMap1D`` -- the exact empirical map obtained by sorting: the i-th
   order statistic of the source goes to the matching quantile of the target.
+  Clamped to the extreme target knots outside the source's knot range.
 * ``RegularizedMap1D`` -- the CDF composition G^-1 (o) F with both CDFs
   estimated by an FFT-accelerated Gaussian KDE on a common grid, floored by a
   small constant so they are strictly increasing. Acts as the identity
@@ -45,18 +46,14 @@ KDE_FLOOR = 1e-8
 _ISJ_GRID = 256
 
 
-def _edge_slope(kx: np.ndarray, ky: np.ndarray, i0: int, i1: int) -> float:
-    dx = kx[i1] - kx[i0]
-    return max(0.0, (ky[i1] - ky[i0]) / dx) if dx > 0 else 0.0
-
-
 @dataclass(frozen=True)
 class SortedMap1D:
     """Piecewise-linear monotone maps through matched order statistics.
 
     Row i of the (k, n) knot matrices is map i; a single map may be given
-    as two vectors. Linear extension beyond the extreme knots with the
-    boundary segment slope, clamped nonnegative.
+    as two vectors. Constant beyond the extreme knots: a point left of the
+    first knot goes to the first target knot, and one right of the last
+    knot to the last target knot, so a map never leaves its target's range.
     """
 
     FIELDS = ("knots_x", "knots_y")
@@ -78,16 +75,7 @@ class SortedMap1D:
         return self.knots_x.shape[0]
 
     def __call__(self, t, row: int = 0):
-        t = np.asarray(t, dtype=np.float64)
-        kx, ky = self.knots_x[row], self.knots_y[row]
-        out = np.interp(t, kx, ky)
-        lo, hi = kx[0], kx[-1]
-        below = t < lo
-        if np.any(below):
-            out = np.where(below, ky[0] + _edge_slope(kx, ky, 0, 1) * (t - lo), out)
-        above = t > hi
-        if np.any(above):
-            out = np.where(above, ky[-1] + _edge_slope(kx, ky, -2, -1) * (t - hi), out)
+        out = np.interp(np.asarray(t, dtype=np.float64), self.knots_x[row], self.knots_y[row])
         return out if out.ndim else float(out)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Snapshot, SnapshotSeries, checked_array, fit_rescaler
+from .core import SnapshotSeries, checked_array, fit_rescaler
 
 __all__ = [
     "SDESystem",
@@ -199,13 +199,13 @@ def euler_maruyama(
     reproducible output.
 
     ``out``, when given, is a writable C-contiguous float64 array of shape
-    (kept steps, n, d) that receives the kept states; the returned snapshots
-    are read-only views of it. None allocates it here. The loop draws noise
-    into one reused buffer and updates the state in place, so a step
-    allocates nothing beyond the drift's own temporaries. A call touches no
-    state but its own generator and ``out``, so ``make_benchmark`` runs its
-    two splits concurrently and their bytes do not depend on the thread
-    schedule.
+    (kept steps, n, d) that receives the kept states; the returned series'
+    sample matrices are read-only views of it. None allocates it here. The
+    loop draws noise into one reused buffer and updates the state in place,
+    so a step allocates nothing beyond the drift's own temporaries. A call
+    touches no state but its own generator and ``out``, so
+    ``make_benchmark`` runs its two splits concurrently and their bytes do
+    not depend on the thread schedule.
     """
     keep = _kept_steps(system, n, dt, store)
     shape = (len(keep), n, system.dim)
@@ -248,9 +248,7 @@ def euler_maruyama(
         if j == keep[k]:
             out[k] = x
             k += 1
-    return SnapshotSeries(
-        tuple(Snapshot(j * dt, state) for j, state in zip(keep, out))
-    )
+    return SnapshotSeries([j * dt for j in keep], out)
 
 
 def _system_for(name: str, d: int | None) -> SDESystem:
@@ -282,9 +280,10 @@ def make_benchmark(
     its own half of one (2, m, n, d) state array allocated here, so the
     output bytes do not depend on the thread schedule. Both series are
     rescaled, in that array, by the rescaler fitted on the training series
-    alone, which maps its coordinates into [-1, 1]^d; the returned snapshots
-    are read-only views of it. Paths start at t = 0 and their times are
-    divided by the training series' last time, so they run from 0 to 1.
+    alone, which maps its coordinates into [-1, 1]^d; the returned series'
+    sample matrices are read-only views of it. Paths start at t = 0 and
+    their times are divided by the training series' last time, so they run
+    from 0 to 1.
     """
     system = _system_for(name, d)
     m = len(_kept_steps(system, n, dt, m))  # rejects bad settings first
@@ -302,10 +301,5 @@ def make_benchmark(
     # in place, with the operations and order of AffineRescaler.apply
     states -= rescaler.shift
     states /= rescaler.scale
-    times = train_raw.times.tolist()
-    return tuple(
-        SnapshotSeries(
-            tuple(Snapshot(t / times[-1], state) for t, state in zip(times, split))
-        )
-        for split in states
-    )
+    times = train_raw.times / train_raw.times[-1]
+    return tuple(SnapshotSeries(times, split) for split in states)

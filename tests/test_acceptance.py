@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dppmm.cli import main
-from dppmm.core import AffineRescaler, Snapshot, SnapshotSeries
+from dppmm.core import AffineRescaler, SnapshotSeries
 from dppmm.dynamic import fit_transport_splines, generate, interpolate, train_dppmm
 from dppmm.metrics import avg_gmmd2, linear_mmd2, mmd2
 from dppmm.ot1d import fft_kde, fit_sorted_map
@@ -39,12 +39,6 @@ def save_objective(x, y, p, ridge=1e-8):
     return float(q @ m @ q)
 
 
-def series_from(times, matrices):
-    return SnapshotSeries(
-        tuple(Snapshot(float(t), m) for t, m in zip(times, matrices))
-    )
-
-
 @pytest.fixture(scope="module")
 def vdp_run():
     """Van der Pol protocol shared by criteria 5 and 6.
@@ -59,7 +53,7 @@ def vdp_run():
         model, _ = train_dppmm(train, alpha=alpha, seed=0)
         seconds[alpha] = time.perf_counter() - started
         mats = generate(model, 10000, seed=1, rescaled=True)
-        errors[alpha] = avg_gmmd2(series_from(model.times, mats), test)
+        errors[alpha] = avg_gmmd2(SnapshotSeries(model.times, mats), test)
     floor = avg_gmmd2(train, test)
     return {"errors": errors, "seconds": seconds, "floor": floor}
 
@@ -183,7 +177,7 @@ def test_06_error_non_increasing_as_alpha_tightens(vdp_run):
 def test_07_spline_knot_exactness_and_held_out_interpolation():
     # train on every other snapshot of an OU series, interpolate the rest
     train, test = make_benchmark("ou", 2, 4000, seed=11, dt=0.01)
-    even = SnapshotSeries(train.snapshots[0::2])
+    even = SnapshotSeries(train.times[0::2], train.samples[0::2])
     model, _ = train_dppmm(even, seed=0, rescaler=AffineRescaler.identity(2))
     mats = generate(model, 4000, seed=2, rescaled=True)
     bundle = fit_transport_splines(model.times, mats)
@@ -196,14 +190,14 @@ def test_07_spline_knot_exactness_and_held_out_interpolation():
     assert worst <= 1e-9  # measured exact (0.0)
 
     knot_avg = avg_gmmd2(
-        series_from(model.times, mats), SnapshotSeries(test.snapshots[0::2])
+        SnapshotSeries(model.times, mats),
+        SnapshotSeries(test.times[0::2], test.samples[0::2]),
     )
-    held_out = test.snapshots[1::2]
-    interp = series_from(
-        [s.time for s in held_out],
-        [interpolate(bundle, s.time) for s in held_out],
+    held_out = SnapshotSeries(test.times[1::2], test.samples[1::2])
+    interp = SnapshotSeries(
+        held_out.times, [interpolate(bundle, t) for t in held_out.times.tolist()]
     )
-    interp_avg = avg_gmmd2(interp, SnapshotSeries(held_out))
+    interp_avg = avg_gmmd2(interp, held_out)
     assert interp_avg <= 3.0 * knot_avg  # measured ratio 0.887
 
 
@@ -221,13 +215,13 @@ def test_08_sde_integrator_decay_and_stationary_moments():
         init_means=np.array([[4.0, -3.0]]),
         init_std=0.0,
     )
-    end = euler_maruyama(det, 1, 0.01, 0, store=2)[-1].samples[0]
+    end = euler_maruyama(det, 1, 0.01, 0, store=2).samples[-1][0]
     decay = math.exp(-lam * horizon)
     rel = np.abs(end / (np.array([4.0, -3.0]) * decay) - 1.0)
     assert np.max(rel) <= 0.01  # measured 7.5e-4
 
     # stochastic moments on coordinate 1 (both mixture components agree)
-    x_end = euler_maruyama(system, 100000, 0.01, 0, store=2)[-1].samples[:, 1]
+    x_end = euler_maruyama(system, 100000, 0.01, 0, store=2).samples[-1][:, 1]
     mean_true = 10.0 * decay
     var_true = system.init_std**2 * decay**2 + (diff / lam) * (1.0 - decay**2)
     se = math.sqrt(var_true / x_end.shape[0])

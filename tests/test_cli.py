@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dppmm.cli import main
-from dppmm.core import Snapshot, SnapshotSeries, read_snapshot_dir, write_snapshot_dir
+from dppmm.core import SnapshotSeries, read_snapshot_dir, write_snapshot_dir
 from dppmm.dynamic import train_dppmm
 from dppmm.modelio import load_model
 
@@ -50,7 +50,7 @@ class TestSimulate:
         for split in ("train", "test"):
             series = read_snapshot_dir(pipeline["data"] / split)
             assert len(series) == 5
-            assert all(s.n == 300 for s in series)
+            assert all(len(x) == 300 for x in series.samples)
             assert series.dim == 2
 
     def test_byte_reproducible(self, pipeline, tmp_path):
@@ -166,7 +166,7 @@ class TestSample:
     def test_output_layout_and_units(self, pipeline):
         series = read_snapshot_dir(pipeline["gen"])
         assert len(series) == 5
-        assert all(s.n == 200 for s in series)
+        assert all(len(x) == 200 for x in series.samples)
         # simulate writes times in [0, 1] and sample writes the training times
         np.testing.assert_allclose(series.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-9)
 
@@ -187,9 +187,7 @@ class TestSample:
         # a time rescaling round trip wrote 0.09999999999999999 for 0.1 here
         times = (0.0, 0.1, 2.9)
         rng = np.random.default_rng(0)
-        series = SnapshotSeries(
-            tuple(Snapshot(t, rng.normal(t, 1.0, size=(50, 2))) for t in times)
-        )
+        series = SnapshotSeries(times, [rng.normal(t, 1.0, size=(50, 2)) for t in times])
         write_snapshot_dir(series, tmp_path / "data")
         model = tmp_path / "model.json"
         rc = main(
@@ -226,7 +224,7 @@ class TestSample:
             assert rc == 0
             summary = json.loads(capsys.readouterr().out)
             written = read_snapshot_dir(out)
-            assert summary["max_abs"] == [float(np.abs(s.samples).max()) for s in written]
+            assert summary["max_abs"] == [float(np.abs(x).max()) for x in written.samples]
 
     def test_missing_model_exits_2(self, tmp_path, capsys):
         rc = main(
@@ -272,9 +270,9 @@ class TestInterpolate:
         gen = read_snapshot_dir(pipeline["gen"])
         # trajectories are continuous: the interpolant stays near the
         # bracketing snapshots
-        mid = series[0].samples
-        spread = np.abs(gen[0].samples - gen[1].samples).max()
-        assert np.abs(mid - gen[0].samples).max() < 2.0 * spread
+        mid = series.samples[0]
+        spread = np.abs(gen.samples[0] - gen.samples[1]).max()
+        assert np.abs(mid - gen.samples[0]).max() < 2.0 * spread
 
     def test_out_of_range_time_exits_2(self, pipeline, tmp_path, capsys):
         rc = main(
@@ -324,9 +322,7 @@ class TestEvaluate:
         # the largest |x| of each compared snapshot sits beside its figure
         for name, key in (("train", "max_abs_a"), ("test", "max_abs_b")):
             series = read_snapshot_dir(pipeline["data"] / name)
-            assert [e[key] for e in per] == [
-                float(np.abs(s.samples).max()) for s in series
-            ]
+            assert [e[key] for e in per] == [float(np.abs(x).max()) for x in series.samples]
         # independent draws of the same law: small discrepancy
         assert report["average_gmmd2"] < 0.05
 
@@ -491,9 +487,42 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_benchmark_tracer_finds_what_it_wraps(self):
-        # the traced benchmark pass wraps package functions by name and reads
-        # train_dppmm's parallel keyword; renaming either breaks that pass
-        proc = _run_python("from tracing import Tracer; Tracer().install()", "src", "perfbench")
+    def test_benchmark_tracer_finds_what_it_wraps(self, tmp_path):
+        # the traced benchmark pass wraps package functions by name, reads the
+        # IO functions' path argument by position and train_dppmm's parallel
+        # keyword; a tiny traced pipeline must fill every per-layer metric
+        code = f"""
+import contextlib, io, json
+from pathlib import Path
+from run import PER_LAYER
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from dppmm.cli import main
+base = Path({str(tmp_path)!r})
+data, model = base / "data", str(base / "model")
+calls = [
+    ["simulate", "--system", "ou", "--d", "3", "--n", "120", "--m", "5", "--dt", "0.05",
+     "--out", str(data)],
+    ["train", "--data", str(data / "train"), "--out", model, "--parallel", "--threads", "2"],
+    ["train", "--data", str(data / "train"), "--out", model],
+    ["sample", "--model", model, "--n", "120", "--out", str(base / "gen")],
+    ["interpolate", "--model", model, "--n", "120", "--times", "0.125", "0.375",
+     "--out", str(base / "mid")],
+    ["evaluate", "--a", str(base / "gen"), "--b", str(data / "test")],
+    ["evaluate", "--a", str(base / "gen" / "snapshot_0000.csv"),
+     "--b", str(data / "test" / "snapshot_0000.csv")],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+print(json.dumps({{"codes": codes, "metrics": tracer.metrics(), "expected": sorted(PER_LAYER)}}))
+"""
+        proc = _run_python(code, "src", "perfbench")
         assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["codes"] == [0] * 7
+        metrics = out["metrics"]
+        # run.py adds trace.overhead_s itself, from the traced round's times
+        assert sorted(metrics) == [k for k in out["expected"] if k != "trace.overhead_s"]
+        assert {k for k, v in metrics.items() if not v > 0} <= {"ppmm.maps_at_cap"}
         assert "parallel" in inspect.signature(train_dppmm).parameters

@@ -3,7 +3,6 @@ import pytest
 
 from dppmm.core import (
     AffineRescaler,
-    Snapshot,
     SnapshotSeries,
     fit_rescaler,
     read_snapshot_csv,
@@ -19,58 +18,63 @@ from dppmm.sde import SDESystem
 
 
 def make_series(rng, times=(0.0, 1.0, 2.0), n=50, d=3, spread=2.0):
-    snaps = []
-    for t in times:
-        snaps.append(Snapshot(t, rng.normal(size=(n, d)) * spread + t))
-    return SnapshotSeries(tuple(snaps))
+    return SnapshotSeries(times, [rng.normal(size=(n, d)) * spread + t for t in times])
+
+
+def one_snapshot(x, time=0.0):
+    return SnapshotSeries([time], [x])
 
 
 class TestSnapshot:
+    """The checks each snapshot of a series gets: one time, one sample matrix."""
+
     def test_basic_properties(self):
-        s = Snapshot(1.5, np.zeros((4, 2)))
-        assert s.n == 4
+        s = one_snapshot(np.zeros((4, 2)), 1.5)
+        assert s.samples[0].shape == (4, 2)
         assert s.dim == 2
-        assert s.time == 1.5
+        assert s.times.tolist() == [1.5]
 
     def test_samples_are_read_only(self):
-        s = Snapshot(0.0, np.ones((3, 2)))
+        s = one_snapshot(np.ones((3, 2)))
         with pytest.raises(ValueError):
-            s.samples[0, 0] = 7.0
+            s.samples[0][0, 0] = 7.0
+        with pytest.raises(ValueError):
+            s.times[0] = 7.0
 
     def test_caller_array_stays_writable(self):
         x = np.zeros((2, 2))
-        s = Snapshot(0.0, x)
-        assert x.flags.writeable and not s.samples.flags.writeable
+        s = one_snapshot(x)
+        assert x.flags.writeable and not s.samples[0].flags.writeable
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
-            Snapshot(0.0, np.zeros(5))
+            one_snapshot(np.zeros(5))
         with pytest.raises(ValueError):
-            Snapshot(0.0, np.zeros((2, 2, 2)))
+            one_snapshot(np.zeros((2, 2, 2)))
 
     def test_rejects_non_finite(self):
         bad = np.ones((3, 2))
         bad[1, 1] = np.nan
         with pytest.raises(ValueError):
-            Snapshot(0.0, bad)
-        with pytest.raises(ValueError):
-            Snapshot(np.inf, np.ones((3, 2)))
+            one_snapshot(bad)
+        with pytest.raises(ValueError, match="snapshot times must be finite"):
+            one_snapshot(np.ones((3, 2)), np.inf)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Snapshot(0.0, np.zeros((0, 2)))
+            one_snapshot(np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda z: Snapshot(0.0, z),
+        lambda z: one_snapshot(z),
         lambda z: gmmd2(z, z),
         lambda z: save_direction(z, z),
         lambda z: fit_ppmm(z, z),
         lambda z: eval_ppmm(PPMMMap(np.zeros((0, 1))), z),
     ],
-    ids=["Snapshot", "gmmd2", "save_direction", "fit_ppmm", "eval_ppmm"],
+    ids=["SnapshotSeries", "gmmd2", "save_direction", "fit_ppmm", "eval_ppmm"],
 )
 def test_zero_columns_rejected_alike(call):
     # every entry point that takes a sample matrix shares one validator
@@ -80,7 +84,11 @@ def test_zero_columns_rejected_alike(call):
 
 # name -> (the caller's arrays, a constructor taking them, the object's array fields)
 FROZEN_TYPES = {
-    "Snapshot": (lambda: [np.zeros((3, 2))], lambda x: Snapshot(0.0, x), ("samples",)),
+    "SnapshotSeries": (
+        lambda: [np.array([0.0, 1.0]), np.zeros((3, 2)), np.ones((3, 2))],
+        lambda t, *x: SnapshotSeries(t, x),
+        ("times", "samples"),
+    ),
     "AffineRescaler": (lambda: [np.zeros(2), np.ones(2)], AffineRescaler, ("shift", "scale")),
     "BandwidthGrid": (lambda: [np.array([0.5, 1.0, 2.0])], BandwidthGrid, ("values",)),
     "DPPMMModel": (
@@ -122,51 +130,53 @@ def test_checked_types_hold_read_only_arrays(name):
     caller = arrays()
     obj = make(*caller)
     held = [getattr(obj, f) for f in fields]
+    if name == "SnapshotSeries":
+        # samples are views, so that bulk samples are never copied
+        held, views = held[:1], held[1]
+        assert all(np.shares_memory(v, x) for v, x in zip(views, caller[1:]))
+        assert not any(v.flags.writeable for v in views)
     before = [a.copy() for a in held]
     for a in caller:
         assert a.flags.writeable
         a.flat[0] = -3.0  # mostly a value the constructor would reject
     assert not any(a.flags.writeable for a in held)
-    if name == "Snapshot":
-        # a view, so that bulk samples are never copied
-        np.testing.assert_array_equal(obj.samples, caller[0])
-    else:
-        for a, b in zip(held, before):
-            np.testing.assert_array_equal(a, b)
+    for a, b in zip(held, before):
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSnapshotSeries:
     def test_single_snapshot_allowed(self):
-        series = SnapshotSeries((Snapshot(0.0, np.zeros((2, 1))),))
+        series = one_snapshot(np.zeros((2, 1)))
         assert len(series) == 1
 
     def test_times_must_increase(self):
-        a = Snapshot(1.0, np.zeros((2, 1)))
-        b = Snapshot(0.5, np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            SnapshotSeries((a, b))
-        with pytest.raises(ValueError):
-            SnapshotSeries((a, a))
+        x = np.zeros((2, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SnapshotSeries([1.0, 0.5], [x, x])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SnapshotSeries([1.0, 1.0], [x, x])
 
     def test_dimensions_must_agree(self):
-        a = Snapshot(0.0, np.zeros((2, 1)))
-        b = Snapshot(1.0, np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            SnapshotSeries((a, b))
+        with pytest.raises(ValueError, match="dimension"):
+            SnapshotSeries([0.0, 1.0], [np.zeros((2, 1)), np.zeros((2, 2))])
+
+    def test_one_sample_matrix_per_time(self):
+        with pytest.raises(ValueError, match="2 snapshot times for 1 sample matrices"):
+            SnapshotSeries([0.0, 1.0], [np.zeros((2, 1))])
 
     def test_iteration_and_indexing(self):
         rng = np.random.default_rng(0)
         series = make_series(rng)
-        assert [s.time for s in series] == [0.0, 1.0, 2.0]
-        assert series[1].time == 1.0
-        np.testing.assert_array_equal(series.times, [0.0, 1.0, 2.0])
+        assert [(t, x.shape) for t, x in zip(series.times.tolist(), series.samples)] == [
+            (0.0, (50, 3)), (1.0, (50, 3)), (2.0, (50, 3))
+        ]
+        assert series.times[1] == 1.0
+        assert isinstance(series.samples, tuple)
         assert series.dim == 3
 
     def test_unequal_sample_counts_allowed(self):
-        a = Snapshot(0.0, np.zeros((2, 1)))
-        b = Snapshot(1.0, np.zeros((5, 1)))
-        series = SnapshotSeries((a, b))
-        assert [s.n for s in series] == [2, 5]
+        series = SnapshotSeries([0.0, 1.0], [np.zeros((2, 1)), np.zeros((5, 1))])
+        assert [len(x) for x in series.samples] == [2, 5]
 
 
 class TestAffineRescaler:
@@ -198,29 +208,24 @@ class TestFitRescaler:
         rng = np.random.default_rng(2)
         series = make_series(rng, times=(0.0, 3.0, 10.0), spread=7.0)
         r = fit_rescaler(series)
-        scaled = r.apply_series(series)
-        pooled = np.vstack([s.samples for s in scaled])
+        pooled = r.apply(np.vstack(series.samples))
         assert pooled.min() >= -1.0 - 1e-12
         assert pooled.max() <= 1.0 + 1e-12
         # both extremes attained per dimension
         np.testing.assert_allclose(pooled.min(axis=0), -1.0, atol=1e-12)
         np.testing.assert_allclose(pooled.max(axis=0), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(scaled.times, [0.0, 3.0, 10.0])
 
     def test_degenerate_dimension(self):
         x0 = np.column_stack([np.zeros(10), np.arange(10.0)])
         x1 = np.column_stack([np.zeros(10), np.arange(10.0) + 1])
-        series = SnapshotSeries((Snapshot(0.0, x0), Snapshot(1.0, x1)))
-        r = fit_rescaler(series)
+        r = fit_rescaler(SnapshotSeries([0.0, 1.0], [x0, x1]))
         assert r.scale[0] == 1.0
         assert r.shift[0] == 0.0
-        scaled = r.apply_series(series)
-        np.testing.assert_array_equal(scaled[0].samples[:, 0], 0.0)
+        np.testing.assert_array_equal(r.apply(x0)[:, 0], 0.0)
 
     def test_requires_two_snapshots(self):
-        series = SnapshotSeries((Snapshot(0.0, np.zeros((2, 1))),))
         with pytest.raises(ValueError):
-            fit_rescaler(series)
+            fit_rescaler(one_snapshot(np.zeros((2, 1))))
 
 
 class TestSnapshotIO:
@@ -229,10 +234,10 @@ class TestSnapshotIO:
         series = make_series(rng, times=(0.25, 1.75, 2.5), n=17, d=4)
         write_snapshot_dir(series, tmp_path / "snaps")
         back = read_snapshot_dir(tmp_path / "snaps")
-        assert len(back) == len(series)
-        for a, b in zip(series, back):
-            assert a.time == b.time
-            np.testing.assert_array_equal(a.samples, b.samples)
+        assert back.times.tolist() == [0.25, 1.75, 2.5]
+        assert len(back.samples) == 3
+        for a, b in zip(series.samples, back.samples):
+            np.testing.assert_array_equal(a, b)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -262,7 +267,7 @@ class TestSnapshotIO:
         path = tmp_path / "spaced.csv"
         path.write_bytes(b"\r\n1.5,2.5\r\n\r\n-3.0,4.0\r\n\r\n")
         np.testing.assert_array_equal(
-            read_snapshot_csv(path).samples, [[1.5, 2.5], [-3.0, 4.0]]
+            read_snapshot_csv(path).samples[0], [[1.5, 2.5], [-3.0, 4.0]]
         )
 
     def test_empty_csv_rejected_without_warning(self, tmp_path, recwarn):
@@ -275,6 +280,7 @@ class TestSnapshotIO:
     def test_read_single_csv(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("1.5,2.5\n-3.0,4.0\n")
-        snap = read_snapshot_csv(path, time=2.0)
-        assert snap.time == 2.0
-        np.testing.assert_array_equal(snap.samples, [[1.5, 2.5], [-3.0, 4.0]])
+        series = read_snapshot_csv(path)
+        assert series.times.tolist() == [0.0]
+        assert len(series.samples) == 1
+        np.testing.assert_array_equal(series.samples[0], [[1.5, 2.5], [-3.0, 4.0]])

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dppmm.core import AffineRescaler, Snapshot, SnapshotSeries
+from dppmm.core import AffineRescaler, SnapshotSeries
 from dppmm.dynamic import (
     DPPMMModel,
     fit_transport_splines,
@@ -19,11 +19,9 @@ from dppmm.sde import make_benchmark
 
 def drifting_series(seed, n=800, means=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), std=0.3):
     rng = np.random.default_rng(seed)
-    snaps = tuple(
-        Snapshot(float(j), rng.normal(size=(n, 2)) * std + np.asarray(mu))
-        for j, mu in enumerate(means)
+    return SnapshotSeries(
+        range(len(means)), [rng.normal(size=(n, 2)) * std + np.asarray(mu) for mu in means]
     )
-    return SnapshotSeries(snaps)
 
 
 def _map1d_fields(maps1d, i):
@@ -89,7 +87,7 @@ class TestModelValidation:
 
 class TestTrainDppmm:
     def test_requires_two_snapshots(self):
-        series = SnapshotSeries((Snapshot(0.0, np.zeros((5, 2))),))
+        series = SnapshotSeries([0.0], [np.zeros((5, 2))])
         with pytest.raises(ValueError, match="at least 2"):
             train_dppmm(series)
 
@@ -111,16 +109,16 @@ class TestTrainDppmm:
         assert seq_reports == par_reports
 
     def test_failed_pair_reports_its_index(self):
-        a = Snapshot(0.0, np.random.default_rng(0).normal(size=(50, 2)))
-        b = Snapshot(1.0, np.random.default_rng(1).normal(size=(1, 2)))
-        series = SnapshotSeries((a, b))
+        a = np.random.default_rng(0).normal(size=(50, 2))
+        b = np.random.default_rng(1).normal(size=(1, 2))
+        series = SnapshotSeries([0.0, 1.0], [a, b])
         with pytest.raises(ValueError, match="snapshot pair 1"):
             train_dppmm(series)
 
     def test_external_rescaler_is_used_verbatim(self):
         series = drifting_series(112, n=300)
         r = AffineRescaler(np.zeros(2), np.full(2, 4.0))
-        scaled = r.apply_series(series)
+        scaled = SnapshotSeries(series.times, [r.apply(x) for x in series.samples])
         model, _ = train_dppmm(scaled, rescaler=r)
         assert model.rescaler is r
         # generation inverts through it back to original units
@@ -149,11 +147,8 @@ class TestTrainDppmm:
 
     def test_stationary_series_gives_small_secondary_displacements(self):
         rng = np.random.default_rng(115)
-        snaps = tuple(
-            Snapshot(float(j), rng.normal(size=(1500, 2)))
-            for j in range(3)
-        )
-        model, reports = train_dppmm(SnapshotSeries(snaps))
+        series = SnapshotSeries(range(3), [rng.normal(size=(1500, 2)) for _ in range(3)])
+        model, reports = train_dppmm(series)
         # maps between same-law snapshots move samples only by sampling noise
         gen = generate(model, 3000, seed=1, rescaled=True)
         for j in (1, 2):
@@ -201,32 +196,47 @@ class TestGenerate:
             generate(model, 0, seed=0)
 
     @pytest.mark.parametrize(
-        "bandwidth, maps_digest, samples_digest",
+        "bandwidth, maps_digest, samples_digest, max_abs",
         [
             (
                 "scott",
                 "adb37a800f4f3fce4a03c60f267eb92ed663b741ef1189633f70740e0b77748d",
                 "28b0b4de60b8676d8d8545e69b48a191a74090c74a7eb07ae0dcd10b5131e70d",
+                1.5,  # measured 1.24
             ),
             (
                 None,
                 "d8c9a8bec8937878a268fa217855b0a68dd1a572f4ad4eb549bc431a08aca318",
-                "80059d77f1d4c8d725c54c05f6e3aade9730da21c3ca0ce31c6cb9ae0514bafb",
+                "92daf45526038c8dcd9e0e138fbb033311f1788f0e13a824dcad355bde2ddf43",
+                1.5,  # measured 1.06; 3.0e3 when sorted maps extended linearly
             ),
         ],
         ids=["scott", "sorted"],
     )
     def test_fit_and_generate_bytes_are_pinned(
-        self, bandwidth, maps_digest, samples_digest
+        self, bandwidth, maps_digest, samples_digest, max_abs
     ):
         # SHA-256 of the fitted maps' JSON (the layout of the former JSON
         # model file, built by maps_json) and of the generated matrices:
-        # a refactor of the fit or of generation must keep these bytes
+        # a refactor of the fit or of generation must keep these bytes; the
+        # training data lie inside [-1, 1], and so must the samples, roughly
         train, _ = make_benchmark("ou", 3, 200, 1, m=5, dt=0.05)
         model, _ = train_dppmm(train, bandwidth=bandwidth)
         assert hashlib.sha256(maps_json(model)).hexdigest() == maps_digest
         samples = np.stack(generate(model, 200, seed=2)).astype("<f8")
         assert hashlib.sha256(samples.tobytes()).hexdigest() == samples_digest
+        assert np.abs(samples).max() <= max_abs
+
+    def test_sorted_maps_stay_bounded_at_the_iteration_cap(self):
+        # OU d=8: with alpha=0 the sorted-map fit runs to 160 steps, and
+        # linear extension past the end knots compounded step after step to
+        # max |x| of 1.5e21 and 1.4e38 on data inside [-1, 1]
+        train, _ = make_benchmark("ou", 8, 500, 7, dt=0.01)
+        first_two = SnapshotSeries(train.times[:2], train.samples[:2])
+        model, _ = train_dppmm(first_two, bandwidth=None, alpha=0, max_iter=160)
+        gen = generate(model, 500, seed=1, rescaled=True)
+        assert np.abs(gen[0]).max() <= 1.5  # measured 1.04
+        assert np.abs(gen[1]).max() <= 1.5  # measured 1.13
 
 
 class TestTransportSplines:

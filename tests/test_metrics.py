@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from dppmm.core import Snapshot, SnapshotSeries
+from dppmm.core import SnapshotSeries
 from dppmm.metrics import (
     _BLOCK,
     _EXP_ZERO,
@@ -249,38 +249,29 @@ class TestAvgGmmd2:
     def make_pair(self, seed, n=120, shift=0.0):
         rng = np.random.default_rng(seed)
         times = (0.0, 0.5, 1.0)
-        a = SnapshotSeries(
-            tuple(Snapshot(t, rng.normal(size=(n, 2))) for t in times)
-        )
-        b = SnapshotSeries(
-            tuple(Snapshot(t, rng.normal(size=(n, 2)) + shift) for t in times)
-        )
+        a = SnapshotSeries(times, [rng.normal(size=(n, 2)) for _ in times])
+        b = SnapshotSeries(times, [rng.normal(size=(n, 2)) + shift for _ in times])
         return a, b
 
     def test_mean_of_per_snapshot_values(self):
         a, b = self.make_pair(91, shift=0.7)
-        per = [
-            gmmd2(sa.samples, sb.samples, estimator="quadratic")
-            for sa, sb in zip(a, b)
-        ]
+        per = [gmmd2(x, y, estimator="quadratic") for x, y in zip(a.samples, b.samples)]
         np.testing.assert_allclose(
             avg_gmmd2(a, b, estimator="quadratic"), np.mean(per), rtol=1e-12
         )
         assert per_snapshot_gmmd2(a, b) == [
-            (sa.time, v, "quadratic") for sa, v in zip(a, per)
+            (t, v, "quadratic") for t, v in zip([0.0, 0.5, 1.0], per)
         ]
 
     def test_time_mismatch_rejected(self):
         a, _ = self.make_pair(92)
-        shifted = SnapshotSeries(
-            tuple(Snapshot(s.time + 1e-6, s.samples) for s in a)
-        )
-        with pytest.raises(ValueError, match="times differ"):
+        shifted = SnapshotSeries(a.times + [0.0, 0.0, 1e-6], a.samples)
+        with pytest.raises(ValueError, match=r"times differ: 1\.0 vs 1\.000001$"):
             avg_gmmd2(a, shifted)
 
     def test_length_mismatch_rejected(self):
         a, b = self.make_pair(93)
-        short = SnapshotSeries(b.snapshots[:2])
+        short = SnapshotSeries(b.times[:2], b.samples[:2])
         with pytest.raises(ValueError, match="counts differ"):
             avg_gmmd2(a, short)
 
@@ -291,21 +282,15 @@ class TestAvgGmmd2:
         sizes = [(40, 60), (_BLOCK + 1, 300), (2002, 2002), (120, 120), (7, 9)]
         sizes = [sizes[j % len(sizes)] for j in range(pairs)]
         times = [0.25 * j for j in range(pairs)]
-        a = SnapshotSeries(
-            tuple(Snapshot(t, rng.normal(size=(n1, 3))) for t, (n1, _) in zip(times, sizes))
-        )
+        a = SnapshotSeries(times, [rng.normal(size=(n1, 3)) for n1, _ in sizes])
         b = SnapshotSeries(
-            tuple(
-                Snapshot(t, rng.normal(size=(n2, 3)) + 0.1 * j)
-                for j, (t, (_, n2)) in enumerate(zip(times, sizes))
-            )
+            times, [rng.normal(size=(n2, 3)) + 0.1 * j for j, (_, n2) in enumerate(sizes)]
         )
         grid = BandwidthGrid.default()
         sequential = []
-        for sa, sb in zip(a, b):
-            chosen = choose_estimator(sa.n, sb.n)
-            value = gmmd2(sa.samples, sb.samples, grid, chosen)
-            sequential.append((sa.time, value, chosen))
+        for t, x, y in zip(times, a.samples, b.samples):
+            chosen = choose_estimator(len(x), len(y))
+            sequential.append((t, gmmd2(x, y, grid, chosen), chosen))
         assert {est for _, _, est in sequential} == {"linear", "quadratic"}
         assert per_snapshot_gmmd2(a, b, grid) == sequential
         assert per_snapshot_gmmd2(a, b, grid) == per_snapshot_gmmd2(a, b, grid)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dppmm.cli import main
-from dppmm.core import Snapshot, SnapshotSeries, write_snapshot_dir
+from dppmm.core import SnapshotSeries, write_snapshot_dir
 from dppmm.dynamic import generate, train_dppmm
 from dppmm.modelio import SCHEMA_VERSION, load_model, reports_to_list, save_model
 from dppmm.ot1d import KDE_BINS
@@ -18,35 +18,32 @@ from dppmm.ot1d import KDE_BINS
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def drifting_snapshots(seed=140):
+def drifting_series(seed=140):
     rng = np.random.default_rng(seed)
-    return tuple(
-        Snapshot(float(j), rng.normal(size=(400, 2)) * 0.4 + j) for j in range(3)
-    )
+    return SnapshotSeries(range(3), [rng.normal(size=(400, 2)) * 0.4 + j for j in range(3)])
 
 
-def fit(snaps, **kwargs):
-    model, reports = train_dppmm(SnapshotSeries(snaps), seed=4, **kwargs)
+def fit(series, **kwargs):
+    model, reports = train_dppmm(series, seed=4, **kwargs)
     provenance = {"seed": 4, "alpha": 1e-3, "reports": reports_to_list(reports)}
     return model, reports, provenance
 
 
 @pytest.fixture(scope="module")
 def trained():
-    return fit(drifting_snapshots())
+    return fit(drifting_series())
 
 
 @pytest.fixture(scope="module")
 def sorted_model():
-    return fit(drifting_snapshots(), bandwidth=None)
+    return fit(drifting_series(), bandwidth=None)
 
 
 @pytest.fixture(scope="module")
 def zero_step_model():
     # snapshot 1 repeats snapshot 0, so map 1 stops before its first step
-    snaps = drifting_snapshots()
-    snaps = (snaps[0], Snapshot(1.0, snaps[0].samples), snaps[2])
-    model, reports, provenance = fit(snaps)
+    x0, _, x2 = drifting_series().samples
+    model, reports, provenance = fit(SnapshotSeries(range(3), [x0, x0, x2]))
     assert reports[1].stop_reason == "no_informative_direction"
     assert reports[1].k_final == 0 and model.maps[1].maps1d is None
     return model, reports, provenance
@@ -164,7 +161,7 @@ class TestRoundTrip:
     def test_cli_train_file_bytes_are_pinned(self, tmp_path):
         # SHA-256 of the schema-5 file that `train` (scott maps) writes; a
         # refactor of the in-memory chain must keep the file byte for byte
-        write_snapshot_dir(SnapshotSeries(drifting_snapshots()), tmp_path / "data")
+        write_snapshot_dir(drifting_series(), tmp_path / "data")
         path = tmp_path / "model.npz"
         assert main(["train", "--data", str(tmp_path / "data"), "--out", str(path)]) == 0
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -202,7 +199,7 @@ def readme_entry_names() -> set[str]:
 
 
 def test_cli_model_opens_with_plain_numpy_and_matches_readme(tmp_path):
-    write_snapshot_dir(SnapshotSeries(drifting_snapshots()), tmp_path / "data")
+    write_snapshot_dir(drifting_series(), tmp_path / "data")
     path = tmp_path / "model.json"
     rc = main(["train", "--data", str(tmp_path / "data"), "--out", str(path)])
     assert rc == 0

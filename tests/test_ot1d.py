@@ -35,10 +35,10 @@ class TestSortedMap1D:
         # interior: linear between knots
         assert m(0.5) == 1.0
         assert m(2.0) == 2.0
-        # left extension, slope (2-0)/(1-0) = 2
-        assert m(-1.0) == -2.0
-        # right extension, slope (2-2)/(3-1) = 0
+        # constant beyond the extreme knots: the end target knots
+        assert m(-1.0) == 0.0
         assert m(5.0) == 2.0
+        np.testing.assert_array_equal(m(np.array([-1e30, 1e30])), [0.0, 2.0])
 
     def test_duplicate_edge_knot_clamps_slope(self):
         m = SortedMap1D(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
@@ -104,13 +104,17 @@ class TestFitSortedMap:
         np.testing.assert_allclose(sorted_cost, best, rtol=1e-12)
 
     def test_affine_target_recovers_affine_map(self):
-        # y = 2x + 3 elementwise makes the fitted map exactly affine, and
-        # piecewise-linear interpolation reproduces it everywhere
+        # y = 2x + 3 elementwise makes the fitted map exactly affine inside
+        # the knot range, and it holds the end knots outside it
         rng = np.random.default_rng(23)
         x = rng.normal(size=100)
         m = fit_sorted_map(x, 2.0 * x + 3.0)
-        t = np.linspace(-8, 8, 101)
+        lo, hi = x.min(), x.max()
+        t = np.linspace(lo, hi, 101)
         np.testing.assert_allclose(m(t), 2.0 * t + 3.0, rtol=1e-12, atol=1e-12)
+        outside = np.array([-8.0, lo - 1e-9, hi + 1e-9, 8.0])
+        np.testing.assert_array_equal(m(outside), [m.knots_y[0, 0]] * 2 + [m.knots_y[0, -1]] * 2)
+        np.testing.assert_allclose(m.knots_y[0, [0, -1]], 2.0 * np.array([lo, hi]) + 3.0, rtol=1e-12)
 
     def test_unequal_sizes_hand_example(self):
         m = fit_sorted_map(np.array([1.0, 0.0]), np.array([2.0, 0.0, 1.0]))

@@ -121,7 +121,7 @@ class TestEulerMaruyama:
         # x' = -lambda x, so the endpoint is x0 * exp(-lambda T) + O(dt)
         s = SDESystem("ou", 2, 0.5, 0.0, 2.0, np.array([[4.0, -6.0]]), 0.0)
         series = euler_maruyama(s, n=3, dt=1e-4, seed=0)
-        end = series[-1].samples
+        end = series.samples[-1]
         expected = np.array([4.0, -6.0]) * np.exp(-0.5 * 2.0)
         np.testing.assert_allclose(end, np.tile(expected, (3, 1)), rtol=1e-3)
 
@@ -130,7 +130,7 @@ class TestEulerMaruyama:
         series = euler_maruyama(s, n=1, dt=0.3, seed=0)
         # ceil(1.0 / 0.3) = 4 steps -> 5 stored states
         assert len(series) == 5
-        assert all(snap.samples.shape == (1, 2) for snap in series)
+        assert all(x.shape == (1, 2) for x in series.samples)
         np.testing.assert_allclose(series.times, [0.0, 0.3, 0.6, 0.9, 1.2])
 
     def test_store_subset_indices(self):
@@ -140,22 +140,22 @@ class TestEulerMaruyama:
         idx = np.round(np.linspace(0, 1000, 11)).astype(int)
         assert len(full) == 1001 and len(part) == 11
         np.testing.assert_array_equal(part.times, full.times[idx])
-        for snap, i in zip(part, idx):
-            np.testing.assert_array_equal(snap.samples, full[i].samples)
+        for x, i in zip(part.samples, idx):
+            np.testing.assert_array_equal(x, full.samples[i])
 
     def test_reproducible_and_seed_sensitive(self):
         s = ornstein_uhlenbeck()
         a = euler_maruyama(s, n=5, dt=0.01, seed=42, store=4)
         b = euler_maruyama(s, n=5, dt=0.01, seed=42, store=4)
         c = euler_maruyama(s, n=5, dt=0.01, seed=43, store=4)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.samples, sb.samples)
-        assert not np.array_equal(a[-1].samples, c[-1].samples)
+        for xa, xb in zip(a.samples, b.samples):
+            np.testing.assert_array_equal(xa, xb)
+        assert not np.array_equal(a.samples[-1], c.samples[-1])
 
     def test_mixture_initial_condition_uses_both_modes(self):
         s = ornstein_uhlenbeck(dim=2)
         series = euler_maruyama(s, n=400, dt=0.5, seed=3, store=2)
-        first = series[0].samples[:, 0]
+        first = series.samples[0][:, 0]
         assert np.sum(first < 0) > 100
         assert np.sum(first > 0) > 100
         # modes are tight around +-10
@@ -175,8 +175,8 @@ class TestEulerMaruyama:
         s0 = SDESystem("ou", 2, 0.1, 0.0, 1.0, np.array([[1.0, 2.0]]), 0.0)
         a = euler_maruyama(s0, n=3, dt=0.1, seed=5)
         b = euler_maruyama(s0, n=3, dt=0.1, seed=999)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.samples, sb.samples)
+        for xa, xb in zip(a.samples, b.samples):
+            np.testing.assert_array_equal(xa, xb)
 
     def test_out_receives_kept_states_as_snapshot_views(self):
         s = ornstein_uhlenbeck(dim=3)
@@ -184,10 +184,10 @@ class TestEulerMaruyama:
         series = euler_maruyama(s, n=6, dt=0.1, seed=9, store=4, out=out)
         reference = euler_maruyama(s, n=6, dt=0.1, seed=9, store=4)
         assert out.flags.writeable
-        for k, (snap, ref) in enumerate(zip(series, reference)):
-            assert np.shares_memory(snap.samples, out[k])
-            assert not snap.samples.flags.writeable
-            np.testing.assert_array_equal(out[k], ref.samples)
+        for k, (x, ref) in enumerate(zip(series.samples, reference.samples)):
+            assert np.shares_memory(x, out[k])
+            assert not x.flags.writeable
+            np.testing.assert_array_equal(out[k], ref)
 
     @pytest.mark.parametrize(
         "out",
@@ -224,32 +224,40 @@ class TestMakeBenchmark:
         assert len(train) == len(test) == BENCHMARK_SNAPSHOTS
         np.testing.assert_allclose(train.times, np.linspace(0, 1, 11), atol=1e-12)
         np.testing.assert_allclose(test.times, train.times)
-        pooled = np.vstack([s.samples for s in train])
+        pooled = np.vstack(train.samples)
         np.testing.assert_allclose(pooled.min(axis=0), -1.0, atol=1e-12)
         np.testing.assert_allclose(pooled.max(axis=0), 1.0, atol=1e-12)
         # the test split uses the train rescaler, so it can poke outside
-        held = np.vstack([s.samples for s in test])
+        held = np.vstack(test.samples)
         assert held.min() > -1.5 and held.max() < 1.5
+
+    def test_splits_are_views_of_one_state_array(self):
+        # no snapshot is copied out of the (2, m, n, d) array both splits fill
+        train, test = make_benchmark("ou", d=3, n=20, seed=1, m=4, dt=0.05)
+        owners = {id(x.base) for x in train.samples + test.samples}
+        assert len(owners) == 1
+        assert train.samples[0].base.shape == (2, 4, 20, 3)
+        assert not any(x.flags.writeable for x in train.samples + test.samples)
 
     def test_train_and_test_streams_differ(self):
         train, test = make_benchmark("ou", d=2, n=100, seed=5, dt=0.01)
-        assert not np.array_equal(train[0].samples, test[0].samples)
+        assert not np.array_equal(train.samples[0], test.samples[0])
 
     def test_deterministic_in_seed(self):
         a_train, a_test = make_benchmark("lorenz96", d=4, n=50, seed=2, dt=0.01)
         b_train, b_test = make_benchmark("lorenz96", d=4, n=50, seed=2, dt=0.01)
-        for sa, sb in zip(list(a_train) + list(a_test), list(b_train) + list(b_test)):
-            np.testing.assert_array_equal(sa.samples, sb.samples)
+        for xa, xb in zip(a_train.samples + a_test.samples, b_train.samples + b_test.samples):
+            np.testing.assert_array_equal(xa, xb)
 
     def test_ou_bimodal_start_contracts(self):
         train, _ = make_benchmark("ou", d=2, n=500, seed=8, dt=0.01)
         # rescaled first snapshot keeps two separated clusters along x1
-        first = train[0].samples[:, 0]
+        first = train.samples[0][:, 0]
         assert np.sum(first < -0.8) > 100 and np.sum(first > 0.8) > 100
         # by the final snapshot the paths have decayed toward the origin
-        last = train[-1].samples
+        last = train.samples[-1]
         assert np.max(np.linalg.norm(last, axis=1)) < np.max(
-            np.linalg.norm(train[0].samples, axis=1)
+            np.linalg.norm(train.samples[0], axis=1)
         )
 
     def test_dimension_guard(self):
@@ -277,8 +285,8 @@ class TestMakeBenchmark:
             sys.setswitchinterval(interval)
         for split, ref in zip(splits, raw):
             assert split.times.tobytes() == (ref.times / horizon).tobytes()
-            for snap, r in zip(split, ref):
-                assert snap.samples.tobytes() == rescaler.apply(r.samples).tobytes()
+            for x, r in zip(split.samples, ref.samples):
+                assert x.tobytes() == rescaler.apply(r).tobytes()
 
     def test_splits_run_through_module_function_on_two_threads(self, monkeypatch):
         # perfbench's tracer times the module-level euler_maruyama, so both
@@ -328,8 +336,8 @@ class TestMakeBenchmark:
         for name, d in (("vdp", 2), ("ou", 3), ("lorenz96", 4)):
             for split in make_benchmark(name, d, 40, seed=1, m=5, dt=0.05):
                 digest.update(split.times.tobytes())
-                for snap in split:
-                    digest.update(np.ascontiguousarray(snap.samples).tobytes())
+                for x in split.samples:
+                    digest.update(np.ascontiguousarray(x).tobytes())
         assert digest.hexdigest() == (
             "e3df592dad73198c60ff91e958baa74b7f06fad6cce12c90362dc4ea9bae2e87"
         )
