@@ -34,14 +34,11 @@ from .metrics import (
 )
 from .modelio import load_model, save_model
 from .ot1d import (
-    BANDWIDTH_RULES,
-    RegularizedMap1D,
-    SortedMap1D,
-    bandwidth_isj,
-    bandwidth_scott,
+    Map1D,
     fft_kde,
     fit_regularized_map,
     fit_sorted_map,
+    resolve_bandwidth,
 )
 from .ppmm import (
     PPMMFitReport,
@@ -65,21 +62,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineRescaler",
-    "BANDWIDTH_RULES",
     "BandwidthGrid",
     "DPPMMModel",
+    "Map1D",
     "PPMMFitReport",
     "PPMMMap",
-    "RegularizedMap1D",
     "SDESystem",
     "SaveDiagnostics",
     "SnapshotSeries",
-    "SortedMap1D",
     "SplineBundle",
     "approx_w2",
     "avg_gmmd2",
-    "bandwidth_isj",
-    "bandwidth_scott",
     "choose_estimator",
     "drift",
     "euler_maruyama",
@@ -103,6 +96,7 @@ __all__ = [
     "per_snapshot_gmmd2",
     "read_snapshot_csv",
     "read_snapshot_dir",
+    "resolve_bandwidth",
     "save_direction",
     "save_model",
     "train_dppmm",

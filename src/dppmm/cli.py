@@ -29,7 +29,6 @@ from .core import (
 from .dynamic import fit_transport_splines, generate, interpolate, train_dppmm
 from .metrics import BandwidthGrid, per_snapshot_gmmd2
 from .modelio import load_model, reports_to_list, save_model
-from .ot1d import BANDWIDTH_RULES
 from .sde import BENCHMARKS, make_benchmark
 
 __all__ = ["main"]
@@ -84,7 +83,6 @@ def cmd_train(args) -> int:
     model, reports = train_dppmm(
         series,
         alpha=args.alpha,
-        bandwidth=args.bandwidth,
         seed=args.seed,
         parallel=parallel,
         workers=args.threads,
@@ -94,7 +92,6 @@ def cmd_train(args) -> int:
     provenance = {
         "seed": args.seed,
         "alpha": args.alpha,
-        "bandwidth": args.bandwidth,
         "max_iter": args.max_iter,
         "reports": reports_to_list(reports),
     }
@@ -224,12 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="snapshot directory")
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--alpha", type=float, default=1e-3, help="relative stopping tolerance")
-    p.add_argument(
-        "--bandwidth",
-        choices=BANDWIDTH_RULES,
-        default="scott",
-        help="bandwidth rule of the KDE-regularized 1D maps",
-    )
     p.add_argument("--max-iter", type=int, default=None, help="iteration cap per map (default 10*d)")
     p.add_argument("--seed", type=int, default=0, help="seed for the base draw")
     p.add_argument("--parallel", action="store_true", help="fit snapshot pairs concurrently")

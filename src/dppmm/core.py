@@ -209,21 +209,28 @@ def read_snapshot_dir(path) -> SnapshotSeries:
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     try:
-        d = int(manifest["d"])
-        entries = [
-            (float(e["time"]), root / e["file"], int(e["n"])) for e in manifest["snapshots"]
-        ]
+        d = manifest["d"]
+        entries = [(e["time"], e["file"], e["n"]) for e in manifest["snapshots"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"manifest {manifest_path} invalid: {exc!r}") from exc
+    # JSON types exactly: a bool is no count or time, and int() or float()
+    # would accept 2.5 rows or the string "0"
+    if not entries:
+        raise ValueError(f"manifest {manifest_path} lists no snapshots")
+    if not all(type(c) is int and c >= 1 for c in [d, *(n for _, _, n in entries)]):
+        raise ValueError(f"manifest {manifest_path} needs d and every n to be integers >= 1")
+    if not all(type(t) in (int, float) and type(f) is str for t, f, _ in entries):
+        raise ValueError(f"manifest {manifest_path} needs numeric times and string file names")
     samples = []
-    for _, csv_path, n in entries:
+    for _, fname, n in entries:
+        csv_path = root / fname
         if not csv_path.is_file():
             raise ValueError(f"manifest {manifest_path} names a missing file {csv_path}")
         x = _read_csv_matrix(csv_path)
         if x.shape != (n, d):
             raise ValueError(f"{csv_path}: expected shape ({n}, {d}), got {x.shape}")
         samples.append(x)
-    return SnapshotSeries([time for time, _, _ in entries], samples)
+    return SnapshotSeries([float(time) for time, _, _ in entries], samples)
 
 
 def read_snapshot_csv(path) -> SnapshotSeries:

@@ -102,8 +102,8 @@ def train_dppmm(
     are. The base is N(0, DEFAULT_BASE_VARIANCE * I) and its draw count
     matches the first snapshot's sample count; ``seed`` controls only that
     draw.
-    ``bandwidth`` selects the 1D map variant per fit (None for the exact
-    sorted maps, a rule from BANDWIDTH_RULES for the regularized maps).
+    ``bandwidth`` selects the 1D map knots per fit: None for the exact
+    sorted knots, "scott" for the KDE-regularized knots.
 
     ``parallel`` runs the per-pair fits concurrently on ``workers`` threads
     (default: one per pair, at most one per core); each fit is pure and

@@ -3,15 +3,16 @@
 A model file is an uncompressed zip of ``.npy`` entries, readable with
 plain ``numpy.load(path, allow_pickle=False)``. The arrays are stacked by
 kind, as the chain holds them in memory: per map, its (steps, d) direction
-matrix and the matrices its 1D-map object names in ``FIELDS``, so a file
-holds a few dozen entries however long the chains are. A small
-``header.json`` entry carries the schema version, each map's variant and
-the provenance.
+matrix and, for a map with steps, the two knot matrices of its 1D maps, so
+a file holds a few dozen entries however long the chains are. The map count
+is the length of ``times``. A small ``header.json`` entry carries the schema
+version and the provenance.
 
 Entries have a fixed order and a fixed timestamp, so saving is
 byte-reproducible and save -> load -> save is byte-identical; arrays keep
 their float64 bits, so loaded models evaluate bit-exactly. Loading refuses
-pickled or non-float64 entries and checks the shape of each entry, then
+pickled or non-float64 entries and any set of entry names other than the
+one the maps' step counts imply, checks the shape of each entry, then
 hands each stacked matrix to its validating constructor, which checks it
 once, so a corrupt file fails with the invariant it breaks.
 """
@@ -27,18 +28,15 @@ import numpy as np
 
 from .core import AffineRescaler
 from .dynamic import DPPMMModel
-from .ot1d import RegularizedMap1D, SortedMap1D
+from .ot1d import Map1D
 from .ppmm import PPMMMap
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model"]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 _HEADER = "header.json"
 _DATE_TIME = (1980, 1, 1, 0, 0, 0)  # the earliest zip timestamp
-
-# the 1D map class of each variant named in the header
-_VARIANTS = {"sorted": SortedMap1D, "regularized": RegularizedMap1D}
-_VARIANT_OF = {cls: name for name, cls in _VARIANTS.items()}
+_KNOTS = ("knots_x", "knots_y")
 
 
 def reports_to_list(reports) -> list[dict]:
@@ -53,8 +51,7 @@ def _npy(arr: np.ndarray) -> bytes:
 
 def save_model(path, model: DPPMMModel, provenance: dict) -> None:
     """Write the model archive to exactly ``path``."""
-    variants = [None if m.maps1d is None else _VARIANT_OF[type(m.maps1d)] for m in model.maps]
-    header = {"schema_version": SCHEMA_VERSION, "maps": variants, "provenance": provenance}
+    header = {"schema_version": SCHEMA_VERSION, "provenance": provenance}
     entries = [
         (_HEADER, json.dumps(header, separators=(",", ":"), allow_nan=False).encode()),
         ("shift.npy", _npy(model.rescaler.shift)),
@@ -63,8 +60,9 @@ def save_model(path, model: DPPMMModel, provenance: dict) -> None:
     ]
     for j, ppmm_map in enumerate(model.maps):
         entries.append((f"map{j}/direction.npy", _npy(ppmm_map.directions)))
-        for name in getattr(ppmm_map.maps1d, "FIELDS", ()):
-            entries.append((f"map{j}/{name}.npy", _npy(getattr(ppmm_map.maps1d, name))))
+        if ppmm_map.maps1d is not None:
+            for name in _KNOTS:
+                entries.append((f"map{j}/{name}.npy", _npy(getattr(ppmm_map.maps1d, name))))
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, data in entries:
             archive.writestr(zipfile.ZipInfo(name, _DATE_TIME), data)
@@ -84,17 +82,19 @@ def _read_array(archive: zipfile.ZipFile, name: str, shape: tuple) -> np.ndarray
     return arr
 
 
-def _read_map(archive, j: int, variant, d: int) -> PPMMMap:
-    if variant is not None and variant not in _VARIANTS:
-        raise ValueError(f"unknown 1D map variant {variant!r} for map {j}")
-    directions = _read_array(archive, f"map{j}/direction", (None, d))
-    if variant is None:
-        if len(directions):
-            raise ValueError(f"map {j} has {len(directions)} directions but no 1D map variant")
+def _entry_names(directions) -> set[str]:
+    """The entry names of an archive whose maps have these direction matrices."""
+    names = {_HEADER, "shift.npy", "scale.npy", "times.npy"}
+    for j, p in enumerate(directions):
+        names.update(f"map{j}/{name}.npy" for name in ("direction", *(_KNOTS if len(p) else ())))
+    return names
+
+
+def _read_map(archive: zipfile.ZipFile, j: int, directions: np.ndarray) -> PPMMMap:
+    if not len(directions):
         return PPMMMap(directions)
-    cls = _VARIANTS[variant]
-    fields = [_read_array(archive, f"map{j}/{name}", (None, None)) for name in cls.FIELDS]
-    return PPMMMap(directions, cls(*fields))
+    knots = (_read_array(archive, f"map{j}/{name}", (len(directions), None)) for name in _KNOTS)
+    return PPMMMap(directions, Map1D(*knots))
 
 
 def load_model(path) -> tuple[DPPMMModel, dict]:
@@ -110,16 +110,23 @@ def load_model(path) -> tuple[DPPMMModel, dict]:
                 raise ValueError(
                     f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
                 )
-            variants = header["maps"]
             provenance = header["provenance"]
-            if not isinstance(variants, list) or not isinstance(provenance, dict):
-                raise ValueError("header needs a list of map variants and a provenance object")
+            if not isinstance(provenance, dict):
+                raise ValueError("header needs a provenance object")
             shift = _read_array(archive, "shift", (None,))
             rescaler = AffineRescaler(shift, _read_array(archive, "scale", shift.shape))
-            times = _read_array(archive, "times", (len(variants),))
-            maps = tuple(
-                _read_map(archive, j, v, rescaler.dim) for j, v in enumerate(variants)
-            )
+            times = _read_array(archive, "times", (None,))
+            directions = [
+                _read_array(archive, f"map{j}/direction", (None, rescaler.dim))
+                for j in range(len(times))
+            ]
+            names, expected = set(archive.namelist()), _entry_names(directions)
+            if names != expected:
+                raise ValueError(
+                    f"entries do not match {len(times)} maps: unexpected "
+                    f"{sorted(names - expected)}, missing {sorted(expected - names)}"
+                )
+            maps = tuple(_read_map(archive, j, p) for j, p in enumerate(directions))
     except zipfile.BadZipFile as exc:
         raise ValueError(
             f"{path} is not a schema-{SCHEMA_VERSION} model archive ({exc}); "

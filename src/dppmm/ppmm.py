@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import checked_array
-from .ot1d import (
-    BANDWIDTH_RULES,
-    RegularizedMap1D,
-    SortedMap1D,
-    fit_regularized_map,
-    fit_sorted_map,
-)
+from .ot1d import Map1D, fit_regularized_map, fit_sorted_map
 from .projection import save_direction
 
 __all__ = [
@@ -45,7 +39,7 @@ class PPMMMap:
     """
 
     directions: np.ndarray
-    maps1d: SortedMap1D | RegularizedMap1D | None = None
+    maps1d: Map1D | None = None
 
     def __post_init__(self):
         p = checked_array(self.directions, "directions", 0, frozen="copy")
@@ -142,9 +136,9 @@ def fit_ppmm(
     """Fit a projection-pursuit transport map from x-samples to y-samples.
 
     Each iteration takes the SAVE direction between the current samples and
-    the target, fits a 1D map along it (exact sorted map when ``bandwidth``
-    is None, KDE-regularized map with that rule from BANDWIDTH_RULES
-    otherwise), and displaces the samples. After every iteration the rms
+    the target, fits a 1D map along it (exact sorted knots when ``bandwidth``
+    is None, KDE-regularized knots with Scott bandwidths when it is
+    "scott"), and displaces the samples. After every iteration the rms
     displacement of the original x is recorded; from the second iteration
     on, a relative change of at most ``alpha`` stops the fit (a zero
     displacement also counts as converged). SAVE reporting no informative
@@ -162,15 +156,13 @@ def fit_ppmm(
         max_iter = 10 * d
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if bandwidth is not None and bandwidth not in BANDWIDTH_RULES:
-        raise ValueError(
-            f"bandwidth must be None or one of {BANDWIDTH_RULES}, got {bandwidth!r}"
-        )
+    if bandwidth not in (None, "scott"):
+        raise ValueError(f"bandwidth must be None or 'scott', got {bandwidth!r}")
 
     original = x
     current = x.copy()
     directions: list[np.ndarray] = []
-    maps1d: list[SortedMap1D | RegularizedMap1D] = []
+    maps1d: list[Map1D] = []
     history: list[float] = []
     stop_reason = "max_iter"
 
@@ -181,10 +173,7 @@ def fit_ppmm(
             break
         proj = current @ p
         target_proj = y @ p
-        if bandwidth is None:
-            map1d = fit_sorted_map(proj, target_proj)
-        else:
-            map1d = fit_regularized_map(proj, target_proj, bandwidth)
+        map1d = (fit_sorted_map if bandwidth is None else fit_regularized_map)(proj, target_proj)
         current += np.outer(map1d(proj) - proj, p)
         directions.append(p)
         maps1d.append(map1d)
@@ -197,6 +186,8 @@ def fit_ppmm(
     report = PPMMFitReport(w2_history=tuple(history), stop_reason=stop_reason)
     stacked = None
     if maps1d:
-        cls = type(maps1d[0])
-        stacked = cls(*(np.concatenate([getattr(m, f) for m in maps1d]) for f in cls.FIELDS))
+        stacked = Map1D(
+            np.concatenate([m.knots_x for m in maps1d]),
+            np.concatenate([m.knots_y for m in maps1d]),
+        )
     return PPMMMap(np.array(directions).reshape(-1, d), stacked), report

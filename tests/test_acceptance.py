@@ -157,8 +157,8 @@ def test_05_vanderpol_end_to_end_error_within_10x_noise_floor(vdp_run):
     # generated-vs-held-out error against the truth-vs-truth floor
     error = vdp_run["errors"][1e-3]
     floor = vdp_run["floor"]
-    assert error <= 10.0 * floor  # measured 0.00551 vs floor 0.00526
-    assert vdp_run["seconds"][1e-3] < 60.0  # measured ~0.4 s
+    assert error <= 10.0 * floor  # measured 0.00684 vs floor 0.00526
+    assert vdp_run["seconds"][1e-3] < 60.0  # measured ~0.5 s
 
 
 def test_06_error_non_increasing_as_alpha_tightens(vdp_run):
@@ -169,7 +169,7 @@ def test_06_error_non_increasing_as_alpha_tightens(vdp_run):
         for earlier, later in zip(e, e[1:])
         if later > earlier
     ]
-    # measured strictly decreasing: 0.687 -> 0.106 -> 0.0055
+    # measured strictly decreasing: 0.685 -> 0.122 -> 0.0068
     assert len(inversions) <= 1
     assert all(v <= 0.10 for v in inversions)
 
@@ -198,7 +198,7 @@ def test_07_spline_knot_exactness_and_held_out_interpolation():
         held_out.times, [interpolate(bundle, t) for t in held_out.times.tolist()]
     )
     interp_avg = avg_gmmd2(interp, held_out)
-    assert interp_avg <= 3.0 * knot_avg  # measured ratio 0.887
+    assert interp_avg <= 3.0 * knot_avg  # measured ratio 0.766
 
 
 def test_08_sde_integrator_decay_and_stationary_moments():

@@ -88,7 +88,7 @@ class TestTrain:
         model, provenance = load_model(pipeline["model"])
         assert len(model.maps) == 5
         assert provenance["seed"] == 5
-        assert provenance["bandwidth"] == "scott"
+        assert "bandwidth" not in provenance
         assert provenance["alpha"] == 1e-3
         assert len(provenance["reports"]) == 5
 
@@ -368,13 +368,27 @@ class TestEvaluate:
             [],
             {"d": 2, "snapshots": [{"time": 0.0, "n": 1}]},
             {"d": 2, "snapshots": [{"time": 0.0, "file": "nope.csv", "n": 1}]},
+            {"d": 2, "snapshots": []},
+            {"d": 2.5, "snapshots": [{"time": 0.0, "file": "x.csv", "n": 1}]},
+            {"d": True, "snapshots": [{"time": 0.0, "file": "x.csv", "n": 1}]},
+            {"d": 2, "snapshots": [{"time": 0.0, "file": "x.csv", "n": 1.5}]},
+            {"d": 2, "snapshots": [{"time": 0.0, "file": "x.csv", "n": 0}]},
+            {"d": 2, "snapshots": [{"time": "0", "file": "x.csv", "n": 1}]},
+            {"d": 2, "snapshots": [{"time": True, "file": "x.csv", "n": 1}]},
+            {"d": 2, "snapshots": [{"time": 0.0, "file": ["x.csv"], "n": 1}]},
         ],
-        ids=["empty", "no-snapshots", "list", "entry-without-file", "missing-file"],
+        ids=[
+            "empty", "no-snapshots", "list", "entry-without-file", "missing-file",
+            "empty-snapshots", "fractional-d", "bool-d", "fractional-n", "zero-n",
+            "string-time", "bool-time", "list-file",
+        ],
     )
     def test_malformed_manifest_exits_2(self, pipeline, tmp_path, capsys, manifest):
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "manifest.json").write_text(json.dumps(manifest))
+        # a file that int(d), int(n) and float(time) would have accepted
+        (bad / "x.csv").write_text("0.5,0.5\n")
         rc = main(["evaluate", "--a", str(bad), "--b", str(pipeline["data"] / "test")])
         assert rc == 2
         rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.json")])
@@ -436,6 +450,8 @@ class TestErrorPaths:
             (["train", "--data", "x", "--out", "y"], ["--bins", "200"]),
             (["train", "--data", "x", "--out", "y"], ["--margin", "0.25"]),
             (["train", "--data", "x", "--out", "y"], ["--floor", "1e-8"]),
+            (["train", "--data", "x", "--out", "y"], ["--bandwidth", "scott"]),
+            (["train", "--data", "x", "--out", "y"], ["--bandwidth", "isj"]),
             (["sample", "--model", "x", "--out", "y"], ["--keep-rescaled"]),
             (
                 ["interpolate", "--model", "x", "--times", "0", "--out", "y"],
@@ -446,7 +462,8 @@ class TestErrorPaths:
             (["evaluate", "--a", "x", "--b", "y"], ["--grid-size", "5"]),
         ],
         ids=[
-            "train-bins", "train-margin", "train-floor", "sample-keep-rescaled",
+            "train-bins", "train-margin", "train-floor", "train-bandwidth-scott",
+            "train-bandwidth-isj", "sample-keep-rescaled",
             "interpolate-keep-rescaled", "evaluate-grid-min", "evaluate-grid-max",
             "evaluate-grid-size",
         ],

@@ -11,7 +11,7 @@ from dppmm.core import (
 )
 from dppmm.dynamic import DPPMMModel, fit_transport_splines
 from dppmm.metrics import BandwidthGrid, gmmd2
-from dppmm.ot1d import RegularizedMap1D, SortedMap1D
+from dppmm.ot1d import Map1D
 from dppmm.ppmm import PPMMMap, eval_ppmm, fit_ppmm
 from dppmm.projection import save_direction
 from dppmm.sde import SDESystem
@@ -108,18 +108,13 @@ FROZEN_TYPES = {
     ),
     "PPMMMap": (
         lambda: [np.array([[1.0, 0.0]])],
-        lambda p: PPMMMap(p, SortedMap1D([0.0, 1.0], [0.0, 1.0])),
+        lambda p: PPMMMap(p, Map1D([0.0, 1.0], [0.0, 1.0])),
         ("directions",),
     ),
-    "SortedMap1D": (
+    "Map1D": (
         lambda: [np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0])],
-        SortedMap1D,
+        Map1D,
         ("knots_x", "knots_y"),
-    ),
-    "RegularizedMap1D": (
-        lambda: [np.linspace(0.01, 0.99, 16), np.linspace(0.01, 0.99, 16) ** 2, np.array([0.0, 1.0])],
-        RegularizedMap1D,
-        ("cdf_source", "cdf_target", "domain"),
     ),
 }
 

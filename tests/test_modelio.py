@@ -136,42 +136,39 @@ class TestRoundTrip:
             infos = archive.infolist()
         assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
         assert all(i.date_time == (1980, 1, 1, 0, 0, 0) for i in infos)
-        regularized = ["direction", "cdf_source", "cdf_target", "domain"]
+        with_steps = ["direction", "knots_x", "knots_y"]
         assert [i.filename for i in infos] == [
             "header.json", "shift.npy", "scale.npy", "times.npy",
-            *(f"map0/{n}.npy" for n in regularized),
+            *(f"map0/{n}.npy" for n in with_steps),
             "map1/direction.npy",
-            *(f"map2/{n}.npy" for n in regularized),
+            *(f"map2/{n}.npy" for n in with_steps),
         ]
         content = entries(path)
         header = json.loads(content["header.json"])
-        assert header == {
-            "schema_version": SCHEMA_VERSION,
-            "maps": ["regularized", None, "regularized"],
-            "provenance": provenance,
-        }
+        assert header == {"schema_version": SCHEMA_VERSION, "provenance": provenance}
         for j, report in enumerate(reports):
             k = report.k_final
             assert array(content, f"map{j}/direction").shape == (k, 2)
             if k:
-                assert array(content, f"map{j}/cdf_source").shape == (k, KDE_BINS)
-                domain = array(content, f"map{j}/domain")
-                assert domain.shape == (k, 2) and np.all(domain[:, 0] < domain[:, 1])
+                # KDE maps: knots_x is each step's grid, knots_y its image
+                knots_x = array(content, f"map{j}/knots_x")
+                assert knots_x.shape == array(content, f"map{j}/knots_y").shape == (k, KDE_BINS)
+                assert np.all(np.diff(knots_x, axis=1) > 0)
 
     def test_cli_train_file_bytes_are_pinned(self, tmp_path):
-        # SHA-256 of the schema-5 file that `train` (scott maps) writes; a
+        # SHA-256 of the schema-6 file that `train` (scott maps) writes; a
         # refactor of the in-memory chain must keep the file byte for byte
         write_snapshot_dir(drifting_series(), tmp_path / "data")
         path = tmp_path / "model.npz"
         assert main(["train", "--data", str(tmp_path / "data"), "--out", str(path)]) == 0
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "864720bc954507bf61bfe483c60707f234b0897ad02f690f3bad74c36d9119ce"
+        assert digest == "d0dc9dd889c257ce6a1430fc15a017d010153352cb6d6aa11d38c40583f605bf"
 
     @pytest.mark.parametrize(
         "fixture, digest",
         [
-            ("sorted_model", "4a42f1d3620f4c38d8ad32c6ab2bac6531de8ad6582c3131796b5f346c485e5e"),
-            ("zero_step_model", "3dca04bb7125dd35d499c052f744a4e6558f8eebdfafe493cc1060a26f38472f"),
+            ("sorted_model", "b6f49e0897b91dd84f45ad090b68e15aa175dfceb57fd7ab1ce04ce3d75e985f"),
+            ("zero_step_model", "0d0554306b39de18cc7beee7774b1289ff0c3010ed84df1a2ba25d706ee236a9"),
         ],
     )
     def test_saved_file_bytes_are_pinned(self, tmp_path, request, fixture, digest):
@@ -185,11 +182,9 @@ class TestRoundTrip:
         path = tmp_path / "model.npz"
         save_model(path, model, provenance)
         content = entries(path)
-        assert json.loads(content["header.json"])["maps"] == ["sorted"] * 3
         for j, report in enumerate(reports):
             assert array(content, f"map{j}/knots_x").shape == (report.k_final, 400)
             assert array(content, f"map{j}/knots_y").shape == (report.k_final, 400)
-            assert f"map{j}/cdf_source.npy" not in content
 
 
 def readme_entry_names() -> set[str]:
@@ -209,8 +204,7 @@ def test_cli_model_opens_with_plain_numpy_and_matches_readme(tmp_path):
         assert archive["times"].tolist() == [0.0, 1.0, 2.0]
         assert archive["map0/direction"].shape[1] == 2
     assert header["schema_version"] == SCHEMA_VERSION
-    sorted_only = {"map{j}/knots_x", "map{j}/knots_y"}
-    assert names == readme_entry_names() - sorted_only
+    assert names == readme_entry_names()
 
 
 def edit(fn):
@@ -256,13 +250,22 @@ V4_JSON = (
 # name -> (make(src, dst) writing a corrupted copy of the model at src, match)
 CORRUPTIONS = {
     "schema-v4 json": (
-        lambda src, dst: dst.write_text(V4_JSON, encoding="utf-8"), "not a schema-5"
+        lambda src, dst: dst.write_text(V4_JSON, encoding="utf-8"), "not a schema-6"
     ),
     "truncated archive": (
         lambda src, dst: dst.write_bytes(src.read_bytes()[: src.stat().st_size // 2]),
-        "not a schema-5",
+        "not a schema-6",
     ),
-    "missing entry": (edit(lambda c: c.pop("map2/domain.npy")), "invalid"),
+    "missing entry": (edit(lambda c: c.pop("map2/direction.npy")), "invalid"),
+    # map 2 has steps, so it needs both knot matrices
+    "missing knots": (
+        edit(lambda c: c.pop("map2/knots_y.npy")), r"missing \['map2/knots_y.npy'\]"
+    ),
+    # a map beyond the 3 times: the map count comes from times alone
+    "stray entry": (
+        edit(lambda c: c.update({"map3/direction.npy": npy(np.zeros((0, 2)))})),
+        r"unexpected \['map3/direction.npy'\]",
+    ),
     "missing header": (edit(lambda c: c.pop("header.json")), "invalid"),
     "object dtype": (
         edit(lambda c: c.update(
@@ -271,14 +274,12 @@ CORRUPTIONS = {
         "allow_pickle",
     ),
     "float32 entry": (set_array("times", lambda a: a.astype(np.float32)), "float32"),
-    "wrong-shape cdf": (set_array("map0/cdf_target", lambda a: a[:, :-1]), "shape"),
+    "wrong-shape knots": (set_array("map0/knots_y", lambda a: a[:, :-1]), "shape"),
     "wrong-shape direction": (set_array("map1/direction", lambda a: a[:, :1]), "shape"),
     "scale longer than shift": (set_array("scale", lambda a: np.append(a, 1.0)), "shape"),
-    "nan in cdf": (set_array("map0/cdf_source", set_item((0, 3), np.nan)), "finite"),
     # the last row of the last map: a check of row 0 alone misses these
-    "nan in last cdf row": (set_array("map2/cdf_target", set_item((-1, 3), np.nan)), "finite"),
+    "nan in last knots row": (set_array("map2/knots_y", set_item((-1, 3), np.nan)), "finite"),
     "non-unit last direction": (set_array("map2/direction", set_item(-1, [0.6, 0.6])), "unit norm"),
-    "steps without variant": (set_header(maps=["regularized", None, "regularized"]), "variant"),
     "wrong schema_version": (set_header(schema_version=999), "schema_version"),
 }
 
@@ -311,7 +312,7 @@ class TestValidationOnLoad:
     def test_wrong_schema_version(self, saved):
         rejected(saved, set_header(schema_version=999), "schema_version")
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_older_schema_version_rejected(self, saved, version):
         rejected(saved, set_header(schema_version=version), "schema_version")
 
@@ -321,10 +322,7 @@ class TestValidationOnLoad:
     def test_corrupt_direction_caught_by_domain_validation(self, saved):
         rejected(saved, set_array("map0/direction", set_item(0, [5.0, 5.0])), "unit norm")
 
-    def test_unknown_map_variant(self, saved):
-        rejected(saved, set_header(maps=["regularized", "spline", "regularized"]), "variant")
-
-    @pytest.mark.parametrize("where", ["cdf_source", "knots_x", "times"])
+    @pytest.mark.parametrize("where", ["knots_y", "knots_x", "times"])
     def test_nan_in_file_rejected(self, tmp_path, trained, sorted_model, where):
         model, _, provenance = sorted_model if where == "knots_x" else trained
         path = tmp_path / "good.npz"

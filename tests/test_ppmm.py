@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dppmm.ot1d import SortedMap1D
+from dppmm.ot1d import KDE_BINS, Map1D
 from dppmm.ppmm import (
     PPMMFitReport,
     PPMMMap,
@@ -46,7 +46,7 @@ class TestReportAndMapTypes:
         assert report.k_final == len(report.w2_history) == 2
 
     def test_map_dimension_checks(self):
-        identity = SortedMap1D(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        identity = Map1D(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="2-D"):
             PPMMMap(np.array([1.0, 0.0]), identity)
         with pytest.raises(ValueError, match="no columns"):
@@ -56,7 +56,7 @@ class TestReportAndMapTypes:
 
     def test_map_rejects_row_count_mismatch(self):
         knots = np.array([[0.0, 1.0], [0.0, 2.0]])
-        two_maps = SortedMap1D(knots, knots)
+        two_maps = Map1D(knots, knots)
         with pytest.raises(ValueError, match="1 directions but 2 1D maps"):
             PPMMMap(np.array([[1.0, 0.0]]), two_maps)
         with pytest.raises(ValueError, match="2 directions but 0 1D maps"):
@@ -65,7 +65,7 @@ class TestReportAndMapTypes:
     def test_map_rejects_non_unit_row(self):
         # the last row is off, so a check of row 0 alone would pass it
         knots = np.array([[0.0, 1.0]] * 3)
-        maps1d = SortedMap1D(knots, knots)
+        maps1d = Map1D(knots, knots)
         for bad in ([0.6, 0.6], [1.0 + 1e-11, 0.0]):
             with pytest.raises(ValueError, match="direction 2 must have unit norm"):
                 PPMMMap(np.array([[1.0, 0.0], [0.6, 0.8], bad]), maps1d)
@@ -75,13 +75,13 @@ class TestReportAndMapTypes:
 
     def test_map_directions_read_only(self):
         directions = np.array([[1.0, 0.0]])
-        m = PPMMMap(directions, SortedMap1D([0.0, 1.0], [0.0, 1.0]))
+        m = PPMMMap(directions, Map1D([0.0, 1.0], [0.0, 1.0]))
         with pytest.raises(ValueError):
             m.directions[0, 0] = 0.0
 
     def test_map_directions_are_a_private_copy(self):
         directions = np.array([[1.0, 0.0]])
-        m = PPMMMap(directions, SortedMap1D([0.0, 1.0], [0.0, 1.0]))
+        m = PPMMMap(directions, Map1D([0.0, 1.0], [0.0, 1.0]))
         directions[0, 0] = 5.0  # a non-unit row the map must not see
         assert directions.flags.writeable
         np.testing.assert_array_equal(m.directions, [[1.0, 0.0]])
@@ -96,7 +96,7 @@ class TestReportAndMapTypes:
 class TestEvalPpmm:
     def test_single_step_moves_along_direction_only(self):
         p = np.array([0.0, 1.0])
-        shift = SortedMap1D(np.array([-5.0, 5.0]), np.array([-3.0, 7.0]))  # +2
+        shift = Map1D(np.array([-5.0, 5.0]), np.array([-3.0, 7.0]))  # +2
         m = PPMMMap(p[None], shift)
         x = np.array([[1.0, 0.5], [-2.0, 3.0]])
         out = m(x)
@@ -105,7 +105,7 @@ class TestEvalPpmm:
 
     def test_input_not_mutated(self):
         p = np.array([1.0, 0.0])
-        shift = SortedMap1D(np.array([-5.0, 5.0]), np.array([-4.0, 6.0]))
+        shift = Map1D(np.array([-5.0, 5.0]), np.array([-4.0, 6.0]))
         m = PPMMMap(p[None], shift)
         x = np.zeros((4, 2))
         m(x)
@@ -140,8 +140,9 @@ class TestFitPpmm:
             fit_ppmm(np.zeros((1, 2)), x)
         # identical inputs would stop before any 1D map is fitted, so this
         # raises only if the rule is checked up front
-        with pytest.raises(ValueError, match="bandwidth"):
-            fit_ppmm(x, x, bandwidth="silverman")
+        for rule in ("silverman", "isj"):
+            with pytest.raises(ValueError, match="bandwidth"):
+                fit_ppmm(x, x, bandwidth=rule)
 
     def test_identical_inputs_stop_without_informative_direction(self):
         rng = np.random.default_rng(61)
@@ -258,10 +259,8 @@ class TestFitPpmm:
         x = rng.normal(size=(2000, 2)) * 0.2
         y = rng.normal(size=(2000, 2)) * 0.2 + np.array([0.6, 0.0])
         m, report = fit_ppmm(x, y, bandwidth="scott")
-        from dppmm.ot1d import RegularizedMap1D
-
-        assert isinstance(m.maps1d, RegularizedMap1D)
-        assert len(m.maps1d) == report.k_final
+        # one row of KDE grid knots per step
+        assert m.maps1d.knots_x.shape == (report.k_final, KDE_BINS)
         pushed = m(x)
         np.testing.assert_allclose(pushed.mean(axis=0), y.mean(axis=0), atol=0.05)
 
