@@ -145,27 +145,30 @@ def resolve_bandwidth(samples, span: float) -> tuple[float, bool]:
     return sigma * s.shape[0] ** (-0.2), False
 
 
+def _kde_cdf(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The samples' strictly increasing CDF on an equispaced grid.
+
+    The Scott-bandwidth KDE density is floored by KDE_FLOOR, renormalized
+    and accumulated, so the CDF's last value is 1.
+    """
+    span = grid[-1] - grid[0]
+    step = span / (grid.shape[0] - 1)
+    h, _ = resolve_bandwidth(samples, span)
+    density = fft_kde(samples, h, grid) + KDE_FLOOR
+    density = density / (density.sum() * step)
+    return np.cumsum(density) * step
+
+
 def fit_regularized_map(x, y) -> Map1D:
     """Fit the KDE-regularized 1D transport map from x-samples to y-samples.
 
     The grid spans the pooled sample range padded by KDE_MARGIN on both
-    sides. Each density gets its own Scott bandwidth, is floored by
-    KDE_FLOOR and renormalized, and is accumulated into a strictly
-    increasing CDF. The knots are the grid points and their images under
-    G^-1 (o) F.
+    sides, and each sample set gets its own KDE CDF on it. The knots are
+    the grid points and their images under G^-1 (o) F.
     """
     x = checked_array(x, "x", 2, ndim=1)
     y = checked_array(y, "y", 2, ndim=1)
     lo = min(x.min(), y.min()) - KDE_MARGIN
     hi = max(x.max(), y.max()) + KDE_MARGIN
     z = np.linspace(lo, hi, KDE_BINS)
-    step = (hi - lo) / (KDE_BINS - 1)
-
-    cdfs = []
-    for samples in (x, y):
-        h, _ = resolve_bandwidth(samples, hi - lo)
-        density = fft_kde(samples, h, z) + KDE_FLOOR
-        density = density / (density.sum() * step)
-        cdfs.append(np.cumsum(density) * step)
-
-    return Map1D(z, np.interp(cdfs[0], cdfs[1], z))
+    return Map1D(z, np.interp(_kde_cdf(x, z), _kde_cdf(y, z), z))

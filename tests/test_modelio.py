@@ -266,6 +266,11 @@ CORRUPTIONS = {
         edit(lambda c: c.update({"map3/direction.npy": npy(np.zeros((0, 2)))})),
         r"unexpected \['map3/direction.npy'\]",
     ),
+    # map 2 has steps but stores no 1D map for them
+    "steps without variant": (
+        edit(lambda c: [c.pop(f"map2/knots_{a}.npy") for a in "xy"]),
+        r"missing \['map2/knots_x.npy', 'map2/knots_y.npy'\]",
+    ),
     "missing header": (edit(lambda c: c.pop("header.json")), "invalid"),
     "object dtype": (
         edit(lambda c: c.update(
@@ -274,11 +279,14 @@ CORRUPTIONS = {
         "allow_pickle",
     ),
     "float32 entry": (set_array("times", lambda a: a.astype(np.float32)), "float32"),
-    "wrong-shape knots": (set_array("map0/knots_y", lambda a: a[:, :-1]), "shape"),
+    # the trained maps are KDE maps: knots_y holds G^-1 (o) F on the grid,
+    # so the "cdf" cases corrupt what the CDFs of schema 5 became
+    "wrong-shape cdf": (set_array("map0/knots_y", lambda a: a[:, :-1]), "shape"),
     "wrong-shape direction": (set_array("map1/direction", lambda a: a[:, :1]), "shape"),
     "scale longer than shift": (set_array("scale", lambda a: np.append(a, 1.0)), "shape"),
+    "nan in cdf": (set_array("map0/knots_y", set_item((0, 3), np.nan)), "finite"),
     # the last row of the last map: a check of row 0 alone misses these
-    "nan in last knots row": (set_array("map2/knots_y", set_item((-1, 3), np.nan)), "finite"),
+    "nan in last cdf row": (set_array("map2/knots_y", set_item((-1, 3), np.nan)), "finite"),
     "non-unit last direction": (set_array("map2/direction", set_item(-1, [0.6, 0.6])), "unit norm"),
     "wrong schema_version": (set_header(schema_version=999), "schema_version"),
 }
@@ -322,7 +330,7 @@ class TestValidationOnLoad:
     def test_corrupt_direction_caught_by_domain_validation(self, saved):
         rejected(saved, set_array("map0/direction", set_item(0, [5.0, 5.0])), "unit norm")
 
-    @pytest.mark.parametrize("where", ["knots_y", "knots_x", "times"])
+    @pytest.mark.parametrize("where", ["knots_x", "times"])
     def test_nan_in_file_rejected(self, tmp_path, trained, sorted_model, where):
         model, _, provenance = sorted_model if where == "knots_x" else trained
         path = tmp_path / "good.npz"
@@ -330,6 +338,14 @@ class TestValidationOnLoad:
         index = 1 if where == "times" else (0, 3)
         name = where if where == "times" else f"map0/{where}"
         rejected(path, set_array(name, set_item(index, np.nan)), "finite")
+
+    def test_unknown_map_variant(self, saved):
+        # a map stored in any layout but knots is refused by its entry names
+        rejected(
+            saved,
+            edit(lambda c: c.update({"map0/spline.npy": c.pop("map0/knots_y.npy")})),
+            r"unexpected \['map0/spline.npy'\], missing \['map0/knots_y.npy'\]",
+        )
 
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_load_rejects(self, saved, case):

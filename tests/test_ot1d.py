@@ -7,6 +7,7 @@ from dppmm.ot1d import (
     KDE_BINS,
     KDE_MARGIN,
     Map1D,
+    _kde_cdf,
     fft_kde,
     fit_regularized_map,
     fit_sorted_map,
@@ -225,6 +226,14 @@ class TestFitRegularizedMap:
         np.testing.assert_array_equal(
             m.knots_x[0], np.linspace(-1.0 - KDE_MARGIN, 3.0 + KDE_MARGIN, KDE_BINS)
         )
+
+    def test_cdfs_strictly_increasing_to_one(self):
+        rng = np.random.default_rng(55)
+        x, y = rng.normal(size=300), rng.normal(size=300) * 2
+        grid = fit_regularized_map(x, y).knots_x[0]
+        for cdf in (_kde_cdf(x, grid), _kde_cdf(y, grid)):
+            assert np.all(np.diff(cdf) > 0)
+            np.testing.assert_allclose(cdf[-1], 1.0, rtol=1e-9)
 
     def test_clamped_beyond_the_grid(self):
         # the knots are the grid, so past its ends the map holds its end
