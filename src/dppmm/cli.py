@@ -81,20 +81,10 @@ def cmd_train(args) -> int:
     parallel = args.parallel or (args.threads is not None and args.threads > 1)
     started = time.perf_counter()
     model, reports = train_dppmm(
-        series,
-        alpha=args.alpha,
-        seed=args.seed,
-        parallel=parallel,
-        workers=args.threads,
-        max_iter=args.max_iter,
+        series, seed=args.seed, parallel=parallel, workers=args.threads
     )
     seconds = time.perf_counter() - started
-    provenance = {
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "max_iter": args.max_iter,
-        "reports": reports_to_list(reports),
-    }
+    provenance = {"seed": args.seed, "reports": reports_to_list(reports)}
     save_model(args.out, model, provenance)
     for j, report in enumerate(reports):
         _emit(
@@ -170,13 +160,12 @@ def cmd_evaluate(args) -> int:
     series_a = _read_samples(args.a)
     series_b = _read_samples(args.b)
     grid = BandwidthGrid.default()
-    estimator = None if args.estimator == "auto" else args.estimator
     started = time.perf_counter()
     per_snapshot = [
         {"time": t, "gmmd2": value, "estimator": chosen,
          "max_abs_a": max_a, "max_abs_b": max_b}
         for (t, value, chosen), max_a, max_b in zip(
-            per_snapshot_gmmd2(series_a, series_b, grid, estimator),
+            per_snapshot_gmmd2(series_a, series_b, grid),
             _max_abs(series_a),
             _max_abs(series_b),
         )
@@ -220,11 +209,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the transport chain on a snapshot directory")
     p.add_argument("--data", required=True, help="snapshot directory")
     p.add_argument("--out", required=True, help="model file path")
-    p.add_argument("--alpha", type=float, default=1e-3, help="relative stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=None, help="iteration cap per map (default 10*d)")
     p.add_argument("--seed", type=int, default=0, help="seed for the base draw")
     p.add_argument("--parallel", action="store_true", help="fit snapshot pairs concurrently")
-    p.add_argument("--threads", type=int, default=None, help="worker count (default: all cores)")
+    p.add_argument(
+        "--threads", type=int, default=None, help="worker count (default: one per usable CPU)"
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="generate coupled snapshots from a trained model")
@@ -251,9 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="generalized MMD between two snapshot sets")
     p.add_argument("--a", required=True, help="snapshot directory or CSV file")
     p.add_argument("--b", required=True, help="snapshot directory or CSV file")
-    p.add_argument(
-        "--estimator", choices=("auto", "quadratic", "linear"), default="auto"
-    )
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=cmd_evaluate)
 

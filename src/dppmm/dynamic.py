@@ -10,13 +10,12 @@ splines, which keeps the generated paths C^2 where the snapshots allow it.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AffineRescaler, SnapshotSeries, checked_array, fit_rescaler
+from .core import AffineRescaler, SnapshotSeries, _usable_cpus, checked_array, fit_rescaler
 from .ppmm import PPMMFitReport, PPMMMap, eval_ppmm, fit_ppmm
 
 __all__ = [
@@ -106,9 +105,9 @@ def train_dppmm(
     sorted knots, "scott" for the KDE-regularized knots.
 
     ``parallel`` runs the per-pair fits concurrently on ``workers`` threads
-    (default: one per pair, at most one per core); each fit is pure and
-    deterministic, so the assembled model is bit-identical to a sequential
-    run. Returns the model plus one fit report per map.
+    (default: one per pair, at most one per CPU this process may use); each
+    fit is pure and deterministic, so the assembled model is bit-identical
+    to a sequential run. Returns the model plus one fit report per map.
     """
     if len(series) < 2:
         raise ValueError("training requires at least 2 snapshots")
@@ -129,7 +128,7 @@ def train_dppmm(
     ]
     if parallel:
         if workers is None:
-            workers = min(len(jobs), os.cpu_count() or 1)
+            workers = min(len(jobs), _usable_cpus())
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fit_pair, jobs))
     else:

@@ -10,20 +10,17 @@ same-distribution data; that is inherent to unbiasedness, not a bug.
 from __future__ import annotations
 
 import functools
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SnapshotSeries, checked_array
+from .core import SnapshotSeries, _usable_cpus, checked_array
 
 __all__ = [
     "BandwidthGrid",
     "gaussian_kernel",
-    "mmd2",
-    "linear_mmd2",
     "gmmd2",
     "per_snapshot_gmmd2",
     "avg_gmmd2",
@@ -142,15 +139,6 @@ def _mmd2_grid(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return within - 2.0 * sxy / (n1 * n2)
 
 
-def mmd2(x, y, sigma: float) -> float:
-    """Unbiased squared maximum mean discrepancy with Gaussian kernel width sigma.
-
-    Within-group kernel sums skip the diagonal and divide by N(N-1) per
-    group; the cross sum runs over all pairs with weight 2/(N1 N2).
-    """
-    return gmmd2(x, y, BandwidthGrid([sigma]))
-
-
 def _linear_mmd2_grid(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     if n % 2:
@@ -170,19 +158,19 @@ def _linear_mmd2_grid(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> np.nd
     return ((s_xx + s_yy) - (s_ab + s_ba)) / xa.shape[0]
 
 
-def linear_mmd2(x, y, sigma: float) -> float:
-    """O(N) approximation of mmd2 averaged over disjoint sample pairs.
-
-    Requires equally sized inputs with at least 4 rows; an odd row count
-    drops the final sample (with a warning) so the pairs stay disjoint.
-    """
-    return gmmd2(x, y, BandwidthGrid([sigma]), "linear")
-
-
 def gmmd2(
     x, y, grid: BandwidthGrid | None = None, estimator: str = "quadratic"
 ) -> float:
-    """Generalized MMD^2: maximum of the chosen estimator over the grid."""
+    """Generalized MMD^2: maximum of the chosen estimator over the grid.
+
+    "quadratic" is the unbiased estimator: within-group kernel sums skip the
+    diagonal and divide by N(N-1) per group, and the cross sum runs over
+    all pairs with weight 2/(N1 N2). "linear" is its O(N) approximation
+    averaged over disjoint sample pairs; it requires equally sized inputs
+    with at least 4 rows, and an odd row count drops the final sample (with
+    a warning) so the pairs stay disjoint. A one-bandwidth grid gives the
+    plain MMD^2 at that bandwidth.
+    """
     if grid is None:
         grid = BandwidthGrid.default()
     x = checked_array(x, "x", 2)
@@ -214,15 +202,13 @@ def per_snapshot_gmmd2(
     series_a: SnapshotSeries,
     series_b: SnapshotSeries,
     grid: BandwidthGrid | None = None,
-    estimator: str | None = None,
 ) -> list[tuple[float, float, str]]:
     """(time, generalized MMD^2, estimator) for each snapshot pair matched by time.
 
     The two series must have equal length and pairwise-equal times (within
-    1e-9). ``estimator`` None picks quadratic for small or unequal snapshot
-    pairs and the linear approximation for large equal-size pairs. The pairs
-    are scored concurrently, one thread per core; a pair's value does not
-    depend on the schedule.
+    1e-9). Each pair takes the estimator ``choose_estimator`` picks for its
+    sizes. The pairs are scored concurrently, one thread per CPU this
+    process may use; a pair's value does not depend on the schedule.
     """
     if len(series_a) != len(series_b):
         raise ValueError(
@@ -233,14 +219,13 @@ def per_snapshot_gmmd2(
         ta, tb = float(series_a.times[differ[0]]), float(series_b.times[differ[0]])
         raise ValueError(f"snapshot times differ: {ta!r} vs {tb!r}")
     chosen = [
-        choose_estimator(len(x), len(y)) if estimator is None else estimator
-        for x, y in zip(series_a.samples, series_b.samples)
+        choose_estimator(len(x), len(y)) for x, y in zip(series_a.samples, series_b.samples)
     ]
 
     def score(x, y, est):
         return gmmd2(x, y, grid, est)
 
-    with ThreadPoolExecutor(max_workers=min(len(chosen), os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(chosen), _usable_cpus())) as pool:
         values = list(pool.map(score, series_a.samples, series_b.samples, chosen))
     return list(zip(series_a.times.tolist(), values, chosen))
 
@@ -249,8 +234,7 @@ def avg_gmmd2(
     series_a: SnapshotSeries,
     series_b: SnapshotSeries,
     grid: BandwidthGrid | None = None,
-    estimator: str | None = None,
 ) -> float:
     """Mean of ``per_snapshot_gmmd2`` over the matched snapshot pairs."""
-    pairs = per_snapshot_gmmd2(series_a, series_b, grid, estimator)
+    pairs = per_snapshot_gmmd2(series_a, series_b, grid)
     return float(np.mean([value for _, value, _ in pairs]))

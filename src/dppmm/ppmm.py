@@ -24,7 +24,6 @@ __all__ = [
     "PPMMFitReport",
     "fit_ppmm",
     "eval_ppmm",
-    "approx_w2",
     "converged",
 ]
 
@@ -55,13 +54,6 @@ class PPMMMap:
     @property
     def dim(self) -> int:
         return self.directions.shape[1]
-
-    @property
-    def iterations(self) -> int:
-        return self.directions.shape[0]
-
-    def __call__(self, x):
-        return eval_ppmm(self, x)
 
 
 @dataclass(frozen=True)
@@ -101,11 +93,6 @@ def converged(previous_w2: float, current_w2: float, alpha: float) -> bool:
     return abs(current_w2 - previous_w2) / abs(current_w2) <= alpha
 
 
-def _rms(disp: np.ndarray) -> float:
-    """Root-mean-square row norm of a displacement matrix."""
-    return float(np.sqrt(np.mean(np.sum(disp * disp, axis=1))))
-
-
 def eval_ppmm(ppmm_map: PPMMMap, x) -> np.ndarray:
     """Push sample rows through the chain of rank-one transport updates.
 
@@ -118,12 +105,6 @@ def eval_ppmm(ppmm_map: PPMMMap, x) -> np.ndarray:
         proj = out @ p
         out += np.outer(ppmm_map.maps1d(proj, i) - proj, p)
     return out
-
-
-def approx_w2(ppmm_map: PPMMMap, x) -> float:
-    """Root-mean-square displacement of x under the full chain."""
-    x = checked_array(x, "x", 0, ppmm_map.dim)
-    return _rms(eval_ppmm(ppmm_map, x) - x)
 
 
 def fit_ppmm(
@@ -178,7 +159,8 @@ def fit_ppmm(
         directions.append(p)
         maps1d.append(map1d)
 
-        history.append(_rms(current - original))
+        disp = current - original
+        history.append(float(np.sqrt(np.mean(np.sum(disp * disp, axis=1)))))
         if k >= 2 and converged(history[-2], history[-1], alpha):
             stop_reason = "tolerance"
             break

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -8,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dppmm.cli import main
+from dppmm.cli import _build_parser, main
 from dppmm.core import SnapshotSeries, read_snapshot_dir, write_snapshot_dir
 from dppmm.dynamic import train_dppmm
 from dppmm.modelio import load_model
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -88,8 +90,9 @@ class TestTrain:
         model, provenance = load_model(pipeline["model"])
         assert len(model.maps) == 5
         assert provenance["seed"] == 5
+        # train runs the library's fixed fit settings, so only the seed is an input
         assert "bandwidth" not in provenance
-        assert provenance["alpha"] == 1e-3
+        assert "alpha" not in provenance and "max_iter" not in provenance
         assert len(provenance["reports"]) == 5
 
     def test_retrain_is_byte_identical(self, pipeline, tmp_path):
@@ -193,7 +196,6 @@ class TestSample:
         rc = main(
             [
                 "train", "--data", str(tmp_path / "data"), "--out", str(model),
-                "--max-iter", "2",
             ]
         )
         assert rc == 0
@@ -397,17 +399,21 @@ class TestEvaluate:
         assert err.count("error: manifest") == 2
         assert "Traceback" not in err
 
-    def test_linear_on_unequal_sizes_exits_2(self, pipeline, capsys):
-        # 200 generated rows against 300 test rows at the same times: the
-        # error is raised in a worker thread and still reaches the exit code
+    def test_worker_thread_error_exits_2(self, pipeline, tmp_path, capsys):
+        # a one-row snapshot passes the directory checks; gmmd2 rejects it in
+        # a worker thread, and the error still reaches the exit code
+        test = read_snapshot_dir(pipeline["data"] / "test")
+        samples = list(test.samples)
+        samples[2] = samples[2][:1]
+        write_snapshot_dir(SnapshotSeries(test.times, samples), tmp_path / "one_row")
         rc = main(
             [
-                "evaluate", "--a", str(pipeline["gen"]),
-                "--b", str(pipeline["data"] / "test"), "--estimator", "linear",
+                "evaluate", "--a", str(tmp_path / "one_row"),
+                "--b", str(pipeline["data"] / "test"),
             ]
         )
         assert rc == 2
-        assert "linear estimator requires equal shapes" in capsys.readouterr().err
+        assert "x needs at least 2 rows, got 1" in capsys.readouterr().err
 
     def test_count_mismatch_exits_2(self, pipeline, tmp_path, capsys):
         csv = pipeline["data"] / "train" / "snapshot_0000.csv"
@@ -460,18 +466,36 @@ class TestErrorPaths:
             (["evaluate", "--a", "x", "--b", "y"], ["--grid-min", "0.1"]),
             (["evaluate", "--a", "x", "--b", "y"], ["--grid-max", "10"]),
             (["evaluate", "--a", "x", "--b", "y"], ["--grid-size", "5"]),
+            (["train", "--data", "x", "--out", "y"], ["--alpha", "1e-3"]),
+            (["train", "--data", "x", "--out", "y"], ["--max-iter", "2"]),
+            (["evaluate", "--a", "x", "--b", "y"], ["--estimator", "linear"]),
         ],
         ids=[
             "train-bins", "train-margin", "train-floor", "train-bandwidth-scott",
             "train-bandwidth-isj", "sample-keep-rescaled",
             "interpolate-keep-rescaled", "evaluate-grid-min", "evaluate-grid-max",
-            "evaluate-grid-size",
+            "evaluate-grid-size", "train-alpha", "train-max-iter", "evaluate-estimator",
         ],
     )
     def test_removed_flag_is_usage_error(self, command, flag):
         with pytest.raises(SystemExit) as info:
             main([*command, *flag])
         assert info.value.code == 2
+
+    def test_settable_value_count(self):
+        # every option and positional of every subcommand except --help; a new
+        # one changes this count and the README's together
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        settable = {
+            name: [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            for name, sub in subparsers.choices.items()
+        }
+        assert {name: len(dests) for name, dests in settable.items()} == {
+            "simulate": 7, "train": 5, "sample": 4, "interpolate": 5, "evaluate": 3,
+        }
+        assert sum(len(dests) for dests in settable.values()) == 24
 
     def test_help_via_module_entry_point(self):
         proc = subprocess.run(
@@ -503,6 +527,13 @@ class TestImport:
         proc = _run_python(code, "src")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_readme_library_block_runs(self):
+        # the README's library example, run as written in a fresh interpreter
+        text = README.read_text(encoding="utf-8").split("## Library")[1]
+        block = text.split("```python\n")[1].split("```")[0]
+        proc = _run_python(block, "src")
+        assert proc.returncode == 0, proc.stderr
 
     def test_benchmark_tracer_finds_what_it_wraps(self, tmp_path):
         # the traced benchmark pass wraps package functions by name, reads the

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dppmm.core import SnapshotSeries
+from dppmm.core import SnapshotSeries, _usable_cpus
 from dppmm.metrics import (
     _BLOCK,
     _EXP_ZERO,
@@ -12,8 +15,6 @@ from dppmm.metrics import (
     choose_estimator,
     gaussian_kernel,
     gmmd2,
-    linear_mmd2,
-    mmd2,
     per_snapshot_gmmd2,
 )
 
@@ -76,7 +77,8 @@ class TestMmd2:
         expected = (
             e(-0.5) + e(-2.0) - 2.0 * (1.0 + e(-2.0) + 2.0 * e(-0.5)) / 4.0
         )
-        np.testing.assert_allclose(mmd2(x, y, sigma), expected, rtol=1e-12)
+        value = gmmd2(x, y, BandwidthGrid([sigma]))
+        np.testing.assert_allclose(value, expected, rtol=1e-12)
 
     def test_matches_dense_reference(self):
         rng = np.random.default_rng(80)
@@ -84,14 +86,17 @@ class TestMmd2:
         y = rng.normal(size=(211, 3)) + 0.3
         for sigma in (0.1, 1.0, 7.0):
             np.testing.assert_allclose(
-                mmd2(x, y, sigma), mmd2_reference(x, y, sigma), rtol=1e-10
+                gmmd2(x, y, BandwidthGrid([sigma])),
+                mmd2_reference(x, y, sigma),
+                rtol=1e-10,
             )
 
     def test_symmetric_in_arguments_exactly(self):
         rng = np.random.default_rng(81)
         x = rng.normal(size=(100, 2))
         y = rng.normal(size=(150, 2)) * 2
-        assert mmd2(x, y, 1.0) == mmd2(y, x, 1.0)
+        one = BandwidthGrid([1.0])
+        assert gmmd2(x, y, one) == gmmd2(y, x, one)
         assert gmmd2(x, y) == gmmd2(y, x)
 
     def test_identical_matrices_land_in_unbiased_band(self):
@@ -101,7 +106,7 @@ class TestMmd2:
         n = 50
         x = rng.normal(size=(n, 2))
         for sigma in (0.05, 1.0, 20.0):
-            v = mmd2(x, x.copy(), sigma)
+            v = gmmd2(x, x.copy(), BandwidthGrid([sigma]))
             assert -2.0 / n <= v < 0.0
 
     def test_detects_mean_shift(self):
@@ -109,15 +114,17 @@ class TestMmd2:
         x = rng.normal(size=(400, 2))
         y = rng.normal(size=(400, 2)) + 1.0
         z = rng.normal(size=(400, 2))
-        assert mmd2(x, y, 1.0) > 20.0 * abs(mmd2(x, z, 1.0))
+        one = BandwidthGrid([1.0])
+        assert gmmd2(x, y, one) > 20.0 * abs(gmmd2(x, z, one))
 
     def test_validation(self):
+        one = BandwidthGrid([1.0])
         with pytest.raises(ValueError):
-            mmd2(np.zeros((2, 1)), np.zeros((2, 2)), 1.0)
+            gmmd2(np.zeros((2, 1)), np.zeros((2, 2)), one)
         with pytest.raises(ValueError):
-            mmd2(np.zeros((1, 1)), np.zeros((2, 1)), 1.0)
+            gmmd2(np.zeros((1, 1)), np.zeros((2, 1)), one)
         with pytest.raises(ValueError):
-            mmd2(np.zeros((2, 1)), np.zeros((2, 1)), -1.0)
+            gmmd2(np.zeros((2, 1)), np.zeros((2, 1)), BandwidthGrid([-1.0]))
 
     def test_blockwise_consistency_across_sizes(self):
         # sets larger than the tile edge: off-diagonal tiles, a one-row last
@@ -130,7 +137,9 @@ class TestMmd2:
             x = rng.normal(size=(n, 2))
             for sigma in (0.005, 0.1, 1.0, 2.0, 10.0):
                 np.testing.assert_allclose(
-                    mmd2(x, y, sigma), mmd2_reference(x, y, sigma), rtol=1e-10
+                    gmmd2(x, y, BandwidthGrid([sigma])),
+                    mmd2_reference(x, y, sigma),
+                    rtol=1e-10,
                 )
 
     def test_translation_invariant(self):
@@ -139,14 +148,15 @@ class TestMmd2:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(200, 3))
         y = rng.normal(size=(200, 3))
-        at_origin = mmd2(x, y, 0.1)
+        grid = BandwidthGrid([0.1])
+        at_origin = gmmd2(x, y, grid)
         np.testing.assert_allclose(at_origin, -6.012e-5, rtol=1e-3)
         for off in (1e3, 1e6):
-            shifted = mmd2(x + off, y + off, 0.1)
+            shifted = gmmd2(x + off, y + off, grid)
             # the same rounded points moved back to the origin: only the
             # estimator's own rounding separates the two
             np.testing.assert_allclose(
-                shifted, mmd2((x + off) - off, (y + off) - off, 0.1), rtol=1e-12
+                shifted, gmmd2((x + off) - off, (y + off) - off, grid), rtol=1e-12
             )
             # x + 1e6 rounds each coordinate to 1.2e-10, which moves the
             # value by 1.5e-9 relative
@@ -156,7 +166,7 @@ class TestMmd2:
         # kernel terms below the threshold are skipped as exact zeros
         assert np.exp(_EXP_ZERO) == 0.0
         # every term skipped: all pairs are 10 apart at sigma 0.1
-        assert mmd2([[0.0], [10.0]], [[20.0], [30.0]], 0.1) == 0.0
+        assert gmmd2([[0.0], [10.0]], [[20.0], [30.0]], BandwidthGrid([0.1])) == 0.0
 
 
 class TestLinearMmd2:
@@ -169,7 +179,8 @@ class TestLinearMmd2:
         # h1 = k(0,1) + k(0,0) - k(0,0) - k(1,0) = e(-.5) + 1 - 1 - e(-.5) = 0
         # h2 = k(2,3) + k(0,0) - k(2,0) - k(3,0)
         expected = (e(-0.5) + 1.0 - (e(-2.0) + e(-4.5))) / 2.0
-        np.testing.assert_allclose(linear_mmd2(x, y, sigma), expected, rtol=1e-12)
+        value = gmmd2(x, y, BandwidthGrid([sigma]), "linear")
+        np.testing.assert_allclose(value, expected, rtol=1e-12)
 
     def test_unbiasedness_against_quadratic(self):
         # both estimate the same population quantity; on a large mean-shift
@@ -177,8 +188,9 @@ class TestLinearMmd2:
         rng = np.random.default_rng(85)
         x = rng.normal(size=(6000, 2))
         y = rng.normal(size=(6000, 2)) + 0.5
-        q = mmd2(x, y, 1.0)
-        l = linear_mmd2(x, y, 1.0)
+        one = BandwidthGrid([1.0])
+        q = gmmd2(x, y, one)
+        l = gmmd2(x, y, one, "linear")
         assert abs(q - l) < 0.02
         assert l > 0.05
 
@@ -186,22 +198,25 @@ class TestLinearMmd2:
         rng = np.random.default_rng(86)
         x = rng.normal(size=(9, 2))
         y = rng.normal(size=(9, 2))
+        one = BandwidthGrid([1.0])
         with pytest.warns(UserWarning, match="odd sample count"):
-            v_odd = linear_mmd2(x, y, 1.0)
-        v_even = linear_mmd2(x[:8], y[:8], 1.0)
+            v_odd = gmmd2(x, y, one, "linear")
+        v_even = gmmd2(x[:8], y[:8], one, "linear")
         assert v_odd == v_even
 
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(87)
         x = rng.normal(size=(100, 3))
         y = rng.normal(size=(100, 3)) * 1.3
-        assert linear_mmd2(x, y, 0.7) == linear_mmd2(y, x, 0.7)
+        grid = BandwidthGrid([0.7])
+        assert gmmd2(x, y, grid, "linear") == gmmd2(y, x, grid, "linear")
 
     def test_requires_equal_shapes(self):
+        one = BandwidthGrid([1.0])
         with pytest.raises(ValueError, match="equal shapes"):
-            linear_mmd2(np.zeros((6, 1)), np.zeros((8, 1)), 1.0)
+            gmmd2(np.zeros((6, 1)), np.zeros((8, 1)), one, "linear")
         with pytest.raises(ValueError, match="at least 4"):
-            linear_mmd2(np.zeros((3, 1)), np.zeros((3, 1)), 1.0)
+            gmmd2(np.zeros((3, 1)), np.zeros((3, 1)), one, "linear")
 
 
 class TestGmmd2:
@@ -210,7 +225,7 @@ class TestGmmd2:
         x = rng.normal(size=(200, 2))
         y = rng.normal(size=(200, 2)) * 1.5
         grid = BandwidthGrid.default()
-        per_sigma = [mmd2(x, y, s) for s in grid.values]
+        per_sigma = [gmmd2(x, y, BandwidthGrid([s])) for s in grid.values]
         np.testing.assert_allclose(gmmd2(x, y, grid), max(per_sigma), rtol=1e-12)
 
     def test_custom_grid_and_estimators(self):
@@ -256,9 +271,7 @@ class TestAvgGmmd2:
     def test_mean_of_per_snapshot_values(self):
         a, b = self.make_pair(91, shift=0.7)
         per = [gmmd2(x, y, estimator="quadratic") for x, y in zip(a.samples, b.samples)]
-        np.testing.assert_allclose(
-            avg_gmmd2(a, b, estimator="quadratic"), np.mean(per), rtol=1e-12
-        )
+        np.testing.assert_allclose(avg_gmmd2(a, b), np.mean(per), rtol=1e-12)
         assert per_snapshot_gmmd2(a, b) == [
             (t, v, "quadratic") for t, v in zip([0.0, 0.5, 1.0], per)
         ]
@@ -278,7 +291,7 @@ class TestAvgGmmd2:
     def test_concurrent_pairs_match_sequential_calls(self):
         # more pairs than cores, mixed and unequal sizes, both estimators
         rng = np.random.default_rng(95)
-        pairs = max(7, (os.cpu_count() or 1) + 1)
+        pairs = max(7, _usable_cpus() + 1)
         sizes = [(40, 60), (_BLOCK + 1, 300), (2002, 2002), (120, 120), (7, 9)]
         sizes = [sizes[j % len(sizes)] for j in range(pairs)]
         times = [0.25 * j for j in range(pairs)]
@@ -296,12 +309,43 @@ class TestAvgGmmd2:
         assert per_snapshot_gmmd2(a, b, grid) == per_snapshot_gmmd2(a, b, grid)
 
     def test_worker_error_reaches_caller(self):
-        a, _ = self.make_pair(96, n=40)
-        _, b = self.make_pair(97, n=50)
-        with pytest.raises(ValueError, match="linear estimator requires equal shapes"):
-            per_snapshot_gmmd2(a, b, estimator="linear")
+        # a one-row snapshot passes the series checks and fails gmmd2's row
+        # check inside the pool
+        a, b = self.make_pair(96, n=40)
+        one_row = SnapshotSeries(b.times, [b.samples[0], b.samples[1][:1], b.samples[2]])
+        with pytest.raises(ValueError, match="y needs at least 2 rows, got 1"):
+            per_snapshot_gmmd2(a, one_row)
 
     def test_auto_estimator_follows_size_rule(self):
         # small snapshots use the quadratic path: auto must equal quadratic
         a, b = self.make_pair(94, n=60, shift=0.3)
-        assert avg_gmmd2(a, b) == avg_gmmd2(a, b, estimator="quadratic")
+        per = [gmmd2(x, y, estimator="quadratic") for x, y in zip(a.samples, b.samples)]
+        assert avg_gmmd2(a, b) == float(np.mean(per))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
+    def test_pool_size_follows_cpu_affinity(self):
+        # a process pinned to one CPU scores its pairs on one worker, however
+        # many CPUs the machine has
+        code = """
+import os
+import numpy as np
+import dppmm.metrics as metrics
+from dppmm.core import SnapshotSeries
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sizes = []
+class Pool(metrics.ThreadPoolExecutor):
+    def __init__(self, max_workers):
+        sizes.append(max_workers)
+        super().__init__(max_workers)
+metrics.ThreadPoolExecutor = Pool
+series = SnapshotSeries([0.0, 1.0, 2.0], [np.arange(6.0).reshape(3, 2)] * 3)
+metrics.per_snapshot_gmmd2(series, series)
+print(sizes)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[1]"

@@ -162,7 +162,7 @@ class TestRoundTrip:
         path = tmp_path / "model.npz"
         assert main(["train", "--data", str(tmp_path / "data"), "--out", str(path)]) == 0
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "d0dc9dd889c257ce6a1430fc15a017d010153352cb6d6aa11d38c40583f605bf"
+        assert digest == "e23455cb343afa59692f119fbbf546194f02ed228bac6e526eb667e972b98a0b"
 
     @pytest.mark.parametrize(
         "fixture, digest",
