@@ -186,29 +186,6 @@ class SplineBundle:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "second", second)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def boundary_rule(self) -> str:
-        """The effective end condition for the knot count: not-a-knot for 4
-        or more knots, the unique quadratic through 3 knots, linear for 2."""
-        m = len(self.times)
-        return "not-a-knot" if m >= 4 else ("quadratic" if m == 3 else "linear")
-
-    @property
-    def t_min(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.times[-1])
-
 
 def fit_transport_splines(times, coupled) -> SplineBundle:
     """Interpolate coupled snapshot rows with cubic splines in time.
@@ -256,12 +233,10 @@ def interpolate(bundle: SplineBundle, t: float) -> np.ndarray:
     knots the cubic interpolant is evaluated.
     """
     t = float(t)
-    if not bundle.t_min <= t <= bundle.t_max:
-        raise ValueError(
-            f"t = {t} outside the interpolation range "
-            f"[{bundle.t_min}, {bundle.t_max}]"
-        )
     x = bundle.times
+    lo, hi = float(x[0]), float(x[-1])
+    if not lo <= t <= hi:
+        raise ValueError(f"t = {t} outside the interpolation range [{lo}, {hi}]")
     hit = np.nonzero(x == t)[0]
     if hit.size:
         return bundle.values[hit[0]].copy()

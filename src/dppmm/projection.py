@@ -21,6 +21,10 @@ __all__ = ["SaveDiagnostics", "save_direction"]
 # direction carries no information.
 INFORMATIVE_EIGENVALUE = 1e-10
 
+# Tikhonov term added to the pooled covariance before inversion; guards
+# against directions already flattened to zero spread.
+RIDGE = 1e-8
+
 
 @dataclass(frozen=True)
 class SaveDiagnostics:
@@ -36,16 +40,12 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def save_direction(
-    x: np.ndarray, y: np.ndarray, ridge: float = 1e-8
-) -> tuple[np.ndarray, SaveDiagnostics]:
+def save_direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, SaveDiagnostics]:
     """Direction along which the two samples' projected variances differ most.
 
     Parameters
     ----------
     x, y : (N1, d), (N2, d) arrays with N1, N2 >= 2 and finite entries.
-    ridge : nonnegative Tikhonov term added to the pooled covariance before
-        inversion; guards against directions already flattened to zero spread.
 
     Returns
     -------
@@ -55,8 +55,6 @@ def save_direction(
     """
     x = checked_array(x, "x", 2)
     y = checked_array(y, "y", 2, x.shape[1])
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
 
     d = x.shape[1]
     pooled = np.vstack([x, y])
@@ -67,7 +65,7 @@ def save_direction(
     sigma = np.cov(pooled, rowvar=False, ddof=0).reshape(d, d)
 
     try:
-        evals, evecs = np.linalg.eigh(sigma + ridge * np.eye(d))
+        evals, evecs = np.linalg.eigh(sigma + RIDGE * np.eye(d))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"pooled covariance eigendecomposition failed "

@@ -18,9 +18,7 @@ from .core import SnapshotSeries, checked_array, fit_rescaler
 
 __all__ = [
     "SDESystem",
-    "vanderpol",
-    "ornstein_uhlenbeck",
-    "lorenz96",
+    "benchmark_system",
     "drift",
     "euler_maruyama",
     "make_benchmark",
@@ -54,14 +52,7 @@ class SDESystem:
     init_std: float
 
     def __post_init__(self):
-        if self.kind not in BENCHMARKS:
-            raise ValueError(f"kind must be one of {BENCHMARKS}, got {self.kind!r}")
-        if self.kind == "vdp" and self.dim != 2:
-            raise ValueError("the Van der Pol system is two-dimensional")
-        if self.kind == "ou" and self.dim < 2:
-            raise ValueError("the OU system requires dimension >= 2")
-        if self.kind == "lorenz96" and self.dim < 4:
-            raise ValueError("the Lorenz-96 system requires dimension >= 4")
+        _check_dimension(self.kind, self.dim)
         if self.diffusion < 0:
             raise ValueError("diffusion must be nonnegative")
         if not self.horizon > 0:
@@ -74,67 +65,60 @@ class SDESystem:
         object.__setattr__(self, "init_means", means)
 
 
-def vanderpol(
-    stiffness: float = 1.0, diffusion: float = 2.5e-3, horizon: float = 6.0
-) -> SDESystem:
-    """Van der Pol oscillator started near (1, 1)."""
-    return SDESystem(
-        kind="vdp",
-        dim=2,
-        param=stiffness,
-        diffusion=diffusion,
-        horizon=horizon,
-        init_means=np.array([[1.0, 1.0]]),
-        init_std=5e-2,
-    )
+def _check_dimension(kind: str, dim: int) -> None:
+    """Reject an unknown system, or a dimension the system does not allow."""
+    if kind not in BENCHMARKS:
+        raise ValueError(f"unknown benchmark {kind!r}; expected one of {BENCHMARKS}")
+    least = 4 if kind == "lorenz96" else 2
+    if kind == "vdp" and dim != least:
+        raise ValueError(f"the vdp system requires d = {least}, got d = {dim}")
+    if dim < least:
+        raise ValueError(f"the {kind} system requires d >= {least}, got d = {dim}")
 
 
-def ornstein_uhlenbeck(
-    dim: int = 2,
-    decay: float = 0.1,
-    diffusion: float = 5e-2,
-    horizon: float = 15.0,
-) -> SDESystem:
-    """Isotropic linear decay started from a symmetric two-cluster mixture.
+def benchmark_system(name: str, d: int | None = None) -> SDESystem:
+    """The named benchmark system at dimension ``d`` (None: its smallest).
 
-    The mixture components sit at (-10, 10, ..., 10) and (10, 10, ..., 10)
-    with isotropic standard deviation 5e-2.
+    ``vdp`` is the two-dimensional Van der Pol oscillator started near
+    (1, 1); ``ou`` is isotropic decay from the symmetric two-cluster mixture
+    at (-10, 10, ..., 10) and (10, 10, ..., 10), for d >= 2; ``lorenz96`` is
+    the cyclic Lorenz-96 drift started near (4, 0, ..., 0), for d >= 4, with
+    a horizon of 5 below dimension 10 and 3.5 from there up, where the
+    dynamics mix faster. The name and dimension are checked before any
+    array is built; a bad one raises ValueError naming the system's rule.
     """
-    means = np.full((2, dim), 10.0)
-    means[0, 0] = -10.0
-    return SDESystem(
-        kind="ou",
-        dim=dim,
-        param=decay,
-        diffusion=diffusion,
-        horizon=horizon,
-        init_means=means,
-        init_std=5e-2,
-    )
-
-
-def lorenz96(
-    dim: int = 4,
-    forcing: float = 2.0,
-    diffusion: float = 5e-3,
-    horizon: float | None = None,
-) -> SDESystem:
-    """Cyclic Lorenz-96 drift started near (4, 0, ..., 0).
-
-    The default horizon is 5 below dimension 10 and 3.5 from dimension 10
-    up, where the dynamics mix faster.
-    """
-    if horizon is None:
-        horizon = 5.0 if dim < 10 else 3.5
-    means = np.zeros((1, dim))
-    means[0, 0] = 4.0
+    if d is None:
+        d = 4 if name == "lorenz96" else 2
+    _check_dimension(name, d)
+    if name == "vdp":
+        return SDESystem(
+            kind="vdp",
+            dim=2,
+            param=1.0,
+            diffusion=2.5e-3,
+            horizon=6.0,
+            init_means=np.array([[1.0, 1.0]]),
+            init_std=5e-2,
+        )
+    if name == "ou":
+        means = np.full((2, d), 10.0)
+        means[0, 0] = -10.0
+        return SDESystem(
+            kind="ou",
+            dim=d,
+            param=0.1,
+            diffusion=5e-2,
+            horizon=15.0,
+            init_means=means,
+            init_std=5e-2,
+        )
     return SDESystem(
         kind="lorenz96",
-        dim=dim,
-        param=forcing,
-        diffusion=diffusion,
-        horizon=horizon,
-        init_means=means,
+        dim=d,
+        param=2.0,
+        diffusion=5e-3,
+        horizon=5.0 if d < 10 else 3.5,
+        init_means=4.0 * np.eye(1, d),
         init_std=1e-1,
     )
 
@@ -251,18 +235,6 @@ def euler_maruyama(
     return SnapshotSeries([j * dt for j in keep], out)
 
 
-def _system_for(name: str, d: int | None) -> SDESystem:
-    """The named benchmark system at dimension d (None for its default)."""
-    if name == "vdp":
-        if d not in (None, 2):
-            raise ValueError("the vdp benchmark requires d = 2")
-        return vanderpol()
-    if name not in BENCHMARKS:
-        raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARKS}")
-    make = ornstein_uhlenbeck if name == "ou" else lorenz96
-    return make() if d is None else make(dim=d)
-
-
 def make_benchmark(
     name: str,
     d: int | None,
@@ -285,7 +257,7 @@ def make_benchmark(
     their times are divided by the training series' last time, so they run
     from 0 to 1.
     """
-    system = _system_for(name, d)
+    system = benchmark_system(name, d)
     m = len(_kept_steps(system, n, dt, m))  # rejects bad settings first
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     # allocated on the calling thread: a helper thread's own malloc arena

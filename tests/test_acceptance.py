@@ -19,7 +19,7 @@ from dppmm.metrics import BandwidthGrid, avg_gmmd2, gmmd2
 from dppmm.ot1d import fft_kde, fit_sorted_map
 from dppmm.ppmm import fit_ppmm
 from dppmm.projection import save_direction
-from dppmm.sde import SDESystem, euler_maruyama, make_benchmark, ornstein_uhlenbeck
+from dppmm.sde import SDESystem, benchmark_system, euler_maruyama, make_benchmark
 
 
 def save_objective(x, y, p, ridge=1e-8):
@@ -202,7 +202,7 @@ def test_07_spline_knot_exactness_and_held_out_interpolation():
 
 
 def test_08_sde_integrator_decay_and_stationary_moments():
-    system = ornstein_uhlenbeck(dim=2)
+    system = benchmark_system("ou", 2)
     lam, diff, horizon = system.param, system.diffusion, system.horizon
 
     # deterministic decay: zero diffusion, point initial condition

@@ -1,7 +1,9 @@
 import argparse
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dppmm
 from dppmm.cli import _build_parser, main
 from dppmm.core import SnapshotSeries, read_snapshot_dir, write_snapshot_dir
 from dppmm.dynamic import train_dppmm
@@ -78,6 +81,23 @@ class TestSimulate:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "system,d,rule",
+        [("ou", "0", "the ou system requires d >= 2, got d = 0"),
+         ("lorenz96", "0", "the lorenz96 system requires d >= 4, got d = 0"),
+         ("ou", "-3", "the ou system requires d >= 2, got d = -3")],
+        ids=["ou-0", "lorenz96-0", "ou-minus-3"],
+    )
+    def test_too_small_dimension_exits_2_naming_the_rule(
+        self, tmp_path, capsys, system, d, rule
+    ):
+        rc = main(
+            ["simulate", "--system", system, "--d", d, "--n", "10", "--out", str(tmp_path / "x")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {rule}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_system_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -496,6 +516,34 @@ class TestErrorPaths:
             "simulate": 7, "train": 5, "sample": 4, "interpolate": 5, "evaluate": 3,
         }
         assert sum(len(dests) for dests in settable.values()) == 24
+
+    def test_library_knob_count(self):
+        # every parameter with a default of every public function of every
+        # module; a new library knob changes this count and the README's
+        # together
+        knobs = {}
+        for info in pkgutil.iter_modules(dppmm.__path__):
+            module = importlib.import_module(f"dppmm.{info.name}")
+            for name in module.__all__:
+                obj = getattr(module, name)
+                if inspect.isfunction(obj):
+                    params = inspect.signature(obj).parameters.values()
+                    knobs[f"{info.name}.{name}"] = [
+                        p.name for p in params if p.default is not p.empty
+                    ]
+        assert {name: len(k) for name, k in knobs.items() if k} == {
+            "cli.main": 1,
+            "dynamic.train_dppmm": 7,
+            "dynamic.generate": 1,
+            "metrics.gmmd2": 2,
+            "metrics.per_snapshot_gmmd2": 1,
+            "metrics.avg_gmmd2": 1,
+            "ppmm.fit_ppmm": 3,
+            "sde.benchmark_system": 1,
+            "sde.euler_maruyama": 2,
+            "sde.make_benchmark": 2,
+        }
+        assert sum(len(k) for k in knobs.values()) == 21
 
     def test_help_via_module_entry_point(self):
         proc = subprocess.run(

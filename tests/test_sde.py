@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -11,18 +12,16 @@ from dppmm.core import fit_rescaler
 from dppmm.sde import (
     BENCHMARK_SNAPSHOTS,
     SDESystem,
+    benchmark_system,
     drift,
     euler_maruyama,
-    lorenz96,
     make_benchmark,
-    ornstein_uhlenbeck,
-    vanderpol,
 )
 
 
 class TestSystemFactories:
     def test_vanderpol_defaults(self):
-        s = vanderpol()
+        s = benchmark_system("vdp")
         assert s.kind == "vdp" and s.dim == 2
         assert s.param == 1.0
         assert s.diffusion == 2.5e-3
@@ -31,42 +30,44 @@ class TestSystemFactories:
         assert s.init_std == 5e-2
 
     def test_ou_mixture_means(self):
-        s = ornstein_uhlenbeck(dim=4)
+        assert benchmark_system("ou").dim == 2
+        s = benchmark_system("ou", 4)
         assert s.param == 0.1 and s.diffusion == 5e-2 and s.horizon == 15.0
         np.testing.assert_array_equal(
             s.init_means, [[-10.0, 10.0, 10.0, 10.0], [10.0, 10.0, 10.0, 10.0]]
         )
 
     def test_lorenz96_horizon_switch(self):
-        assert lorenz96(dim=4).horizon == 5.0
-        assert lorenz96(dim=9).horizon == 5.0
-        assert lorenz96(dim=10).horizon == 3.5
-        assert lorenz96(dim=12, horizon=7.0).horizon == 7.0
-        np.testing.assert_array_equal(lorenz96(dim=4).init_means, [[4.0, 0.0, 0.0, 0.0]])
+        s = benchmark_system("lorenz96")
+        assert s.dim == 4 and s.horizon == 5.0
+        assert s.param == 2.0 and s.diffusion == 5e-3 and s.init_std == 1e-1
+        np.testing.assert_array_equal(s.init_means, [[4.0, 0.0, 0.0, 0.0]])
+        assert benchmark_system("lorenz96", 9).horizon == 5.0
+        assert benchmark_system("lorenz96", 10).horizon == 3.5
 
     def test_dimension_constraints(self):
-        with pytest.raises(ValueError, match="two-dimensional"):
+        with pytest.raises(ValueError, match=r"vdp system requires d = 2, got d = 3"):
             SDESystem("vdp", 3, 1.0, 0.0, 1.0, np.zeros((1, 3)), 0.0)
-        with pytest.raises(ValueError, match=">= 2"):
-            ornstein_uhlenbeck(dim=1)
-        with pytest.raises(ValueError, match=">= 4"):
-            lorenz96(dim=3)
+        with pytest.raises(ValueError, match=r"ou system requires d >= 2, got d = 1"):
+            benchmark_system("ou", 1)
+        with pytest.raises(ValueError, match=r"lorenz96 system requires d >= 4, got d = 3"):
+            benchmark_system("lorenz96", 3)
 
 
 class TestDrift:
     def test_vdp_hand_values(self):
-        s = vanderpol(stiffness=2.0)
+        s = dataclasses.replace(benchmark_system("vdp"), param=2.0)
         v = drift(s, np.array([3.0, 1.5]))
         # dx1 = x2; dx2 = c (1 - x1^2) x2 - x1 = 2 * (1 - 9) * 1.5 - 3
         np.testing.assert_allclose(v, [1.5, -27.0])
 
     def test_ou_hand_values(self):
-        s = ornstein_uhlenbeck(dim=3, decay=0.5)
+        s = dataclasses.replace(benchmark_system("ou", 3), param=0.5)
         v = drift(s, np.array([2.0, -4.0, 0.0]))
         np.testing.assert_allclose(v, [-1.0, 2.0, 0.0])
 
     def test_lorenz96_hand_values(self):
-        s = lorenz96(dim=4, forcing=2.0)
+        s = benchmark_system("lorenz96", 4)
         x = np.array([1.0, 2.0, 3.0, 4.0])
         # dx_i = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F with cyclic indices
         expected = np.array(
@@ -82,7 +83,7 @@ class TestDrift:
     def test_lorenz96_cyclic_equivariance(self):
         # rolling the state rolls the drift: the coupling is translation
         # invariant around the ring
-        s = lorenz96(dim=7, forcing=1.3)
+        s = dataclasses.replace(benchmark_system("lorenz96", 7), param=1.3)
         rng = np.random.default_rng(100)
         x = rng.normal(size=7)
         np.testing.assert_array_equal(
@@ -90,7 +91,7 @@ class TestDrift:
         )
 
     def test_vectorized_over_leading_axes(self):
-        s = vanderpol()
+        s = benchmark_system("vdp")
         rng = np.random.default_rng(101)
         x = rng.normal(size=(5, 4, 2))
         v = drift(s, x)
@@ -99,11 +100,11 @@ class TestDrift:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            drift(vanderpol(), np.zeros(3))
+            drift(benchmark_system("vdp"), np.zeros(3))
 
     @pytest.mark.parametrize("d", [4, 10])
     def test_lorenz96_bit_identical_to_roll_formula(self, d):
-        s = lorenz96(dim=d, forcing=2.0)
+        s = benchmark_system("lorenz96", d)
         x = 4.0 * np.random.default_rng(d).normal(size=(3, 5, d))
         for arr in (x, x[1], x[2, 4]):
             expected = (
@@ -144,7 +145,7 @@ class TestEulerMaruyama:
             np.testing.assert_array_equal(x, full.samples[i])
 
     def test_reproducible_and_seed_sensitive(self):
-        s = ornstein_uhlenbeck()
+        s = benchmark_system("ou")
         a = euler_maruyama(s, n=5, dt=0.01, seed=42, store=4)
         b = euler_maruyama(s, n=5, dt=0.01, seed=42, store=4)
         c = euler_maruyama(s, n=5, dt=0.01, seed=43, store=4)
@@ -153,7 +154,7 @@ class TestEulerMaruyama:
         assert not np.array_equal(a.samples[-1], c.samples[-1])
 
     def test_mixture_initial_condition_uses_both_modes(self):
-        s = ornstein_uhlenbeck(dim=2)
+        s = benchmark_system("ou", 2)
         series = euler_maruyama(s, n=400, dt=0.5, seed=3, store=2)
         first = series.samples[0][:, 0]
         assert np.sum(first < 0) > 100
@@ -179,7 +180,7 @@ class TestEulerMaruyama:
             np.testing.assert_array_equal(xa, xb)
 
     def test_out_receives_kept_states_as_snapshot_views(self):
-        s = ornstein_uhlenbeck(dim=3)
+        s = benchmark_system("ou", 3)
         out = np.empty((4, 6, 3))
         series = euler_maruyama(s, n=6, dt=0.1, seed=9, store=4, out=out)
         reference = euler_maruyama(s, n=6, dt=0.1, seed=9, store=4)
@@ -202,10 +203,10 @@ class TestEulerMaruyama:
     )
     def test_out_validation(self, out):
         with pytest.raises(ValueError, match="out must be"):
-            euler_maruyama(ornstein_uhlenbeck(dim=3), 6, 0.1, 9, store=4, out=out)
+            euler_maruyama(benchmark_system("ou", 3), 6, 0.1, 9, store=4, out=out)
 
     def test_validation(self):
-        s = vanderpol()
+        s = benchmark_system("vdp")
         with pytest.raises(ValueError, match="n must be"):
             euler_maruyama(s, n=0, dt=0.1, seed=0)
         with pytest.raises(ValueError, match="dt"):
@@ -261,14 +262,18 @@ class TestMakeBenchmark:
         )
 
     def test_dimension_guard(self):
-        with pytest.raises(ValueError, match="d = 2"):
+        with pytest.raises(ValueError, match="vdp system requires d = 2, got d = 3"):
             make_benchmark("vdp", d=3, n=10, seed=0)
         with pytest.raises(ValueError, match="unknown benchmark"):
             make_benchmark("heat", d=2, n=10, seed=0)
 
     @pytest.mark.parametrize(
         "name,system",
-        [("vdp", vanderpol()), ("ou", ornstein_uhlenbeck(dim=3)), ("lorenz96", lorenz96(dim=4))],
+        [
+            ("vdp", benchmark_system("vdp")),
+            ("ou", benchmark_system("ou", 3)),
+            ("lorenz96", benchmark_system("lorenz96", 4)),
+        ],
     )
     def test_concurrent_splits_match_sequential_runs(self, name, system):
         # the reference integrates the two spawned streams one after the
