@@ -20,7 +20,6 @@ from .core import SnapshotSeries, _usable_cpus, checked_array
 
 __all__ = [
     "BandwidthGrid",
-    "gaussian_kernel",
     "gmmd2",
     "per_snapshot_gmmd2",
     "avg_gmmd2",
@@ -29,15 +28,17 @@ __all__ = [
 
 # Fixed tile edge for pairwise kernel sums: keeps the summation order
 # independent of sample count or thread environment, and a 256 x 256 tile
-# with its exp scratch buffer (512 KiB each) within a core's L2, so each
-# concurrently scored snapshot pair holds little memory.
+# with its exp scratch buffer (512 KiB each) and bool keep-mask (64 KiB)
+# within a core's L2, so each concurrently scored snapshot pair holds little
+# memory.
 _BLOCK = 256
 
 _TIME_MATCH_TOL = 1e-9
 
-# exp(x) is exactly 0.0 in IEEE double below about -745.13, and numpy's exp
-# is several times slower on such arguments than on ordinary ones
-_EXP_ZERO = -746.0
+# kernel terms below exp(-700) ~ 1e-304 are dropped as exact zeros: numpy's
+# exp leaves its SIMD fast path below about -708, and is 17-150 times slower
+# there (most of all where the result is subnormal)
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -62,31 +63,24 @@ class BandwidthGrid:
         return self.values.shape[0]
 
 
-def gaussian_kernel(u, v, sigma: float) -> np.ndarray:
-    """Kernel matrix exp(-|u_i - v_j|^2 / (2 sigma^2))."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    d2 = (
-        np.sum(u * u, axis=1)[:, None]
-        + np.sum(v * v, axis=1)[None, :]
-        - 2.0 * (u @ v.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-d2 / (2.0 * sigma * sigma))
-
-
 def _exp_sums(d2: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """Sum of exp(c * d2) over d2 >= 0 per c < 0, leaving out the exact zeros."""
+    """Sum of exp(c * d2) over d2 >= 0 per c < 0, leaving out the terms below
+    exp(_EXP_FLOOR); every exp argument stays at or above the floor."""
     d2 = d2.ravel()
-    scratch = np.empty_like(d2)
+    arg = np.empty_like(d2)
+    keep = np.empty(d2.shape, dtype=bool)
     d2_max = d2.max(initial=0.0)  # a one-row diagonal tile has no pairs
     sums = np.empty(coefs.shape[0])
     for s, c in enumerate(coefs):
-        kept = d2 if c * d2_max >= _EXP_ZERO else d2[d2 <= _EXP_ZERO / c]
-        buf = scratch[: kept.size]
-        sums[s] = np.exp(np.multiply(kept, c, out=buf), out=buf).sum()
+        np.multiply(d2, c, out=arg)
+        if c * d2_max < _EXP_FLOOR:
+            np.greater_equal(arg, _EXP_FLOOR, out=keep)
+            np.maximum(arg, _EXP_FLOOR, out=arg)
+            np.exp(arg, out=arg)
+            np.multiply(arg, keep, out=arg)
+        else:
+            np.exp(arg, out=arg)
+        sums[s] = arg.sum()
     return sums
 
 
@@ -103,13 +97,16 @@ def _kernel_sums(a: np.ndarray, b: np.ndarray | None, coefs: np.ndarray) -> np.n
     same = b is None
     a2 = np.sum(a * a, axis=1)
     b, b2 = (a, a2) if same else (b, np.sum(b * b, axis=1))
+    # einsum's "ik,kj" loop on b's transpose is several times faster at
+    # small d than "ik,jk" on b
+    bt = np.ascontiguousarray(b.T)
     totals = np.zeros(coefs.shape[0])
     for i0 in range(0, a.shape[0], _BLOCK):
         ai = a[i0 : i0 + _BLOCK]
         for j0 in range(i0 if same else 0, b.shape[0], _BLOCK):
             # einsum's own loops instead of BLAS: OpenBLAS workers spin
             # between small products and so starve the concurrent pairs
-            d2 = np.einsum("ik,jk->ij", ai, b[j0 : j0 + _BLOCK])
+            d2 = np.einsum("ik,kj->ij", ai, bt[:, j0 : j0 + _BLOCK])
             d2 *= -2.0
             d2 += a2[i0 : i0 + _BLOCK, None]
             d2 += b2[None, j0 : j0 + _BLOCK]

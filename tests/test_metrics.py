@@ -9,21 +9,36 @@ import pytest
 from dppmm.core import SnapshotSeries, _usable_cpus
 from dppmm.metrics import (
     _BLOCK,
-    _EXP_ZERO,
+    _EXP_FLOOR,
     BandwidthGrid,
+    _exp_sums,
     avg_gmmd2,
     choose_estimator,
-    gaussian_kernel,
     gmmd2,
     per_snapshot_gmmd2,
 )
 
 
+def _gaussian_kernel(u, v, sigma: float) -> np.ndarray:
+    """Dense kernel matrix exp(-|u_i - v_j|^2 / (2 sigma^2)), subnormals kept."""
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    d2 = (
+        np.sum(u * u, axis=1)[:, None]
+        + np.sum(v * v, axis=1)[None, :]
+        - 2.0 * (u @ v.T)
+    )
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-d2 / (2.0 * sigma * sigma))
+
+
 def mmd2_reference(x, y, sigma):
     """Direct loop-free reference: unbiased within terms, all-pairs cross term."""
-    kxx = gaussian_kernel(x, x, sigma)
-    kyy = gaussian_kernel(y, y, sigma)
-    kxy = gaussian_kernel(x, y, sigma)
+    kxx = _gaussian_kernel(x, x, sigma)
+    kyy = _gaussian_kernel(y, y, sigma)
+    kxy = _gaussian_kernel(x, y, sigma)
     n1, n2 = x.shape[0], y.shape[0]
     sxx = kxx.sum() - np.trace(kxx)
     syy = kyy.sum() - np.trace(kyy)
@@ -56,14 +71,14 @@ class TestBandwidthGrid:
 class TestGaussianKernel:
     def test_hand_values(self):
         u = np.array([[0.0, 0.0], [3.0, 4.0]])
-        k = gaussian_kernel(u, u, sigma=5.0)
+        k = _gaussian_kernel(u, u, sigma=5.0)
         # |u0 - u1|^2 = 25, so off-diagonal is exp(-25 / 50)
         np.testing.assert_allclose(np.diag(k), 1.0)
         np.testing.assert_allclose(k[0, 1], np.exp(-0.5), rtol=1e-12)
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
-            gaussian_kernel(np.zeros((2, 1)), np.zeros((2, 1)), 0.0)
+            _gaussian_kernel(np.zeros((2, 1)), np.zeros((2, 1)), 0.0)
 
 
 class TestMmd2:
@@ -162,11 +177,55 @@ class TestMmd2:
             # value by 1.5e-9 relative
             np.testing.assert_allclose(shifted, at_origin, rtol=1e-8)
 
-    def test_exp_zero_threshold_underflows(self):
-        # kernel terms below the threshold are skipped as exact zeros
-        assert np.exp(_EXP_ZERO) == 0.0
-        # every term skipped: all pairs are 10 apart at sigma 0.1
+    def test_exp_floor_threshold(self):
+        # kernel terms below exp(_EXP_FLOOR) are dropped as exact zeros; the
+        # floor itself is a normal double, far below any term that counts
+        assert np.finfo(float).tiny < np.exp(_EXP_FLOOR) < 1e-300
+        sums = _exp_sums(np.array([0.5, 1.0, 2.0]), np.array([-1.0, -710.0, -1e4]))
+        np.testing.assert_allclose(
+            sums[:2], [np.exp(-0.5) + np.exp(-1.0) + np.exp(-2.0), np.exp(-355.0)],
+            rtol=1e-15,
+        )
+        assert sums[2] == 0.0
+        # every term dropped: all pairs are 10 apart at sigma 0.1
         assert gmmd2([[0.0], [10.0]], [[20.0], [30.0]], BandwidthGrid([0.1])) == 0.0
+
+    def test_no_exp_argument_below_floor(self, monkeypatch):
+        # numpy's exp is 17-150 times slower below about -708; no argument
+        # under the floor may reach it, whichever estimator runs. At sigma
+        # 0.01 the pair exponents -5000 |x_i - y_j|^2 span about [-2000, 0],
+        # and the shuffled rows spread the linear estimator's pairs as well.
+        rng = np.random.default_rng(97)
+        x = rng.permutation(np.linspace(0.0, np.sqrt(0.4), 64))[:, None]
+        y = rng.permutation(x) + 0.002
+        smallest = []
+        exp = np.exp
+
+        def recording_exp(arg, *args, **kwargs):
+            if np.size(arg):
+                smallest.append(float(np.min(arg)))
+            return exp(arg, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recording_exp)
+        for estimator in ("quadratic", "linear"):
+            smallest.clear()
+            gmmd2(x, y, BandwidthGrid([0.01, 0.1, 1.0]), estimator)
+            # arguments below the floor existed and were clamped to it
+            assert min(smallest) == _EXP_FLOOR, estimator
+
+    def test_floor_matches_reference_that_keeps_subnormals(self):
+        # adjacent points 0.38 apart: at sigma 0.01 their exponent is -722,
+        # between the floor and exp's underflow to zero, so the dense
+        # reference sums them as subnormals and gmmd2 drops them; the cross
+        # pairs 0.05 apart (exponent -12.5) dominate the value
+        x = 0.38 * np.arange(40.0)[:, None]
+        y = x + 0.05
+        grid = BandwidthGrid([0.01])
+        within = -5000.0 * (x - x.T) ** 2
+        assert np.count_nonzero((within >= -746.0) & (within < _EXP_FLOOR)) == 78
+        np.testing.assert_allclose(
+            gmmd2(x, y, grid), mmd2_reference(x, y, 0.01), rtol=1e-10
+        )
 
 
 class TestLinearMmd2:
@@ -289,10 +348,13 @@ class TestAvgGmmd2:
             avg_gmmd2(a, short)
 
     def test_concurrent_pairs_match_sequential_calls(self):
-        # more pairs than cores, mixed and unequal sizes, both estimators
+        # more pairs than cores, mixed and unequal sizes, both estimators;
+        # at the grid's smallest bandwidth 0.01 the 300 x 300 pair has
+        # exponents on both sides of the floor, so the keep-mask path runs
+        # under the pool with terms both kept and dropped
         rng = np.random.default_rng(95)
         pairs = max(7, _usable_cpus() + 1)
-        sizes = [(40, 60), (_BLOCK + 1, 300), (2002, 2002), (120, 120), (7, 9)]
+        sizes = [(40, 60), (_BLOCK + 1, 300), (2002, 2002), (120, 120), (7, 9), (300, 300)]
         sizes = [sizes[j % len(sizes)] for j in range(pairs)]
         times = [0.25 * j for j in range(pairs)]
         a = SnapshotSeries(times, [rng.normal(size=(n1, 3)) for n1, _ in sizes])
@@ -300,6 +362,9 @@ class TestAvgGmmd2:
             times, [rng.normal(size=(n2, 3)) + 0.1 * j for j, (_, n2) in enumerate(sizes)]
         )
         grid = BandwidthGrid.default()
+        x, y = a.samples[5], b.samples[5]
+        exponents = -0.5 / grid.values[0] ** 2 * np.sum((x[:, None] - y) ** 2, axis=2)
+        assert exponents.min() < _EXP_FLOOR <= exponents.max()
         sequential = []
         for t, x, y in zip(times, a.samples, b.samples):
             chosen = choose_estimator(len(x), len(y))
