@@ -29,7 +29,7 @@ from .core import (
 from .dynamic import fit_transport_splines, generate, interpolate, train_dppmm
 from .metrics import BandwidthGrid, per_snapshot_gmmd2
 from .modelio import load_model, reports_to_list, save_model
-from .sde import BENCHMARKS, make_benchmark
+from .sde import BENCHMARK_DT, BENCHMARK_SNAPSHOTS, BENCHMARKS, make_benchmark
 
 __all__ = ["main"]
 
@@ -137,11 +137,9 @@ def cmd_interpolate(args) -> int:
     checked_array(requested, "requested times", ndim=1, order="strictly increasing")
 
     started = time.perf_counter()
-    coupled = generate(model, args.n, args.seed, rescaled=True)
-    bundle = fit_transport_splines(model.times, coupled)
-    series = SnapshotSeries(
-        requested, [model.rescaler.invert(interpolate(bundle, t)) for t in requested]
-    )
+    # in data units, so the splines run through exactly what `sample` writes
+    bundle = fit_transport_splines(model.times, generate(model, args.n, args.seed))
+    series = SnapshotSeries(requested, [interpolate(bundle, t) for t in requested])
     write_snapshot_dir(series, args.out)
     _emit(
         {
@@ -200,8 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, choices=sorted(BENCHMARKS))
     p.add_argument("--d", type=int, default=None, help="state dimension (system default if omitted)")
     p.add_argument("--n", type=int, default=10_000, help="trajectories per split")
-    p.add_argument("--m", type=int, default=11, help="snapshots per split")
-    p.add_argument("--dt", type=float, default=1e-3, help="integrator step size")
+    p.add_argument("--m", type=int, default=BENCHMARK_SNAPSHOTS, help="snapshots per split")
+    p.add_argument("--dt", type=float, default=BENCHMARK_DT, help="integrator step size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory (train/ and test/ inside)")
     p.set_defaults(func=cmd_simulate)

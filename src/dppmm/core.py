@@ -155,10 +155,6 @@ class AffineRescaler:
         self._check_dim(x)
         return x * self.scale + self.shift
 
-    @classmethod
-    def identity(cls, d: int) -> "AffineRescaler":
-        return cls(np.zeros(d), np.ones(d))
-
 
 def fit_rescaler(series: SnapshotSeries) -> AffineRescaler:
     """Fit the affine rescaler on a raw series, pooling min/max over all snapshots.

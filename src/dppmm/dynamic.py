@@ -89,16 +89,13 @@ def train_dppmm(
     seed: int = 0,
     parallel: bool = False,
     workers: int | None = None,
-    rescaler: AffineRescaler | None = None,
     max_iter: int | None = None,
 ) -> tuple[DPPMMModel, tuple[PPMMFitReport, ...]]:
     """Fit the full chain of transport maps over a snapshot series.
 
-    With ``rescaler`` None the series is treated as raw data: a rescaler is
-    fitted on its coordinates and applied before training. Passing a
-    rescaler asserts the coordinates are already in that rescaler's units
-    and uses it as-is. Either way the model keeps the series' times as they
-    are. The base is N(0, DEFAULT_BASE_VARIANCE * I) and its draw count
+    A rescaler is fitted on the series' coordinates and applied before
+    training; the model keeps it, and keeps the series' times as they are.
+    The base is N(0, DEFAULT_BASE_VARIANCE * I) and its draw count
     matches the first snapshot's sample count; ``seed`` controls only that
     draw.
     ``bandwidth`` selects the 1D map knots per fit: None for the exact
@@ -113,12 +110,8 @@ def train_dppmm(
         raise ValueError("training requires at least 2 snapshots")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    samples = series.samples
-    if rescaler is None:
-        rescaler = fit_rescaler(series)
-        samples = [rescaler.apply(x) for x in samples]
-    elif rescaler.dim != series.dim:
-        raise ValueError("rescaler dimension does not match the series")
+    rescaler = fit_rescaler(series)
+    samples = [rescaler.apply(x) for x in series.samples]
 
     base = _base_draw(samples[0].shape[0], series.dim, seed)
     sources = [base, *samples[:-1]]
@@ -140,14 +133,12 @@ def train_dppmm(
     return model, reports
 
 
-def generate(
-    model: DPPMMModel, n: int, seed: int, rescaled: bool = False
-) -> list[np.ndarray]:
+def generate(model: DPPMMModel, n: int, seed: int) -> list[np.ndarray]:
     """Draw n coupled trajectories: one sample matrix per snapshot time.
 
     Fresh base samples are pushed through the map chain cumulatively, so row
     k of snapshot j and row k of snapshot j+1 belong to the same trajectory.
-    Output is mapped back to original data units unless ``rescaled`` is set.
+    Output is in the units of the training data.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -155,10 +146,8 @@ def generate(
     snapshots = []
     for ppmm_map in model.maps:
         current = eval_ppmm(ppmm_map, current)
-        snapshots.append(current)
-    if rescaled:
-        return snapshots
-    return [model.rescaler.invert(s) for s in snapshots]
+        snapshots.append(model.rescaler.invert(current))
+    return snapshots
 
 
 @dataclass(frozen=True)

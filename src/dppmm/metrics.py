@@ -22,7 +22,6 @@ __all__ = [
     "BandwidthGrid",
     "gmmd2",
     "per_snapshot_gmmd2",
-    "avg_gmmd2",
     "choose_estimator",
 ]
 
@@ -225,13 +224,3 @@ def per_snapshot_gmmd2(
     with ThreadPoolExecutor(max_workers=min(len(chosen), _usable_cpus())) as pool:
         values = list(pool.map(score, series_a.samples, series_b.samples, chosen))
     return list(zip(series_a.times.tolist(), values, chosen))
-
-
-def avg_gmmd2(
-    series_a: SnapshotSeries,
-    series_b: SnapshotSeries,
-    grid: BandwidthGrid | None = None,
-) -> float:
-    """Mean of ``per_snapshot_gmmd2`` over the matched snapshot pairs."""
-    pairs = per_snapshot_gmmd2(series_a, series_b, grid)
-    return float(np.mean([value for _, value, _ in pairs]))

@@ -2,9 +2,10 @@
 
 Two-slice sliced average variance estimation: whiten both sets with the
 pooled covariance, form M = ((I - S_x)^2 + (I - S_y)^2) / 2 from the whitened
-within-group covariances, and back-transform the top eigenvector. The top
-eigenvalue measures the second-moment discrepancy the direction captures; a
-value at numerical zero means the sets are indistinguishable to SAVE.
+within-group covariances, project out the directions without pooled spread,
+and back-transform the top eigenvector. The top eigenvalue measures the
+second-moment discrepancy the direction captures; a value at numerical zero
+means the sets are indistinguishable to SAVE.
 """
 
 from __future__ import annotations
@@ -21,9 +22,15 @@ __all__ = ["SaveDiagnostics", "save_direction"]
 # direction carries no information.
 INFORMATIVE_EIGENVALUE = 1e-10
 
-# Tikhonov term added to the pooled covariance before inversion; guards
-# against directions already flattened to zero spread.
+# Tikhonov term added to the pooled covariance before inversion, so that it
+# stays invertible. It does not make a direction without pooled spread
+# harmless: whitening sends both sets to zero along it, which scores 1, the
+# most any direction can; FLAT_FRACTION removes such directions.
 RIDGE = 1e-8
+
+# Directions whose ridged pooled variance is below this fraction of the
+# largest are projected out of the SAVE matrix before its eigendecomposition.
+FLAT_FRACTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,11 @@ def save_direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, SaveDiagno
 
     eye = np.eye(d)
     m = 0.5 * ((eye - sx) @ (eye - sx) + (eye - sy) @ (eye - sy))
+    spread = evecs[:, evals >= FLAT_FRACTION * evals[-1]]
+    if spread.shape[1] < d:
+        # the whitening shares its eigenvectors with the pooled covariance
+        keep = spread @ spread.T
+        m = keep @ m @ keep
     try:
         m_evals, m_evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

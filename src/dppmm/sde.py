@@ -24,10 +24,12 @@ __all__ = [
     "make_benchmark",
     "BENCHMARKS",
     "BENCHMARK_SNAPSHOTS",
+    "BENCHMARK_DT",
 ]
 
-# Snapshot count of the standard benchmark protocol.
+# Snapshot count and integrator step size of the standard benchmark protocol.
 BENCHMARK_SNAPSHOTS = 11
+BENCHMARK_DT = 1e-3
 
 # Names of the benchmark systems, which are also the SDESystem kinds.
 BENCHMARKS = ("vdp", "ou", "lorenz96")
@@ -241,7 +243,7 @@ def make_benchmark(
     n: int,
     seed: int,
     m: int = BENCHMARK_SNAPSHOTS,
-    dt: float = 1e-3,
+    dt: float = BENCHMARK_DT,
 ) -> tuple[SnapshotSeries, SnapshotSeries]:
     """Simulate one benchmark system into rescaled train and test series.
 

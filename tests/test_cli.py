@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import inspect
 import json
@@ -296,6 +297,29 @@ class TestInterpolate:
         spread = np.abs(gen.samples[0] - gen.samples[1]).max()
         assert np.abs(mid - gen.samples[0]).max() < 2.0 * spread
 
+    def test_matches_not_a_knot_spline_through_sample_output(self, pipeline, tmp_path):
+        # interpolate fits its splines on the data-unit matrices sample
+        # writes, so scipy's spline through those CSVs reproduces it; measured
+        # worst error 5.6e-16
+        interp = pytest.importorskip("scipy.interpolate")
+        out = tmp_path / "between"
+        times = ["0.1", "0.3", "0.6", "0.95"]
+        rc = main(
+            [
+                "interpolate", "--model", str(pipeline["model"]),
+                "--times", *times, "--n", "200", "--seed", "7",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        gen = read_snapshot_dir(pipeline["gen"])
+        oracle = interp.CubicSpline(
+            gen.times, np.stack(gen.samples), axis=0, bc_type="not-a-knot"
+        )
+        between = read_snapshot_dir(out)
+        for t, mat in zip(between.times, between.samples):
+            np.testing.assert_allclose(mat, oracle(t), rtol=0, atol=1e-12)
+
     def test_out_of_range_time_exits_2(self, pipeline, tmp_path, capsys):
         rc = main(
             [
@@ -519,9 +543,9 @@ class TestErrorPaths:
 
     def test_library_knob_count(self):
         # every parameter with a default of every public function of every
-        # module; a new library knob changes this count and the README's
-        # together
-        knobs = {}
+        # module, and every defaulted init field of every public dataclass;
+        # a new library knob changes these counts and the README's together
+        knobs, fields = {}, {}
         for info in pkgutil.iter_modules(dppmm.__path__):
             module = importlib.import_module(f"dppmm.{info.name}")
             for name in module.__all__:
@@ -531,19 +555,28 @@ class TestErrorPaths:
                     knobs[f"{info.name}.{name}"] = [
                         p.name for p in params if p.default is not p.empty
                     ]
+                elif inspect.isclass(obj) and dataclasses.is_dataclass(obj):
+                    fields[f"{info.name}.{name}"] = [
+                        f.name
+                        for f in dataclasses.fields(obj)
+                        if f.init
+                        and (
+                            f.default is not dataclasses.MISSING
+                            or f.default_factory is not dataclasses.MISSING
+                        )
+                    ]
         assert {name: len(k) for name, k in knobs.items() if k} == {
             "cli.main": 1,
-            "dynamic.train_dppmm": 7,
-            "dynamic.generate": 1,
+            "dynamic.train_dppmm": 6,
             "metrics.gmmd2": 2,
             "metrics.per_snapshot_gmmd2": 1,
-            "metrics.avg_gmmd2": 1,
             "ppmm.fit_ppmm": 3,
             "sde.benchmark_system": 1,
             "sde.euler_maruyama": 2,
             "sde.make_benchmark": 2,
         }
-        assert sum(len(k) for k in knobs.values()) == 21
+        assert sum(len(k) for k in knobs.values()) == 18
+        assert {name: k for name, k in fields.items() if k} == {"ppmm.PPMMMap": ["maps1d"]}
 
     def test_help_via_module_entry_point(self):
         proc = subprocess.run(

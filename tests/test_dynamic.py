@@ -7,6 +7,7 @@ import pytest
 from dppmm.core import AffineRescaler, SnapshotSeries
 from dppmm.dynamic import (
     DPPMMModel,
+    _base_draw,
     fit_transport_splines,
     generate,
     interpolate,
@@ -51,7 +52,7 @@ def maps_json(model):
 class TestModelValidation:
     def make_model(self, **overrides):
         kwargs = dict(
-            rescaler=AffineRescaler.identity(2),
+            rescaler=AffineRescaler(np.zeros(2), np.ones(2)),
             times=np.array([0.0, 1.0]),
             maps=(PPMMMap(np.zeros((0, 2))), PPMMMap(np.zeros((0, 2)))),
         )
@@ -108,21 +109,6 @@ class TestTrainDppmm:
         with pytest.raises(ValueError, match="snapshot pair 1"):
             train_dppmm(series)
 
-    def test_external_rescaler_is_used_verbatim(self):
-        series = drifting_series(112, n=300)
-        r = AffineRescaler(np.zeros(2), np.full(2, 4.0))
-        scaled = SnapshotSeries(series.times, [r.apply(x) for x in series.samples])
-        model, _ = train_dppmm(scaled, rescaler=r)
-        assert model.rescaler is r
-        # generation inverts through it back to original units
-        gen = generate(model, 2000, seed=0)
-        np.testing.assert_allclose(gen[-1].mean(axis=0), [2.0, 0.0], atol=0.1)
-
-    def test_rescaler_dimension_checked(self):
-        series = drifting_series(113, n=50)
-        with pytest.raises(ValueError, match="dimension"):
-            train_dppmm(series, rescaler=AffineRescaler.identity(3))
-
     def test_seed_only_affects_base_map(self):
         series = drifting_series(114, n=300)
         m0, _ = train_dppmm(series, seed=0)
@@ -143,10 +129,40 @@ class TestTrainDppmm:
         series = SnapshotSeries(range(3), [rng.normal(size=(1500, 2)) for _ in range(3)])
         model, reports = train_dppmm(series)
         # maps between same-law snapshots move samples only by sampling noise
-        gen = generate(model, 3000, seed=1, rescaled=True)
+        gen = model.rescaler.apply(generate(model, 3000, seed=1))
         for j in (1, 2):
             rms = np.sqrt(np.mean(np.sum((gen[j] - gen[j - 1]) ** 2, axis=1)))
             assert rms < 0.15
+
+    def test_direction_without_pooled_spread_does_not_stall_the_maps(self):
+        # OU d=3 plus a 4th column with no spread of its own in the snapshots.
+        # SAVE scored such a direction 1, the most any direction can, and the
+        # 1D map along it moved nothing: with a constant column maps 1-4
+        # stopped after 2 steps with w2 0.0; with x1 + x2 as the column map 0
+        # ran to its 40-step cap and maps 1-4 stopped with w2 near 1e-16
+        train, _ = make_benchmark("ou", 3, 1000, 5, m=5, dt=0.05)
+
+        def widened(column):
+            return SnapshotSeries(
+                train.times, [np.hstack([x, column(x)]) for x in train.samples]
+            )
+
+        _, plain = train_dppmm(train)
+        _, const = train_dppmm(widened(lambda x: np.full((len(x), 1), 0.5)))
+        _, combo = train_dppmm(widened(lambda x: x[:, :1] + x[:, 1:2]))
+        # a constant column leaves maps 1-4 as without it: measured steps
+        # [11, 8, 8, 7] and w2 equal to 1e-15
+        steps = [r.k_final for r in const[1:]]
+        assert steps == [r.k_final for r in plain[1:]] == [11, 8, 8, 7]
+        np.testing.assert_allclose(
+            [r.w2_history[-1] for r in const[1:]],
+            [r.w2_history[-1] for r in plain[1:]],
+            rtol=1e-12,
+        )
+        # measured steps [5, 23, 17, 11, 14], w2 of maps 1-4 from 0.33 to 1.00
+        assert all(r.stop_reason == "tolerance" for r in combo)
+        assert combo[0].k_final <= 10
+        assert min(r.w2_history[-1] for r in combo[1:]) >= 0.25
 
     def test_sorted_variant_available(self):
         series = drifting_series(116, n=200)
@@ -160,11 +176,11 @@ class TestGenerate:
     def test_rows_are_coupled_by_the_chain(self):
         series = drifting_series(120, n=300)
         model, _ = train_dppmm(series, seed=0)
-        gen = generate(model, 500, seed=7, rescaled=True)
-        for j in range(1, len(gen)):
-            np.testing.assert_array_equal(
-                gen[j], eval_ppmm(model.maps[j], gen[j - 1])
-            )
+        gen = generate(model, 500, seed=7)
+        current = _base_draw(500, model.dim, 7)
+        for ppmm_map, mat in zip(model.maps, gen):
+            current = eval_ppmm(ppmm_map, current)
+            np.testing.assert_array_equal(mat, model.rescaler.invert(current))
 
     def test_deterministic_in_seed(self):
         series = drifting_series(121, n=200)
@@ -175,14 +191,6 @@ class TestGenerate:
         for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma, mb)
         assert not np.array_equal(a[0], c[0])
-
-    def test_rescaled_flag_skips_inversion(self):
-        series = drifting_series(122, n=200)
-        model, _ = train_dppmm(series)
-        raw = generate(model, 150, seed=9)
-        scaled = generate(model, 150, seed=9, rescaled=True)
-        for mr, ms in zip(raw, scaled):
-            np.testing.assert_array_equal(mr, model.rescaler.invert(ms))
 
     def test_n_validation(self):
         series = drifting_series(123, n=50)
@@ -229,7 +237,7 @@ class TestGenerate:
         train, _ = make_benchmark("ou", 8, 500, 7, dt=0.01)
         first_two = SnapshotSeries(train.times[:2], train.samples[:2])
         model, _ = train_dppmm(first_two, bandwidth=None, alpha=0, max_iter=160)
-        gen = generate(model, 500, seed=1, rescaled=True)
+        gen = model.rescaler.apply(generate(model, 500, seed=1))
         assert np.abs(gen[0]).max() <= 1.5  # measured 1.04
         assert np.abs(gen[1]).max() <= 1.5  # measured 1.13
 
@@ -323,7 +331,7 @@ class TestTransportSplines:
     def test_interpolated_trajectories_connect_generated_snapshots(self):
         series = drifting_series(132, n=400)
         model, _ = train_dppmm(series)
-        gen = generate(model, 200, seed=1, rescaled=True)
+        gen = generate(model, 200, seed=1)
         bundle = fit_transport_splines(model.times, gen)
         mid = interpolate(bundle, 0.25)
         assert mid.shape == (200, 2)

@@ -12,7 +12,6 @@ from dppmm.metrics import (
     _EXP_FLOOR,
     BandwidthGrid,
     _exp_sums,
-    avg_gmmd2,
     choose_estimator,
     gmmd2,
     per_snapshot_gmmd2,
@@ -319,6 +318,11 @@ class TestChooseEstimator:
         assert choose_estimator(100, 100) == "quadratic"
 
 
+def average(pairs) -> float:
+    """Mean over the (time, value, estimator) triples of per_snapshot_gmmd2."""
+    return float(np.mean([value for _, value, _ in pairs]))
+
+
 class TestAvgGmmd2:
     def make_pair(self, seed, n=120, shift=0.0):
         rng = np.random.default_rng(seed)
@@ -330,8 +334,9 @@ class TestAvgGmmd2:
     def test_mean_of_per_snapshot_values(self):
         a, b = self.make_pair(91, shift=0.7)
         per = [gmmd2(x, y, estimator="quadratic") for x, y in zip(a.samples, b.samples)]
-        np.testing.assert_allclose(avg_gmmd2(a, b), np.mean(per), rtol=1e-12)
-        assert per_snapshot_gmmd2(a, b) == [
+        pairs = per_snapshot_gmmd2(a, b)
+        np.testing.assert_allclose(average(pairs), np.mean(per), rtol=1e-12)
+        assert pairs == [
             (t, v, "quadratic") for t, v in zip([0.0, 0.5, 1.0], per)
         ]
 
@@ -339,13 +344,13 @@ class TestAvgGmmd2:
         a, _ = self.make_pair(92)
         shifted = SnapshotSeries(a.times + [0.0, 0.0, 1e-6], a.samples)
         with pytest.raises(ValueError, match=r"times differ: 1\.0 vs 1\.000001$"):
-            avg_gmmd2(a, shifted)
+            per_snapshot_gmmd2(a, shifted)
 
     def test_length_mismatch_rejected(self):
         a, b = self.make_pair(93)
         short = SnapshotSeries(b.times[:2], b.samples[:2])
         with pytest.raises(ValueError, match="counts differ"):
-            avg_gmmd2(a, short)
+            per_snapshot_gmmd2(a, short)
 
     def test_concurrent_pairs_match_sequential_calls(self):
         # more pairs than cores, mixed and unequal sizes, both estimators;
@@ -385,7 +390,7 @@ class TestAvgGmmd2:
         # small snapshots use the quadratic path: auto must equal quadratic
         a, b = self.make_pair(94, n=60, shift=0.3)
         per = [gmmd2(x, y, estimator="quadratic") for x, y in zip(a.samples, b.samples)]
-        assert avg_gmmd2(a, b) == float(np.mean(per))
+        assert average(per_snapshot_gmmd2(a, b)) == float(np.mean(per))
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
     def test_pool_size_follows_cpu_affinity(self):

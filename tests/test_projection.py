@@ -66,6 +66,19 @@ class TestIdenticalInputs:
         # variance differs only along e2
         assert abs(direction[1]) > 0.99
 
+    def test_direction_without_pooled_spread_is_never_chosen(self):
+        # a constant column whitens to 0 in both sets, which scored 1, above
+        # the scale difference along e2 (measured 0.669)
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(500, 3))
+        y = rng.normal(size=(500, 3))
+        y[:, 1] *= 3.0
+        x[:, 2] = y[:, 2] = 0.5
+        direction, diag = save_direction(x, y)
+        assert abs(direction[1]) > 0.99
+        assert abs(direction[2]) <= 1e-12
+        assert diag.top_eigenvalue < 0.9
+
 
 class TestScanOracle:
     def test_matches_brute_force_maximum_2d(self):
