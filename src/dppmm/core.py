@@ -3,11 +3,12 @@
 A snapshot series is a vector of strictly increasing times plus one (N_j, d)
 sample matrix per time, each drawn from the density at that time.
 
-All training and evaluation happens in rescaled coordinates: sample
+The transport maps are fit and applied in rescaled coordinates: sample
 coordinates affinely mapped into [-1, 1]^d, pooled over all snapshots.
 Snapshot times keep the units they came in. The rescaler is fit once on the
-training series, stored inside the model, and inverted when samples are
-reported back in their original units.
+training series, stored inside the model, and inverted on every generated
+sample, so sampling returns the units of the training data; interpolation
+and evaluation work in the units of their inputs.
 """
 
 from __future__ import annotations

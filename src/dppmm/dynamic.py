@@ -184,9 +184,11 @@ def fit_transport_splines(times, coupled) -> SplineBundle:
     per trajectory per coordinate (not-a-knot ends; 3 knots degrade to the
     unique quadratic, 2 knots to the connecting line).
     """
-    return SplineBundle(
-        times, [checked_array(c, f"snapshot {j}") for j, c in enumerate(coupled)]
-    )
+    mats = [checked_array(c, f"snapshot {j}") for j, c in enumerate(coupled)]
+    for j, c in enumerate(mats):
+        if c.shape != mats[0].shape:
+            raise ValueError(f"snapshot {j} has shape {c.shape}, snapshot 0 has {mats[0].shape}")
+    return SplineBundle(times, mats)
 
 
 def _second_derivatives(times: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -164,11 +164,14 @@ def fit_regularized_map(x, y) -> Map1D:
 
     The grid spans the pooled sample range padded by KDE_MARGIN on both
     sides, and each sample set gets its own KDE CDF on it. The knots are
-    the grid points and their images under G^-1 (o) F.
+    the grid points and their images under G^-1 (o) F. A target without
+    spread gets the constant map onto its value, on the same grid.
     """
     x = checked_array(x, "x", 2, ndim=1)
     y = checked_array(y, "y", 2, ndim=1)
     lo = min(x.min(), y.min()) - KDE_MARGIN
     hi = max(x.max(), y.max()) + KDE_MARGIN
     z = np.linspace(lo, hi, KDE_BINS)
+    if y.min() == y.max():
+        return Map1D(z, np.full(KDE_BINS, y[0]))
     return Map1D(z, np.interp(_kde_cdf(x, z), _kde_cdf(y, z), z))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import checked_array
 from .ot1d import Map1D, fit_regularized_map, fit_sorted_map
-from .projection import save_direction
+from .projection import INFORMATIVE_EIGENVALUE, save_direction
 
 __all__ = [
     "PPMMMap",
@@ -68,15 +68,6 @@ class PPMMFitReport:
     w2_history: tuple[float, ...]
     stop_reason: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "w2_history", tuple(self.w2_history))
-        if self.stop_reason not in (
-            "tolerance",
-            "max_iter",
-            "no_informative_direction",
-        ):
-            raise ValueError(f"unknown stop_reason {self.stop_reason!r}")
-
     @property
     def k_final(self) -> int:
         return len(self.w2_history)
@@ -122,8 +113,9 @@ def fit_ppmm(
     "scott"), and displaces the samples. After every iteration the rms
     displacement of the original x is recorded; from the second iteration
     on, a relative change of at most ``alpha`` stops the fit (a zero
-    displacement also counts as converged). SAVE reporting no informative
-    direction or hitting ``max_iter`` (default 10 * d) are the other exits.
+    displacement also counts as converged). A SAVE score below
+    INFORMATIVE_EIGENVALUE ("no_informative_direction") or reaching
+    ``max_iter`` (default 10 * d) are the other exits.
 
     Returns the fitted map and a report whose w2_history has one entry per
     completed iteration.
@@ -148,8 +140,8 @@ def fit_ppmm(
     stop_reason = "max_iter"
 
     for k in range(1, max_iter + 1):
-        p, diag = save_direction(current, y)
-        if not diag.informative:
+        p, score = save_direction(current, y)
+        if score < INFORMATIVE_EIGENVALUE:
             stop_reason = "no_informative_direction"
             break
         proj = current @ p

@@ -10,16 +10,14 @@ means the sets are indistinguishable to SAVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import checked_array
 
-__all__ = ["SaveDiagnostics", "save_direction"]
+__all__ = ["save_direction"]
 
 # Below this top eigenvalue the SAVE matrix is numerically zero and the
-# direction carries no information.
+# direction carries no information; fit_ppmm stops a map there.
 INFORMATIVE_EIGENVALUE = 1e-10
 
 # Tikhonov term added to the pooled covariance before inversion, so that it
@@ -33,12 +31,6 @@ RIDGE = 1e-8
 FLAT_FRACTION = 1e-6
 
 
-@dataclass(frozen=True)
-class SaveDiagnostics:
-    top_eigenvalue: float
-    informative: bool
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component positive (reproducible sign)."""
     for c in v:
@@ -47,7 +39,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def save_direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, SaveDiagnostics]:
+def save_direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Direction along which the two samples' projected variances differ most.
 
     Parameters
@@ -56,9 +48,9 @@ def save_direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, SaveDiagno
 
     Returns
     -------
-    (direction, SaveDiagnostics). The direction is a unit (d,) vector with its
-    first nonzero component positive; ``informative`` is False when the SAVE matrix
-    is numerically zero (caller should treat the pair as already matched).
+    (direction, top_eigenvalue). The direction is a unit (d,) vector with its
+    first nonzero component positive; the top eigenvalue of the SAVE matrix is
+    its score, below INFORMATIVE_EIGENVALUE when the sets are indistinguishable.
     """
     x = checked_array(x, "x", 2)
     y = checked_array(y, "y", 2, x.shape[1])
@@ -103,15 +95,6 @@ def save_direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, SaveDiagno
 
     # argmax returns the first index on exact ties, fixing the tie-break order
     top = int(np.argmax(m_evals))
-    top_eigenvalue = float(m_evals[top])
-    v = m_evecs[:, top]
-
-    direction = w @ v
-    direction = direction / np.linalg.norm(direction)
-    direction = _fix_sign(direction)
-
-    diagnostics = SaveDiagnostics(
-        top_eigenvalue=top_eigenvalue,
-        informative=top_eigenvalue >= INFORMATIVE_EIGENVALUE,
-    )
-    return direction, diagnostics
+    direction = w @ m_evecs[:, top]
+    direction = _fix_sign(direction / np.linalg.norm(direction))
+    return direction, float(m_evals[top])

@@ -18,7 +18,7 @@ from dppmm.dynamic import fit_transport_splines, generate, interpolate, train_dp
 from dppmm.metrics import BandwidthGrid, gmmd2, per_snapshot_gmmd2
 from dppmm.ot1d import fft_kde, fit_sorted_map
 from dppmm.ppmm import fit_ppmm
-from dppmm.projection import save_direction
+from dppmm.projection import INFORMATIVE_EIGENVALUE, save_direction
 from dppmm.sde import SDESystem, benchmark_system, euler_maruyama, make_benchmark
 
 
@@ -145,7 +145,7 @@ def test_04_save_direction_within_5_degrees_of_direction_scan():
     y = rng.standard_normal((4000, 2)) + 1.5 * rng.standard_normal((4000, 1)) * u
 
     started = time.perf_counter()
-    direction, diag = save_direction(x, y)
+    direction, score = save_direction(x, y)
     elapsed = time.perf_counter() - started  # the method only, not the scan below
     angles = np.linspace(0.0, np.pi, 3600, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -153,7 +153,7 @@ def test_04_save_direction_within_5_degrees_of_direction_scan():
     best = dirs[np.argmax(values)]
 
     cosine = min(1.0, abs(float(direction @ best)))
-    assert diag.informative
+    assert score >= INFORMATIVE_EIGENVALUE
     assert np.degrees(np.arccos(cosine)) <= 5.0  # measured 0.0087 degrees
     assert elapsed < 5.0
 
@@ -305,6 +305,7 @@ def test_10_command_determinism_and_parallel_equivalence(tmp_path):
     assert r1 == r2
 
 
+@pytest.mark.slow
 def test_11_training_cost_scaling_in_n_and_dimension():
     # alpha = 0 pins the iteration count at the 10*d cap, so compared runs
     # perform identical work per sample. Small and large fits alternate and

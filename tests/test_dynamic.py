@@ -319,8 +319,10 @@ class TestTransportSplines:
             fit_transport_splines([0.0, 0.0], [z, z])
         with pytest.raises(ValueError, match="expected 2 snapshot"):
             fit_transport_splines([0.0, 1.0], [z, z, z])
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match=r"snapshot 1 has shape \(4, 2\), snapshot 0 has \(3, 2\)"):
             fit_transport_splines([0.0, 1.0], [z, np.zeros((4, 2))])
+        with pytest.raises(ValueError, match=r"snapshot 2 has shape \(3, 1\)"):
+            fit_transport_splines([0.0, 1.0, 2.0, 3.0], [z, z, np.zeros((3, 1)), np.zeros((5, 2))])
         bad = z.copy()
         bad[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):

@@ -286,3 +286,15 @@ class TestFitRegularizedMap:
         np.testing.assert_allclose(  # measured 0.035
             np.percentile(m(x), q), np.percentile(y, q), atol=0.15
         )
+
+    def test_target_without_spread_is_a_constant_map(self):
+        # without the constant map, the zero-spread bandwidth fallback spreads
+        # these fresh draws over [0.49523, 0.50377]; like the sorted map, the
+        # fit must send them to exactly 0.5, on the usual knot grid
+        rng = np.random.default_rng(0)
+        x = 0.1 * rng.standard_normal(1000)
+        m = fit_regularized_map(x, np.full(1000, 0.5))
+        assert m.knots_x.shape == m.knots_y.shape == (1, KDE_BINS)
+        fresh = 0.1 * rng.standard_normal(1000)
+        np.testing.assert_array_equal(m(fresh), 0.5)
+        np.testing.assert_array_equal(fit_sorted_map(x, np.full(1000, 0.5))(fresh), 0.5)

@@ -9,6 +9,7 @@ from dppmm.ppmm import (
     eval_ppmm,
     fit_ppmm,
 )
+from dppmm.projection import INFORMATIVE_EIGENVALUE
 
 
 def rms_displacement(m, x):
@@ -44,9 +45,7 @@ class TestConvergedPredicate:
 
 class TestReportAndMapTypes:
     def test_report_validation(self):
-        with pytest.raises(ValueError, match="stop_reason"):
-            PPMMFitReport((1.0,), "because")
-        report = PPMMFitReport([1.0, 2.0], "tolerance")
+        report = PPMMFitReport((1.0, 2.0), "tolerance")
         assert report.w2_history == (1.0, 2.0)
         assert report.k_final == len(report.w2_history) == 2
 
@@ -155,6 +154,20 @@ class TestFitPpmm:
         assert report.stop_reason == "no_informative_direction"
         assert report.k_final <= 1
         assert len(m.directions) == report.k_final
+
+    def test_score_at_threshold_is_informative(self, monkeypatch):
+        # a score of exactly INFORMATIVE_EIGENVALUE still fits a map; the
+        # next float below it stops the chain
+        scores = iter([INFORMATIVE_EIGENVALUE, np.nextafter(INFORMATIVE_EIGENVALUE, 0.0)])
+        monkeypatch.setattr(
+            "dppmm.ppmm.save_direction", lambda x, y: (np.array([1.0, 0.0]), next(scores))
+        )
+        rng = np.random.default_rng(69)
+        x = rng.normal(size=(100, 2))
+        m, report = fit_ppmm(x, 2.0 * x)
+        assert report.k_final == 1
+        assert report.stop_reason == "no_informative_direction"
+        assert len(m.directions) == 1
 
     def test_gaussian_shift_recovers_w2(self):
         # target is the source translated by (2, 0): true transport cost 2
