@@ -78,10 +78,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     series = read_snapshot_dir(args.data)
-    parallel = args.parallel or (args.threads is not None and args.threads > 1)
     started = time.perf_counter()
     model, reports = train_dppmm(
-        series, seed=args.seed, parallel=parallel, workers=args.threads
+        series, seed=args.seed, parallel=args.parallel, workers=args.threads
     )
     seconds = time.perf_counter() - started
     provenance = {"seed": args.seed, "reports": reports_to_list(reports)}
@@ -208,9 +207,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="snapshot directory")
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--seed", type=int, default=0, help="seed for the base draw")
-    p.add_argument("--parallel", action="store_true", help="fit snapshot pairs concurrently")
     p.add_argument(
-        "--threads", type=int, default=None, help="worker count (default: one per usable CPU)"
+        "--parallel", action="store_true",
+        help="fit pairs concurrently: one thread per pair, at most one per usable CPU",
+    )
+    p.add_argument(
+        "--threads", type=int, default=None,
+        help="fit pairs on N threads (default: the calling thread, unless --parallel)",
     )
     p.set_defaults(func=cmd_train)
 

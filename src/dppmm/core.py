@@ -227,6 +227,9 @@ def read_snapshot_dir(path) -> SnapshotSeries:
         raise ValueError(f"manifest {manifest_path} needs d and every n to be integers >= 1")
     if not all(type(t) in (int, float) and type(f) is str for t, f, _ in entries):
         raise ValueError(f"manifest {manifest_path} needs numeric times and string file names")
+    # a manifest names files under its own directory, never beside or above it
+    if any(Path(f).is_absolute() or ".." in Path(f).parts for _, f, _ in entries):
+        raise ValueError(f"manifest {manifest_path} names a file outside its directory")
     samples = []
     for _, fname, n in entries:
         csv_path = root / fname

@@ -72,16 +72,6 @@ def _base_draw(n: int, d: int, seed: int) -> np.ndarray:
     return np.sqrt(DEFAULT_BASE_VARIANCE) * rng.standard_normal((n, d))
 
 
-def _fit_pair(args):
-    index, source, target, alpha, bandwidth, max_iter = args
-    try:
-        return fit_ppmm(
-            source, target, alpha=alpha, max_iter=max_iter, bandwidth=bandwidth
-        )
-    except (ValueError, RuntimeError) as exc:
-        raise type(exc)(f"transport fit for snapshot pair {index} failed: {exc}") from exc
-
-
 def train_dppmm(
     series: SnapshotSeries,
     alpha: float = 1e-3,
@@ -101,36 +91,36 @@ def train_dppmm(
     ``bandwidth`` selects the 1D map knots per fit: None for the exact
     sorted knots, "scott" for the KDE-regularized knots.
 
-    ``parallel`` runs the per-pair fits concurrently on ``workers`` threads
-    (default: one per pair, at most one per CPU this process may use); each
+    The pairs are fitted on ``workers`` threads when given; ``parallel``
+    without ``workers`` uses one thread per pair, at most one per CPU this
+    process may use; with neither, the fits run in the calling thread. Each
     fit is pure and deterministic, so the assembled model is bit-identical
-    to a sequential run. Returns the model plus one fit report per map.
+    whatever the thread count. Returns the model plus one fit report per map.
     """
     if len(series) < 2:
         raise ValueError("training requires at least 2 snapshots")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     rescaler = fit_rescaler(series)
-    samples = [rescaler.apply(x) for x in series.samples]
+    targets = [rescaler.apply(x) for x in series.samples]
+    sources = [_base_draw(targets[0].shape[0], series.dim, seed), *targets[:-1]]
 
-    base = _base_draw(samples[0].shape[0], series.dim, seed)
-    sources = [base, *samples[:-1]]
-    jobs = [
-        (j, src, tgt, alpha, bandwidth, max_iter)
-        for j, (src, tgt) in enumerate(zip(sources, samples))
-    ]
-    if parallel:
-        if workers is None:
-            workers = min(len(jobs), _usable_cpus())
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fit_pair, jobs))
+    def fit_pair(j):
+        try:
+            return fit_ppmm(
+                sources[j], targets[j], alpha=alpha, max_iter=max_iter, bandwidth=bandwidth
+            )
+        except (ValueError, RuntimeError) as exc:
+            raise type(exc)(f"transport fit for snapshot pair {j} failed: {exc}") from exc
+
+    pairs = range(len(targets))
+    if workers is None and not parallel:
+        results = list(map(fit_pair, pairs))
     else:
-        results = [_fit_pair(job) for job in jobs]
-
-    maps = tuple(fitted for fitted, _ in results)
-    reports = tuple(report for _, report in results)
-    model = DPPMMModel(rescaler=rescaler, times=series.times, maps=maps)
-    return model, reports
+        with ThreadPoolExecutor(max_workers=workers or min(len(pairs), _usable_cpus())) as pool:
+            results = list(pool.map(fit_pair, pairs))
+    maps, reports = zip(*results)
+    return DPPMMModel(rescaler=rescaler, times=series.times, maps=maps), reports
 
 
 def generate(model: DPPMMModel, n: int, seed: int) -> list[np.ndarray]:

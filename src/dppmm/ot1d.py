@@ -130,19 +130,19 @@ def fft_kde(samples, bandwidth: float, grid) -> np.ndarray:
     return density / total
 
 
-def resolve_bandwidth(samples, span: float) -> tuple[float, bool]:
+def resolve_bandwidth(samples, span: float) -> float:
     """Scott's rule with robust spread: h = min(std, IQR/1.349) * N^(-1/5).
 
-    Returns (h, degenerate). Zero spread falls back to h = 1e-3 * span with
-    the degenerate flag set; ``span`` should be the KDE grid width.
+    Zero spread falls back to h = 1e-3 * span; ``span`` should be the KDE
+    grid width.
     """
     s = checked_array(samples, "samples", 2, ndim=1)
     sd = float(s.std(ddof=1))
     q75, q25 = np.percentile(s, [75.0, 25.0])
     sigma = min(sd, (q75 - q25) / 1.349)
     if sigma <= 0:
-        return 1e-3 * span, True
-    return sigma * s.shape[0] ** (-0.2), False
+        return 1e-3 * span
+    return sigma * s.shape[0] ** (-0.2)
 
 
 def _kde_cdf(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ def _kde_cdf(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """
     span = grid[-1] - grid[0]
     step = span / (grid.shape[0] - 1)
-    h, _ = resolve_bandwidth(samples, span)
+    h = resolve_bandwidth(samples, span)
     density = fft_kde(samples, h, grid) + KDE_FLOOR
     density = density / (density.sum() * step)
     return np.cumsum(density) * step

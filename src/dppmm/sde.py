@@ -67,15 +67,17 @@ class SDESystem:
         object.__setattr__(self, "init_means", means)
 
 
-def _check_dimension(kind: str, dim: int) -> None:
-    """Reject an unknown system, or a dimension the system does not allow."""
+def _check_dimension(kind: str, dim: int | None) -> int:
+    """Return ``dim`` (None: the system's smallest) if the named system allows it."""
     if kind not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {kind!r}; expected one of {BENCHMARKS}")
     least = 4 if kind == "lorenz96" else 2
+    dim = least if dim is None else dim
     if kind == "vdp" and dim != least:
         raise ValueError(f"the vdp system requires d = {least}, got d = {dim}")
     if dim < least:
         raise ValueError(f"the {kind} system requires d >= {least}, got d = {dim}")
+    return dim
 
 
 def benchmark_system(name: str, d: int | None = None) -> SDESystem:
@@ -89,9 +91,7 @@ def benchmark_system(name: str, d: int | None = None) -> SDESystem:
     dynamics mix faster. The name and dimension are checked before any
     array is built; a bad one raises ValueError naming the system's rule.
     """
-    if d is None:
-        d = 4 if name == "lorenz96" else 2
-    _check_dimension(name, d)
+    d = _check_dimension(name, d)
     if name == "vdp":
         return SDESystem(
             kind="vdp",

@@ -422,19 +422,22 @@ class TestEvaluate:
             {"d": 2, "snapshots": [{"time": "0", "file": "x.csv", "n": 1}]},
             {"d": 2, "snapshots": [{"time": True, "file": "x.csv", "n": 1}]},
             {"d": 2, "snapshots": [{"time": 0.0, "file": ["x.csv"], "n": 1}]},
+            {"d": 2, "snapshots": [{"time": 0.0, "file": "../x.csv", "n": 1}]},
         ],
         ids=[
             "empty", "no-snapshots", "list", "entry-without-file", "missing-file",
             "empty-snapshots", "fractional-d", "bool-d", "fractional-n", "zero-n",
-            "string-time", "bool-time", "list-file",
+            "string-time", "bool-time", "list-file", "file-outside",
         ],
     )
     def test_malformed_manifest_exits_2(self, pipeline, tmp_path, capsys, manifest):
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "manifest.json").write_text(json.dumps(manifest))
-        # a file that int(d), int(n) and float(time) would have accepted
+        # a file that int(d), int(n) and float(time) would have accepted,
+        # inside the manifest's directory and beside it
         (bad / "x.csv").write_text("0.5,0.5\n")
+        (tmp_path / "x.csv").write_text("0.5,0.5\n")
         rc = main(["evaluate", "--a", str(bad), "--b", str(pipeline["data"] / "test")])
         assert rc == 2
         rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.json")])
@@ -540,6 +543,7 @@ class TestErrorPaths:
             "simulate": 7, "train": 5, "sample": 4, "interpolate": 5, "evaluate": 3,
         }
         assert sum(len(dests) for dests in settable.values()) == 24
+        assert "24 settable values" in " ".join(README.read_text(encoding="utf-8").split())
 
     def test_library_knob_count(self):
         # every parameter with a default of every public function of every
@@ -576,6 +580,9 @@ class TestErrorPaths:
             "sde.make_benchmark": 2,
         }
         assert sum(len(k) for k in knobs.values()) == 18
+        assert "18 parameters with defaults" in " ".join(
+            README.read_text(encoding="utf-8").split()
+        )
         assert {name: k for name, k in fields.items() if k} == {"ppmm.PPMMMap": ["maps1d"]}
 
     def test_help_via_module_entry_point(self):

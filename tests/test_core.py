@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,24 @@ class TestSnapshotIO:
         csv_path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="shape"):
             read_snapshot_dir(tmp_path / "snaps")
+
+    def test_manifest_files_stay_inside_the_directory(self, tmp_path):
+        (tmp_path / "outside.csv").write_text("0.5,0.5\n")
+        root = tmp_path / "snaps"
+        (root / "sub").mkdir(parents=True)
+        (root / "sub" / "a.csv").write_text("1.5,2.5\n")
+        (root / "link.csv").symlink_to(tmp_path / "outside.csv")
+
+        def read(*names):
+            entries = [{"time": float(j), "file": f, "n": 1} for j, f in enumerate(names)]
+            (root / "manifest.json").write_text(json.dumps({"d": 2, "snapshots": entries}))
+            return read_snapshot_dir(root)
+
+        series = read("sub/a.csv", "link.csv")
+        np.testing.assert_array_equal(np.vstack(series.samples), [[1.5, 2.5], [0.5, 0.5]])
+        for name in ("../outside.csv", str(tmp_path / "outside.csv"), "sub/../../outside.csv"):
+            with pytest.raises(ValueError, match="names a file outside its directory"):
+                read("sub/a.csv", name)
 
     def test_read_csv_with_blank_lines_and_crlf(self, tmp_path):
         path = tmp_path / "spaced.csv"

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dppmm import dynamic
 from dppmm.core import AffineRescaler, SnapshotSeries
 from dppmm.dynamic import (
     DPPMMModel,
@@ -95,12 +96,26 @@ class TestTrainDppmm:
             np.testing.assert_allclose(mats.mean(axis=0), mu, atol=0.07)
             np.testing.assert_allclose(mats.std(axis=0), 0.3, atol=0.07)
 
-    def test_parallel_matches_sequential_bit_for_bit(self):
+    def test_parallel_matches_sequential_bit_for_bit(self, monkeypatch):
         series = drifting_series(111, n=400)
         seq, seq_reports = train_dppmm(series, seed=3, parallel=False)
         par, par_reports = train_dppmm(series, seed=3, parallel=True, workers=3)
         assert maps_json(seq) == maps_json(par)
         assert seq_reports == par_reports
+
+        # workers alone sizes the pool; parallel is not needed
+        sizes = []
+
+        class Pool(dynamic.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(dynamic, "ThreadPoolExecutor", Pool)
+        alone, alone_reports = train_dppmm(series, seed=3, workers=3)
+        assert sizes == [3]
+        assert maps_json(seq) == maps_json(alone)
+        assert seq_reports == alone_reports
 
     def test_failed_pair_reports_its_index(self):
         a = np.random.default_rng(0).normal(size=(50, 2))

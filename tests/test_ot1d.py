@@ -193,28 +193,25 @@ class TestBandwidthScott:
     def test_standard_normal_value(self):
         rng = np.random.default_rng(40)
         s = rng.normal(size=10000)
-        h, degenerate = resolve_bandwidth(s, 1.0)
-        assert not degenerate
+        h = resolve_bandwidth(s, 1.0)
         assert abs(h - 10000 ** (-0.2)) < 0.01
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(41)
         s = rng.normal(size=500)
-        h1, _ = resolve_bandwidth(s, 1.0)
-        h2, _ = resolve_bandwidth(2.0 * s, 1.0)
+        h1 = resolve_bandwidth(s, 1.0)
+        h2 = resolve_bandwidth(2.0 * s, 1.0)
         np.testing.assert_allclose(h2, 2.0 * h1, rtol=1e-14)
 
     def test_robust_to_outliers(self):
         rng = np.random.default_rng(42)
         s = rng.normal(size=1000)
         spiked = np.concatenate([s, [1e6]])
-        h, _ = resolve_bandwidth(spiked, 1.0)
+        h = resolve_bandwidth(spiked, 1.0)
         assert h < 1.0  # IQR branch wins over the exploded std
 
     def test_degenerate_spread(self):
-        h, degenerate = resolve_bandwidth(np.zeros(100), 4.0)
-        assert degenerate
-        assert h == 4e-3
+        assert resolve_bandwidth(np.zeros(100), 4.0) == 4e-3
 
 
 class TestFitRegularizedMap:
