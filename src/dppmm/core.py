@@ -1,14 +1,15 @@
-"""Shared domain types: a snapshot series and affine rescaling.
+"""Shared domain types: a snapshot series and its affine rescaling.
 
 A snapshot series is a vector of strictly increasing times plus one (N_j, d)
 sample matrix per time, each drawn from the density at that time.
 
 The transport maps are fit and applied in rescaled coordinates: sample
-coordinates affinely mapped into [-1, 1]^d, pooled over all snapshots.
-Snapshot times keep the units they came in. The rescaler is fit once on the
-training series, stored inside the model, and inverted on every generated
-sample, so sampling returns the units of the training data; interpolation
-and evaluation work in the units of their inputs.
+coordinates x mapped to (x - shift) / scale, which lies in [-1, 1]^d over
+all snapshots pooled. Snapshot times keep the units they came in. The two
+vectors are fit once on the training series, stored inside the model, and
+every generated sample is mapped back by x * scale + shift, so sampling
+returns the units of the training data; interpolation and evaluation work
+in the units of their inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "SnapshotSeries",
-    "AffineRescaler",
     "fit_rescaler",
     "read_snapshot_dir",
     "read_snapshot_csv",
@@ -117,48 +117,9 @@ class SnapshotSeries:
         return self.samples[0].shape[1]
 
 
-@dataclass(frozen=True)
-class AffineRescaler:
-    """Componentwise affine map x -> (x - shift) / scale.
-
-    Fit so the training data lands in [-1, 1]^d. `invert` is the exact
-    algebraic inverse of `apply`.
-    """
-
-    shift: np.ndarray  # (d,) per-dimension center
-    scale: np.ndarray  # (d,) per-dimension half-range, > 0
-
-    def __post_init__(self):
-        shift = checked_array(self.shift, "shift", ndim=1, frozen="copy")
-        scale = checked_array(self.scale, "scale", 1, len(shift), ndim=1, frozen="copy")
-        if np.any(scale <= 0):
-            raise ValueError("scale entries must be positive")
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def dim(self) -> int:
-        return self.shift.shape[0]
-
-    def _check_dim(self, x: np.ndarray):
-        if x.shape[-1] != self.dim:
-            raise ValueError(
-                f"dimension mismatch: rescaler has d={self.dim}, data has d={x.shape[-1]}"
-            )
-
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(samples, dtype=np.float64)
-        self._check_dim(x)
-        return (x - self.shift) / self.scale
-
-    def invert(self, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(samples, dtype=np.float64)
-        self._check_dim(x)
-        return x * self.scale + self.shift
-
-
-def fit_rescaler(series: SnapshotSeries) -> AffineRescaler:
-    """Fit the affine rescaler on a raw series, pooling min/max over all snapshots.
+def fit_rescaler(series: SnapshotSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(shift, scale)`` whose map x -> (x - shift) / scale sends a
+    raw series into [-1, 1]^d, pooling min/max over all snapshots.
 
     Dimensions with zero pooled range are centered at their value and left
     unscaled (scale 1), keeping the map invertible.
@@ -172,7 +133,7 @@ def fit_rescaler(series: SnapshotSeries) -> AffineRescaler:
     degenerate = span <= 0
     scale = np.where(degenerate, 1.0, span / 2.0)
     shift = np.where(degenerate, lo, (lo + hi) / 2.0)
-    return AffineRescaler(shift, scale)
+    return shift, scale
 
 
 def write_snapshot_dir(series: SnapshotSeries, path) -> None:

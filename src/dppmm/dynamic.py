@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AffineRescaler, SnapshotSeries, _usable_cpus, checked_array, fit_rescaler
+from .core import SnapshotSeries, _usable_cpus, checked_array, fit_rescaler
 from .ppmm import PPMMFitReport, PPMMMap, eval_ppmm, fit_ppmm
 
 __all__ = [
@@ -32,24 +32,32 @@ DEFAULT_BASE_VARIANCE = 0.01
 
 @dataclass(frozen=True)
 class DPPMMModel:
-    """Trained chain: per-pair transport maps and the rescaler.
+    """Trained chain: the rescaling and the per-pair transport maps.
 
-    The base is always N(0, DEFAULT_BASE_VARIANCE * I) in rescaled units.
+    The maps work in rescaled units (x - shift) / scale, where ``shift`` and
+    ``scale`` are (d,) vectors and every scale entry is positive; generated
+    samples return to data units as x * scale + shift. The base is always
+    N(0, DEFAULT_BASE_VARIANCE * I) in rescaled units.
     ``maps[0]`` sends base samples onto the first snapshot; ``maps[j]``
     sends snapshot j onto snapshot j+1. ``times`` are the snapshot times in
     the units of the training data; the maps never see them, so any finite,
     strictly increasing times are valid.
     """
 
-    rescaler: AffineRescaler
+    shift: np.ndarray  # (d,)
+    scale: np.ndarray  # (d,)
     times: np.ndarray
     maps: tuple[PPMMMap, ...]
 
     def __post_init__(self):
+        shift = checked_array(self.shift, "shift", ndim=1, frozen="copy")
+        d = len(shift)
+        scale = checked_array(self.scale, "scale", 1, d, ndim=1, frozen="copy")
+        if np.any(scale <= 0):
+            raise ValueError("scale entries must be positive")
         times = checked_array(
             self.times, "times", ndim=1, order="strictly increasing", frozen="copy"
         )
-        d = self.rescaler.dim
         maps = tuple(self.maps)
         if len(times) != len(maps):
             raise ValueError("need exactly one map per snapshot time")
@@ -58,12 +66,14 @@ class DPPMMModel:
                 raise ValueError(
                     f"map {j} has dimension {ppmm_map.dim}, expected {d}"
                 )
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "maps", maps)
 
     @property
     def dim(self) -> int:
-        return self.rescaler.dim
+        return self.shift.shape[0]
 
 
 def _base_draw(n: int, d: int, seed: int) -> np.ndarray:
@@ -83,8 +93,8 @@ def train_dppmm(
 ) -> tuple[DPPMMModel, tuple[PPMMFitReport, ...]]:
     """Fit the full chain of transport maps over a snapshot series.
 
-    A rescaler is fitted on the series' coordinates and applied before
-    training; the model keeps it, and keeps the series' times as they are.
+    The series' coordinates are rescaled by ``core.fit_rescaler``'s shift
+    and scale before training; the model keeps both and the series' times.
     The base is N(0, DEFAULT_BASE_VARIANCE * I) and its draw count
     matches the first snapshot's sample count; ``seed`` controls only that
     draw.
@@ -101,8 +111,8 @@ def train_dppmm(
         raise ValueError("training requires at least 2 snapshots")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    rescaler = fit_rescaler(series)
-    targets = [rescaler.apply(x) for x in series.samples]
+    shift, scale = fit_rescaler(series)
+    targets = [(x - shift) / scale for x in series.samples]
     sources = [_base_draw(targets[0].shape[0], series.dim, seed), *targets[:-1]]
 
     def fit_pair(j):
@@ -120,7 +130,7 @@ def train_dppmm(
         with ThreadPoolExecutor(max_workers=workers or min(len(pairs), _usable_cpus())) as pool:
             results = list(pool.map(fit_pair, pairs))
     maps, reports = zip(*results)
-    return DPPMMModel(rescaler=rescaler, times=series.times, maps=maps), reports
+    return DPPMMModel(shift, scale, series.times, maps), reports
 
 
 def generate(model: DPPMMModel, n: int, seed: int) -> list[np.ndarray]:
@@ -136,7 +146,7 @@ def generate(model: DPPMMModel, n: int, seed: int) -> list[np.ndarray]:
     snapshots = []
     for ppmm_map in model.maps:
         current = eval_ppmm(ppmm_map, current)
-        snapshots.append(model.rescaler.invert(current))
+        snapshots.append(current * model.scale + model.shift)
     return snapshots
 
 
@@ -145,13 +155,13 @@ class SplineBundle:
     """Per-trajectory, per-coordinate cubic interpolant between snapshots.
 
     ``values`` keeps the (M, N, d) knot matrices, one per time in ``times``,
-    so evaluation at a knot time can return them verbatim; ``second`` holds
-    the (M, N, d) second derivatives at the knots, derived from both.
+    and nothing else: the interpolant at any time is a weighted sum of the M
+    knot matrices, with weights that depend only on ``times``, so evaluation
+    derives them per call and returns a knot time's matrix verbatim.
     """
 
     times: np.ndarray
     values: np.ndarray = field(repr=False)
-    second: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         times = checked_array(
@@ -160,10 +170,8 @@ class SplineBundle:
         values = checked_array(self.values, "values", ndim=3, frozen="copy")
         if len(values) != len(times):
             raise ValueError(f"expected {len(times)} snapshot matrices, got {len(values)}")
-        second = checked_array(_second_derivatives(times, values), "second", ndim=3, frozen="view")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "second", second)
 
 
 def fit_transport_splines(times, coupled) -> SplineBundle:
@@ -182,17 +190,16 @@ def fit_transport_splines(times, coupled) -> SplineBundle:
 
 
 def _second_derivatives(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # Moment form: one m x m system shared by every trajectory and coordinate.
+    # Moment form: one m x m system for the (m, k) knot values' k columns.
     # Interior rows enforce C^2 continuity. The end rows are not-a-knot
     # (continuous third derivative across the second and penultimate knots)
     # for m >= 4, equal curvatures (the parabola) for m = 3, and zero
     # curvatures (the line) for m = 2.
     m = times.shape[0]
-    flat = values.reshape(m, -1)
     h = np.diff(times)
-    slope = np.diff(flat, axis=0) / h[:, None]
+    slope = np.diff(values, axis=0) / h[:, None]
     a = np.zeros((m, m))
-    rhs = np.zeros_like(flat)
+    rhs = np.zeros_like(values)
     for i in range(1, m - 1):
         a[i, i - 1 : i + 2] = (h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i])
         rhs[i] = 6.0 * (slope[i] - slope[i - 1])
@@ -204,14 +211,16 @@ def _second_derivatives(times: np.ndarray, values: np.ndarray) -> np.ndarray:
         a[-1, -2:] = (1.0, -1.0)
     else:
         a[0, 0] = a[-1, -1] = 1.0
-    return np.linalg.solve(a, rhs).reshape(values.shape)
+    return np.linalg.solve(a, rhs)
 
 
 def interpolate(bundle: SplineBundle, t: float) -> np.ndarray:
     """Evaluate every trajectory at one time inside the knot range.
 
-    A time equal to a knot returns that knot's matrix verbatim; between
-    knots the cubic interpolant is evaluated.
+    A time equal to a knot returns that knot's matrix verbatim. Between
+    knots the spline, linear in its knot values, is their weighted sum; the
+    weights are the cubic on rows i and i + 1 of the moment system solved
+    on the m x m identity.
     """
     t = float(t)
     x = bundle.times
@@ -224,10 +233,12 @@ def interpolate(bundle: SplineBundle, t: float) -> np.ndarray:
     i = int(np.searchsorted(x, t, side="right")) - 1
     h = x[i + 1] - x[i]
     left, right = x[i + 1] - t, t - x[i]
-    y, s = bundle.values, bundle.second
-    return (
+    y = np.eye(len(x))
+    s = _second_derivatives(x, y)
+    weights = (
         s[i] * (left**3 / (6.0 * h))
         + s[i + 1] * (right**3 / (6.0 * h))
         + (y[i] / h - s[i] * (h / 6.0)) * left
         + (y[i + 1] / h - s[i + 1] * (h / 6.0)) * right
     )
+    return np.tensordot(weights, bundle.values, axes=1)

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AffineRescaler
 from .dynamic import DPPMMModel
 from .ot1d import Map1D
 from .ppmm import PPMMMap
@@ -54,8 +53,8 @@ def save_model(path, model: DPPMMModel, provenance: dict) -> None:
     header = {"schema_version": SCHEMA_VERSION, "provenance": provenance}
     entries = [
         (_HEADER, json.dumps(header, separators=(",", ":"), allow_nan=False).encode()),
-        ("shift.npy", _npy(model.rescaler.shift)),
-        ("scale.npy", _npy(model.rescaler.scale)),
+        ("shift.npy", _npy(model.shift)),
+        ("scale.npy", _npy(model.scale)),
         ("times.npy", _npy(model.times)),
     ]
     for j, ppmm_map in enumerate(model.maps):
@@ -114,10 +113,10 @@ def load_model(path) -> tuple[DPPMMModel, dict]:
             if not isinstance(provenance, dict):
                 raise ValueError("header needs a provenance object")
             shift = _read_array(archive, "shift", (None,))
-            rescaler = AffineRescaler(shift, _read_array(archive, "scale", shift.shape))
+            scale = _read_array(archive, "scale", shift.shape)
             times = _read_array(archive, "times", (None,))
             directions = [
-                _read_array(archive, f"map{j}/direction", (None, rescaler.dim))
+                _read_array(archive, f"map{j}/direction", (None, len(shift)))
                 for j in range(len(times))
             ]
             names, expected = set(archive.namelist()), _entry_names(directions)
@@ -134,4 +133,4 @@ def load_model(path) -> tuple[DPPMMModel, dict]:
         ) from exc
     except (KeyError, TypeError, EOFError, json.JSONDecodeError) as exc:
         raise ValueError(f"model file invalid: {exc!r}") from exc
-    return DPPMMModel(rescaler=rescaler, times=times, maps=maps), provenance
+    return DPPMMModel(shift, scale, times, maps), provenance

@@ -108,11 +108,11 @@ def fft_kde(samples, bandwidth: float, grid) -> np.ndarray:
     pos = (s - z[0]) / step
     idx = np.clip(np.floor(pos).astype(np.intp), 0, b - 1)
     frac = pos - idx
-    weights = np.zeros(b)
-    np.add.at(weights, idx, 1.0 - frac)
-    upper = idx + 1
-    keep = upper <= b - 1
-    np.add.at(weights, upper[keep], frac[keep])
+    # lower-cell shares, then upper-cell shares, each in sample order: the pinned
+    # model bytes depend on this summation order; bin b lies past the grid
+    weights = np.bincount(
+        np.concatenate((idx, idx + 1)), np.concatenate((1.0 - frac, frac)), minlength=b + 1
+    )[:b]
 
     n = 2 * b
     kernel = np.exp(-0.5 * (np.arange(b) * step / bandwidth) ** 2)

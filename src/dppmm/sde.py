@@ -3,7 +3,7 @@
 Three drift families (Van der Pol oscillator, isotropic Ornstein-Uhlenbeck
 decay, cyclic Lorenz-96) integrated with Euler-Maruyama under isotropic
 diffusion into snapshot series, plus the train/test benchmark builder that
-rescales both splits with the rescaler fitted on the training split.
+rescales both splits with the shift and scale fitted on the training split.
 """
 
 from __future__ import annotations
@@ -150,17 +150,17 @@ def drift(system: SDESystem, x) -> np.ndarray:
     return v
 
 
-def _kept_steps(system: SDESystem, n: int, dt: float, store: int | None) -> list[int]:
-    """Validate the integration settings; return the kept step indices."""
+def _kept_steps(system: SDESystem, n: int, dt: float, store: int | None, name: str) -> list[int]:
+    """Validate the integration settings, naming ``store`` ``name``; return the kept steps."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < dt <= system.horizon:
-        raise ValueError(f"dt must lie in (0, horizon], got {dt}")
+        raise ValueError(f"dt must lie in (0, {system.horizon}], got {dt}")
     steps = math.ceil(system.horizon / dt)
     if store is None:
         store = steps + 1
     elif not 2 <= store <= steps + 1:
-        raise ValueError(f"store must lie in [2, {steps + 1}], got {store}")
+        raise ValueError(f"{name} must lie in [2, {steps + 1}], got {store}")
     # the spacing steps / (store - 1) is at least 1, so the indices are distinct
     return np.round(np.linspace(0.0, steps, store)).astype(np.intp).tolist()
 
@@ -193,7 +193,7 @@ def euler_maruyama(
     ``make_benchmark`` runs its two splits concurrently and their bytes do
     not depend on the thread schedule.
     """
-    keep = _kept_steps(system, n, dt, store)
+    keep = _kept_steps(system, n, dt, store, "store")
     shape = (len(keep), n, system.dim)
     if out is None:
         out = np.empty(shape)
@@ -253,14 +253,14 @@ def make_benchmark(
     training run on the calling thread. Each writes only its own stream and
     its own half of one (2, m, n, d) state array allocated here, so the
     output bytes do not depend on the thread schedule. Both series are
-    rescaled, in that array, by the rescaler fitted on the training series
-    alone, which maps its coordinates into [-1, 1]^d; the returned series'
-    sample matrices are read-only views of it. Paths start at t = 0 and
-    their times are divided by the training series' last time, so they run
-    from 0 to 1.
+    rescaled, in that array, by the shift and scale that
+    ``core.fit_rescaler`` fits on the training series alone, which map its
+    coordinates into [-1, 1]^d; the returned series' sample matrices are
+    read-only views of it. Paths start at t = 0 and their times are divided
+    by the training series' last time, so they run from 0 to 1.
     """
     system = benchmark_system(name, d)
-    m = len(_kept_steps(system, n, dt, m))  # rejects bad settings first
+    m = len(_kept_steps(system, n, dt, m, "m"))  # rejects bad settings first
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     # allocated on the calling thread: a helper thread's own malloc arena
     # would keep the held-out states' pages after the thread exits
@@ -271,9 +271,9 @@ def make_benchmark(
         )
         train_raw = euler_maruyama(system, n, dt, train_seed, store=m, out=states[0])
         test_run.result()
-    rescaler = fit_rescaler(train_raw)
-    # in place, with the operations and order of AffineRescaler.apply
-    states -= rescaler.shift
-    states /= rescaler.scale
+    shift, scale = fit_rescaler(train_raw)
+    # in place, with the operations and order of train_dppmm's (x - shift) / scale
+    states -= shift
+    states /= scale
     times = train_raw.times / train_raw.times[-1]
     return tuple(SnapshotSeries(times, split) for split in states)

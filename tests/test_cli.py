@@ -100,6 +100,24 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {rule}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            (["--system", "ou", "--m", "1"], "m must lie in [2, 15001], got 1"),
+            (["--system", "ou", "--dt", "0"], "dt must lie in (0, 15.0], got 0.0"),
+            (["--system", "lorenz96", "--dt", "5"], "m must lie in [2, 2], got 11"),
+        ],
+        ids=["m-1", "dt-0", "dt-past-horizon"],
+    )
+    def test_bad_step_settings_exit_2_naming_the_option(
+        self, tmp_path, capsys, settings, message
+    ):
+        # the integrator calls m "store"; the message names what the user typed
+        rc = main(["simulate", *settings, "--n", "10", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_system_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--system", "heat", "--out", str(tmp_path / "x")])
@@ -158,18 +176,6 @@ class TestTrain:
         assert summary["command"] == "train"
         assert summary["maps"] == 5
         assert summary["seconds"] >= 0.0
-
-    def test_bad_bandwidth_exits_2(self, pipeline, tmp_path, capsys):
-        for text in ("gauss", "fixed:0.075"):
-            with pytest.raises(SystemExit) as info:
-                main(
-                    [
-                        "train", "--data", str(pipeline["data"] / "train"),
-                        "--out", str(tmp_path / "m.json"), "--bandwidth", text,
-                    ]
-                )
-            assert info.value.code == 2
-        assert "--bandwidth" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     @pytest.mark.parametrize("parallel", [[], ["--parallel"]], ids=["sequential", "parallel"])
@@ -524,10 +530,11 @@ class TestErrorPaths:
             "evaluate-grid-size", "train-alpha", "train-max-iter", "evaluate-estimator",
         ],
     )
-    def test_removed_flag_is_usage_error(self, command, flag):
+    def test_removed_flag_is_usage_error(self, capsys, command, flag):
         with pytest.raises(SystemExit) as info:
             main([*command, *flag])
         assert info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_settable_value_count(self):
         # every option and positional of every subcommand except --help; a new

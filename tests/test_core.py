@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dppmm.core import (
-    AffineRescaler,
     SnapshotSeries,
     fit_rescaler,
     read_snapshot_csv,
@@ -91,19 +90,16 @@ FROZEN_TYPES = {
         lambda t, *x: SnapshotSeries(t, x),
         ("times", "samples"),
     ),
-    "AffineRescaler": (lambda: [np.zeros(2), np.ones(2)], AffineRescaler, ("shift", "scale")),
     "BandwidthGrid": (lambda: [np.array([0.5, 1.0, 2.0])], BandwidthGrid, ("values",)),
     "DPPMMModel": (
-        lambda: [np.array([0.0, 1.0])],
-        lambda t: DPPMMModel(
-            AffineRescaler(np.zeros(2), np.ones(2)), t, (PPMMMap(np.zeros((0, 2))),) * 2
-        ),
-        ("times",),
+        lambda: [np.zeros(2), np.ones(2), np.array([0.0, 1.0])],
+        lambda shift, scale, t: DPPMMModel(shift, scale, t, (PPMMMap(np.zeros((0, 2))),) * 2),
+        ("shift", "scale", "times"),
     ),
     "SplineBundle": (
         lambda: [np.array([0.0, 0.5, 1.0]), *(np.full((2, 2), v) for v in (0.0, 1.0, 3.0))],
         lambda t, *knots: fit_transport_splines(t, knots),
-        ("times", "values", "second"),
+        ("times", "values"),
     ),
     "SDESystem": (
         lambda: [np.array([[1.0, 1.0]])],
@@ -178,31 +174,12 @@ class TestSnapshotSeries:
         assert [len(x) for x in series.samples] == [2, 5]
 
 
-class TestAffineRescaler:
-    def test_apply_invert_round_trip(self):
-        rng = np.random.default_rng(1)
-        r = AffineRescaler(np.array([1.0, -2.0]), np.array([2.0, 0.5]))
-        x = rng.normal(size=(100, 2)) * 5
-        np.testing.assert_allclose(r.invert(r.apply(x)), x, rtol=1e-13, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        r = AffineRescaler(np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError):
-            r.apply(np.zeros((2, 2)))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AffineRescaler(np.zeros(2), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            AffineRescaler(np.array([np.nan, 0.0]), np.ones(2))
-
-
 class TestFitRescaler:
     def test_maps_pooled_range_to_unit_cube(self):
         rng = np.random.default_rng(2)
         series = make_series(rng, times=(0.0, 3.0, 10.0), spread=7.0)
-        r = fit_rescaler(series)
-        pooled = r.apply(np.vstack(series.samples))
+        shift, scale = fit_rescaler(series)
+        pooled = (np.vstack(series.samples) - shift) / scale
         assert pooled.min() >= -1.0 - 1e-12
         assert pooled.max() <= 1.0 + 1e-12
         # both extremes attained per dimension
@@ -212,10 +189,10 @@ class TestFitRescaler:
     def test_degenerate_dimension(self):
         x0 = np.column_stack([np.zeros(10), np.arange(10.0)])
         x1 = np.column_stack([np.zeros(10), np.arange(10.0) + 1])
-        r = fit_rescaler(SnapshotSeries([0.0, 1.0], [x0, x1]))
-        assert r.scale[0] == 1.0
-        assert r.shift[0] == 0.0
-        np.testing.assert_array_equal(r.apply(x0)[:, 0], 0.0)
+        shift, scale = fit_rescaler(SnapshotSeries([0.0, 1.0], [x0, x1]))
+        assert scale[0] == 1.0
+        assert shift[0] == 0.0
+        np.testing.assert_array_equal(((x0 - shift) / scale)[:, 0], 0.0)
 
     def test_requires_two_snapshots(self):
         with pytest.raises(ValueError):

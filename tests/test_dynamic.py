@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dppmm import dynamic
-from dppmm.core import AffineRescaler, SnapshotSeries
+from dppmm.core import SnapshotSeries
 from dppmm.dynamic import (
     DPPMMModel,
     _base_draw,
@@ -53,7 +56,8 @@ def maps_json(model):
 class TestModelValidation:
     def make_model(self, **overrides):
         kwargs = dict(
-            rescaler=AffineRescaler(np.zeros(2), np.ones(2)),
+            shift=np.zeros(2),
+            scale=np.ones(2),
             times=np.array([0.0, 1.0]),
             maps=(PPMMMap(np.zeros((0, 2))), PPMMMap(np.zeros((0, 2)))),
         )
@@ -76,8 +80,21 @@ class TestModelValidation:
         assert self.make_model(times=np.array([3.0, 10.5])).times[-1] == 10.5
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="map 0 has dimension 3, expected 2"):
             self.make_model(maps=(PPMMMap(np.zeros((0, 3))), PPMMMap(np.zeros((0, 2)))))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(scale=np.array([1.0, 0.0])), "scale entries must be positive"),
+            (dict(shift=np.array([np.nan, 0.0])), "shift contains non-finite entries"),
+            (dict(scale=np.ones(3)), "scale has 3 entries, expected 2"),
+        ],
+        ids=["zero-scale", "nan-shift", "lengths-differ"],
+    )
+    def test_rejects_bad_shift_or_scale(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.make_model(**overrides)
 
 
 class TestTrainDppmm:
@@ -144,7 +161,7 @@ class TestTrainDppmm:
         series = SnapshotSeries(range(3), [rng.normal(size=(1500, 2)) for _ in range(3)])
         model, reports = train_dppmm(series)
         # maps between same-law snapshots move samples only by sampling noise
-        gen = model.rescaler.apply(generate(model, 3000, seed=1))
+        gen = [(x - model.shift) / model.scale for x in generate(model, 3000, seed=1)]
         for j in (1, 2):
             rms = np.sqrt(np.mean(np.sum((gen[j] - gen[j - 1]) ** 2, axis=1)))
             assert rms < 0.15
@@ -195,7 +212,7 @@ class TestGenerate:
         current = _base_draw(500, model.dim, 7)
         for ppmm_map, mat in zip(model.maps, gen):
             current = eval_ppmm(ppmm_map, current)
-            np.testing.assert_array_equal(mat, model.rescaler.invert(current))
+            assert mat.tobytes() == (current * model.scale + model.shift).tobytes()
 
     def test_deterministic_in_seed(self):
         series = drifting_series(121, n=200)
@@ -252,7 +269,7 @@ class TestGenerate:
         train, _ = make_benchmark("ou", 8, 500, 7, dt=0.01)
         first_two = SnapshotSeries(train.times[:2], train.samples[:2])
         model, _ = train_dppmm(first_two, bandwidth=None, alpha=0, max_iter=160)
-        gen = model.rescaler.apply(generate(model, 500, seed=1))
+        gen = [(x - model.shift) / model.scale for x in generate(model, 500, seed=1)]
         assert np.abs(gen[0]).max() <= 1.5  # measured 1.04
         assert np.abs(gen[1]).max() <= 1.5  # measured 1.13
 
@@ -316,6 +333,25 @@ class TestTransportSplines:
         out = interpolate(bundle, 0.25)
         out[0, 0] = 1e9
         np.testing.assert_array_equal(interpolate(bundle, 0.25), mats[1])
+
+    def test_bundle_holds_only_its_knots(self):
+        # measured 1.00x held and 1.17x peak; a bundle that also kept the
+        # knots' second derivatives read 2.00x and 3.84x
+        rng = np.random.default_rng(134)
+        times = np.linspace(0.0, 1.0, 6)
+        mats = list(rng.normal(size=(6, 2500, 10)))
+        knot_bytes = sum(x.nbytes for x in mats)
+        tracemalloc.start()
+        try:
+            bundle = fit_transport_splines(times, mats)
+            held = tracemalloc.get_traced_memory()[0]
+            interpolate(bundle, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [f.name for f in dataclasses.fields(bundle)] == ["times", "values"]
+        assert held <= 1.1 * knot_bytes
+        assert peak <= 1.5 * knot_bytes
 
     def test_range_is_enforced(self):
         bundle = fit_transport_splines(
