@@ -27,7 +27,7 @@ from .core import (
     write_snapshot_dir,
 )
 from .dynamic import fit_transport_splines, generate, interpolate, train_dppmm
-from .metrics import BandwidthGrid, per_snapshot_gmmd2
+from .metrics import BANDWIDTHS, per_snapshot_gmmd2
 from .modelio import load_model, reports_to_list, save_model
 from .sde import BENCHMARK_DT, BENCHMARK_SNAPSHOTS, BENCHMARKS, make_benchmark
 
@@ -156,13 +156,12 @@ def cmd_interpolate(args) -> int:
 def cmd_evaluate(args) -> int:
     series_a = _read_samples(args.a)
     series_b = _read_samples(args.b)
-    grid = BandwidthGrid.default()
     started = time.perf_counter()
     per_snapshot = [
         {"time": t, "gmmd2": value, "estimator": chosen,
          "max_abs_a": max_a, "max_abs_b": max_b}
         for (t, value, chosen), max_a, max_b in zip(
-            per_snapshot_gmmd2(series_a, series_b, grid),
+            per_snapshot_gmmd2(series_a, series_b),
             _max_abs(series_a),
             _max_abs(series_b),
         )
@@ -171,7 +170,7 @@ def cmd_evaluate(args) -> int:
         "command": "evaluate",
         "a": args.a,
         "b": args.b,
-        "grid": grid.values.tolist(),
+        "grid": BANDWIDTHS.tolist(),
         "per_snapshot": per_snapshot,
         "average_gmmd2": float(np.mean([e["gmmd2"] for e in per_snapshot])),
         "seconds": round(time.perf_counter() - started, 3),

@@ -2,9 +2,10 @@
 
 Unbiased quadratic MMD^2 with a Gaussian kernel, the O(N) linear-MMD
 approximation over disjoint sample pairs, the generalized variant that
-maximizes over a bandwidth grid, and its value per matched-time snapshot
-pair of two series. The quadratic estimator can dip slightly below zero on
-same-distribution data; that is inherent to unbiasedness, not a bug.
+maximizes over a vector of bandwidths (by default the evaluation grid
+``BANDWIDTHS``), and its value per matched-time snapshot pair of two series.
+The quadratic estimator can dip slightly below zero on same-distribution
+data; that is inherent to unbiasedness, not a bug.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SnapshotSeries, _usable_cpus, checked_array
 
 __all__ = [
-    "BandwidthGrid",
+    "BANDWIDTHS",
     "gmmd2",
     "per_snapshot_gmmd2",
     "choose_estimator",
@@ -39,27 +39,9 @@ _TIME_MATCH_TOL = 1e-9
 # there (most of all where the result is subnormal)
 _EXP_FLOOR = -700.0
 
-
-@dataclass(frozen=True)
-class BandwidthGrid:
-    """Strictly increasing positive kernel bandwidths to maximize over."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = checked_array(
-            self.values, "bandwidths", ndim=1, order="strictly increasing", frozen="copy"
-        )
-        if v[0] <= 0:
-            raise ValueError("bandwidths must be positive")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def default(cls) -> "BandwidthGrid":
-        return cls(np.logspace(-2.0, 2.0, 15))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
+# The evaluation grid: 15 log-spaced kernel bandwidths from 0.01 to 100.
+BANDWIDTHS = np.logspace(-2.0, 2.0, 15)
+BANDWIDTHS.setflags(write=False)
 
 
 def _exp_sums(d2: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -154,10 +136,10 @@ def _linear_mmd2_grid(x: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> np.nd
     return ((s_xx + s_yy) - (s_ab + s_ba)) / xa.shape[0]
 
 
-def gmmd2(
-    x, y, grid: BandwidthGrid | None = None, estimator: str = "quadratic"
-) -> float:
-    """Generalized MMD^2: maximum of the chosen estimator over the grid.
+def gmmd2(x, y, grid=BANDWIDTHS, estimator: str = "quadratic") -> float:
+    """Generalized MMD^2: maximum of the chosen estimator over the bandwidths.
+
+    ``grid`` is any strictly increasing vector of positive bandwidths.
 
     "quadratic" is the unbiased estimator: within-group kernel sums skip the
     diagonal and divide by N(N-1) per group, and the cross sum runs over
@@ -167,18 +149,19 @@ def gmmd2(
     a warning) so the pairs stay disjoint. A one-bandwidth grid gives the
     plain MMD^2 at that bandwidth.
     """
-    if grid is None:
-        grid = BandwidthGrid.default()
+    grid = checked_array(grid, "bandwidths", ndim=1, order="strictly increasing")
+    if grid[0] <= 0:
+        raise ValueError("bandwidths must be positive")
     x = checked_array(x, "x", 2)
     y = checked_array(y, "y", 2, x.shape[1])
     if estimator == "quadratic":
-        values = _mmd2_grid(x, y, grid.values)
+        values = _mmd2_grid(x, y, grid)
     elif estimator == "linear":
         if x.shape != y.shape or x.shape[0] < 4:
             raise ValueError(
                 "linear estimator requires equal shapes with at least 4 rows"
             )
-        values = _linear_mmd2_grid(x, y, grid.values)
+        values = _linear_mmd2_grid(x, y, grid)
     else:
         raise ValueError(f"estimator must be 'quadratic' or 'linear', got {estimator!r}")
     return float(values.max())
@@ -195,16 +178,15 @@ def choose_estimator(n1: int, n2: int) -> str:
 
 
 def per_snapshot_gmmd2(
-    series_a: SnapshotSeries,
-    series_b: SnapshotSeries,
-    grid: BandwidthGrid | None = None,
+    series_a: SnapshotSeries, series_b: SnapshotSeries
 ) -> list[tuple[float, float, str]]:
-    """(time, generalized MMD^2, estimator) for each snapshot pair matched by time.
+    """(time, generalized MMD^2 over ``BANDWIDTHS``, estimator) for each
+    snapshot pair matched by time.
 
     The two series must have equal length and pairwise-equal times (within
     1e-9). Each pair takes the estimator ``choose_estimator`` picks for its
-    sizes. The pairs are scored concurrently, one thread per CPU this
-    process may use; a pair's value does not depend on the schedule.
+    sizes. The pairs are scored concurrently on min(pairs, usable CPUs)
+    threads; a pair's value does not depend on the schedule.
     """
     if len(series_a) != len(series_b):
         raise ValueError(
@@ -219,7 +201,7 @@ def per_snapshot_gmmd2(
     ]
 
     def score(x, y, est):
-        return gmmd2(x, y, grid, est)
+        return gmmd2(x, y, BANDWIDTHS, est)
 
     with ThreadPoolExecutor(max_workers=min(len(chosen), _usable_cpus())) as pool:
         values = list(pool.map(score, series_a.samples, series_b.samples, chosen))

@@ -55,6 +55,9 @@ class SDESystem:
 
     def __post_init__(self):
         _check_dimension(self.kind, self.dim)
+        for name in ("param", "diffusion", "horizon", "init_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.diffusion < 0:
             raise ValueError("diffusion must be nonnegative")
         if not self.horizon > 0:

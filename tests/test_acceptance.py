@@ -15,7 +15,7 @@ import pytest
 from dppmm.cli import main
 from dppmm.core import SnapshotSeries
 from dppmm.dynamic import fit_transport_splines, generate, interpolate, train_dppmm
-from dppmm.metrics import BandwidthGrid, gmmd2, per_snapshot_gmmd2
+from dppmm.metrics import gmmd2, per_snapshot_gmmd2
 from dppmm.ot1d import fft_kde, fit_sorted_map
 from dppmm.ppmm import fit_ppmm
 from dppmm.projection import INFORMATIVE_EIGENVALUE, save_direction
@@ -237,14 +237,14 @@ def test_08_sde_integrator_decay_and_stationary_moments():
 def test_09_mmd_hand_values_and_estimator_consistency():
     # two point masses at distance 0 and at distance a: closed forms
     x = np.zeros((2, 1))
-    assert abs(gmmd2(x, np.zeros((2, 1)), BandwidthGrid([1.3]))) <= 1e-12
+    assert abs(gmmd2(x, np.zeros((2, 1)), [1.3])) <= 1e-12
     a, sigma = 0.9, 0.7
     expected = 2.0 - 2.0 * math.exp(-(a**2) / (2.0 * sigma**2))
-    assert abs(gmmd2(x, np.full((2, 1), a), BandwidthGrid([sigma])) - expected) <= 1e-12
+    assert abs(gmmd2(x, np.full((2, 1), a), [sigma]) - expected) <= 1e-12
 
     # linear and quadratic estimators agree in mean over 200 resamples
     rng = np.random.default_rng(0)
-    one = BandwidthGrid([1.0])
+    one = [1.0]
     diffs = []
     for _ in range(200):
         u = rng.normal(0.0, 1.0, (400, 1))

@@ -16,6 +16,7 @@ import dppmm
 from dppmm.cli import _build_parser, main
 from dppmm.core import SnapshotSeries, read_snapshot_dir, write_snapshot_dir
 from dppmm.dynamic import train_dppmm
+from dppmm.metrics import BANDWIDTHS
 from dppmm.modelio import load_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -348,6 +349,12 @@ class TestInterpolate:
 
 
 class TestEvaluate:
+    def test_report_grid_is_the_evaluation_grid(self, pipeline, capsys):
+        data = pipeline["data"]
+        rc = main(["evaluate", "--a", str(data / "train"), "--b", str(data / "test")])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == BANDWIDTHS.tolist()
+
     def test_report_structure_and_average(self, pipeline, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         rc = main(
@@ -479,14 +486,16 @@ class TestEvaluate:
 
 class TestErrorPaths:
     def test_missing_data_dir_exits_2(self, tmp_path, capsys):
-        rc = main(
-            [
-                "train", "--data", str(tmp_path / "absent"),
-                "--out", str(tmp_path / "m.json"),
-            ]
-        )
-        assert rc == 2
-        assert "manifest" in capsys.readouterr().err
+        absent = tmp_path / "absent"
+        for argv, message in (
+            (["train", "--data", str(absent), "--out", str(tmp_path / "m.json")], "manifest"),
+            (
+                ["evaluate", "--a", str(absent), "--b", str(tmp_path)],
+                f"error: no snapshot directory or CSV file at {absent}\n",
+            ),
+        ):
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
 
     def test_unwritable_output_exits_1(self, pipeline, capsys):
         rc = main(
@@ -580,14 +589,13 @@ class TestErrorPaths:
             "cli.main": 1,
             "dynamic.train_dppmm": 6,
             "metrics.gmmd2": 2,
-            "metrics.per_snapshot_gmmd2": 1,
             "ppmm.fit_ppmm": 3,
             "sde.benchmark_system": 1,
             "sde.euler_maruyama": 2,
             "sde.make_benchmark": 2,
         }
-        assert sum(len(k) for k in knobs.values()) == 18
-        assert "18 parameters with defaults" in " ".join(
+        assert sum(len(k) for k in knobs.values()) == 17
+        assert "17 parameters with defaults" in " ".join(
             README.read_text(encoding="utf-8").split()
         )
         assert {name: k for name, k in fields.items() if k} == {"ppmm.PPMMMap": ["maps1d"]}
@@ -597,19 +605,27 @@ class TestErrorPaths:
             [sys.executable, "-m", "dppmm.cli", "--help"],
             capture_output=True,
             text=True,
+            env=_python_env("src"),
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "evaluate" in proc.stdout
 
 
-def _run_python(code: str, *dirs: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter with the repo's ``dirs`` on PYTHONPATH."""
+def _python_env(*dirs: str) -> dict[str, str]:
+    """This process's environment with the repo's ``dirs`` first on PYTHONPATH."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [*(str(root / d) for d in dirs), env.get("PYTHONPATH")])
     )
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return env
+
+
+def _run_python(code: str, *dirs: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with the repo's ``dirs`` on PYTHONPATH."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_python_env(*dirs)
+    )
 
 
 class TestImport:

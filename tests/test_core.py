@@ -11,7 +11,7 @@ from dppmm.core import (
     write_snapshot_dir,
 )
 from dppmm.dynamic import DPPMMModel, fit_transport_splines
-from dppmm.metrics import BandwidthGrid, gmmd2
+from dppmm.metrics import gmmd2
 from dppmm.ot1d import Map1D
 from dppmm.ppmm import PPMMMap, eval_ppmm, fit_ppmm
 from dppmm.projection import save_direction
@@ -90,7 +90,6 @@ FROZEN_TYPES = {
         lambda t, *x: SnapshotSeries(t, x),
         ("times", "samples"),
     ),
-    "BandwidthGrid": (lambda: [np.array([0.5, 1.0, 2.0])], BandwidthGrid, ("values",)),
     "DPPMMModel": (
         lambda: [np.zeros(2), np.ones(2), np.array([0.0, 1.0])],
         lambda shift, scale, t: DPPMMModel(shift, scale, t, (PPMMMap(np.zeros((0, 2))),) * 2),

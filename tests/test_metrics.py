@@ -10,7 +10,7 @@ from dppmm.core import SnapshotSeries, _usable_cpus
 from dppmm.metrics import (
     _BLOCK,
     _EXP_FLOOR,
-    BandwidthGrid,
+    BANDWIDTHS,
     _exp_sums,
     choose_estimator,
     gmmd2,
@@ -50,21 +50,23 @@ def mmd2_reference(x, y, sigma):
 
 class TestBandwidthGrid:
     def test_default_grid(self):
-        grid = BandwidthGrid.default()
-        assert len(grid) == 15
-        np.testing.assert_allclose(grid.values[0], 1e-2)
-        np.testing.assert_allclose(grid.values[-1], 1e2)
+        assert BANDWIDTHS.shape == (15,)
+        np.testing.assert_allclose(BANDWIDTHS[0], 1e-2)
+        np.testing.assert_allclose(BANDWIDTHS[-1], 1e2)
         # log-spaced: constant ratio between consecutive entries
-        ratios = grid.values[1:] / grid.values[:-1]
+        ratios = BANDWIDTHS[1:] / BANDWIDTHS[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
+        with pytest.raises(ValueError, match="read-only"):
+            BANDWIDTHS[0] = 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BandwidthGrid(np.array([]))
-        with pytest.raises(ValueError):
-            BandwidthGrid(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            BandwidthGrid(np.array([1.0, 1.0]))
+        for grid, message in (
+            ([], "bandwidths needs at least 1 entries, got 0"),
+            ([0.0, 1.0], "bandwidths must be positive"),
+            ([1.0, 1.0], "bandwidths must be finite and strictly increasing"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                gmmd2(np.zeros((2, 1)), np.ones((2, 1)), np.array(grid))
 
 
 class TestGaussianKernel:
@@ -91,7 +93,7 @@ class TestMmd2:
         expected = (
             e(-0.5) + e(-2.0) - 2.0 * (1.0 + e(-2.0) + 2.0 * e(-0.5)) / 4.0
         )
-        value = gmmd2(x, y, BandwidthGrid([sigma]))
+        value = gmmd2(x, y, [sigma])
         np.testing.assert_allclose(value, expected, rtol=1e-12)
 
     def test_matches_dense_reference(self):
@@ -100,7 +102,7 @@ class TestMmd2:
         y = rng.normal(size=(211, 3)) + 0.3
         for sigma in (0.1, 1.0, 7.0):
             np.testing.assert_allclose(
-                gmmd2(x, y, BandwidthGrid([sigma])),
+                gmmd2(x, y, [sigma]),
                 mmd2_reference(x, y, sigma),
                 rtol=1e-10,
             )
@@ -109,7 +111,7 @@ class TestMmd2:
         rng = np.random.default_rng(81)
         x = rng.normal(size=(100, 2))
         y = rng.normal(size=(150, 2)) * 2
-        one = BandwidthGrid([1.0])
+        one = [1.0]
         assert gmmd2(x, y, one) == gmmd2(y, x, one)
         assert gmmd2(x, y) == gmmd2(y, x)
 
@@ -120,7 +122,7 @@ class TestMmd2:
         n = 50
         x = rng.normal(size=(n, 2))
         for sigma in (0.05, 1.0, 20.0):
-            v = gmmd2(x, x.copy(), BandwidthGrid([sigma]))
+            v = gmmd2(x, x.copy(), [sigma])
             assert -2.0 / n <= v < 0.0
 
     def test_detects_mean_shift(self):
@@ -128,17 +130,17 @@ class TestMmd2:
         x = rng.normal(size=(400, 2))
         y = rng.normal(size=(400, 2)) + 1.0
         z = rng.normal(size=(400, 2))
-        one = BandwidthGrid([1.0])
+        one = [1.0]
         assert gmmd2(x, y, one) > 20.0 * abs(gmmd2(x, z, one))
 
     def test_validation(self):
-        one = BandwidthGrid([1.0])
+        one = [1.0]
         with pytest.raises(ValueError):
             gmmd2(np.zeros((2, 1)), np.zeros((2, 2)), one)
         with pytest.raises(ValueError):
             gmmd2(np.zeros((1, 1)), np.zeros((2, 1)), one)
         with pytest.raises(ValueError):
-            gmmd2(np.zeros((2, 1)), np.zeros((2, 1)), BandwidthGrid([-1.0]))
+            gmmd2(np.zeros((2, 1)), np.zeros((2, 1)), [-1.0])
 
     def test_blockwise_consistency_across_sizes(self):
         # sets larger than the tile edge: off-diagonal tiles, a one-row last
@@ -151,7 +153,7 @@ class TestMmd2:
             x = rng.normal(size=(n, 2))
             for sigma in (0.005, 0.1, 1.0, 2.0, 10.0):
                 np.testing.assert_allclose(
-                    gmmd2(x, y, BandwidthGrid([sigma])),
+                    gmmd2(x, y, [sigma]),
                     mmd2_reference(x, y, sigma),
                     rtol=1e-10,
                 )
@@ -162,7 +164,7 @@ class TestMmd2:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(200, 3))
         y = rng.normal(size=(200, 3))
-        grid = BandwidthGrid([0.1])
+        grid = [0.1]
         at_origin = gmmd2(x, y, grid)
         np.testing.assert_allclose(at_origin, -6.012e-5, rtol=1e-3)
         for off in (1e3, 1e6):
@@ -187,7 +189,7 @@ class TestMmd2:
         )
         assert sums[2] == 0.0
         # every term dropped: all pairs are 10 apart at sigma 0.1
-        assert gmmd2([[0.0], [10.0]], [[20.0], [30.0]], BandwidthGrid([0.1])) == 0.0
+        assert gmmd2([[0.0], [10.0]], [[20.0], [30.0]], [0.1]) == 0.0
 
     def test_no_exp_argument_below_floor(self, monkeypatch):
         # numpy's exp is 17-150 times slower below about -708; no argument
@@ -208,7 +210,7 @@ class TestMmd2:
         monkeypatch.setattr(np, "exp", recording_exp)
         for estimator in ("quadratic", "linear"):
             smallest.clear()
-            gmmd2(x, y, BandwidthGrid([0.01, 0.1, 1.0]), estimator)
+            gmmd2(x, y, [0.01, 0.1, 1.0], estimator)
             # arguments below the floor existed and were clamped to it
             assert min(smallest) == _EXP_FLOOR, estimator
 
@@ -219,7 +221,7 @@ class TestMmd2:
         # pairs 0.05 apart (exponent -12.5) dominate the value
         x = 0.38 * np.arange(40.0)[:, None]
         y = x + 0.05
-        grid = BandwidthGrid([0.01])
+        grid = [0.01]
         within = -5000.0 * (x - x.T) ** 2
         assert np.count_nonzero((within >= -746.0) & (within < _EXP_FLOOR)) == 78
         np.testing.assert_allclose(
@@ -237,7 +239,7 @@ class TestLinearMmd2:
         # h1 = k(0,1) + k(0,0) - k(0,0) - k(1,0) = e(-.5) + 1 - 1 - e(-.5) = 0
         # h2 = k(2,3) + k(0,0) - k(2,0) - k(3,0)
         expected = (e(-0.5) + 1.0 - (e(-2.0) + e(-4.5))) / 2.0
-        value = gmmd2(x, y, BandwidthGrid([sigma]), "linear")
+        value = gmmd2(x, y, [sigma], "linear")
         np.testing.assert_allclose(value, expected, rtol=1e-12)
 
     def test_unbiasedness_against_quadratic(self):
@@ -246,7 +248,7 @@ class TestLinearMmd2:
         rng = np.random.default_rng(85)
         x = rng.normal(size=(6000, 2))
         y = rng.normal(size=(6000, 2)) + 0.5
-        one = BandwidthGrid([1.0])
+        one = [1.0]
         q = gmmd2(x, y, one)
         l = gmmd2(x, y, one, "linear")
         assert abs(q - l) < 0.02
@@ -256,7 +258,7 @@ class TestLinearMmd2:
         rng = np.random.default_rng(86)
         x = rng.normal(size=(9, 2))
         y = rng.normal(size=(9, 2))
-        one = BandwidthGrid([1.0])
+        one = [1.0]
         with pytest.warns(UserWarning, match="odd sample count"):
             v_odd = gmmd2(x, y, one, "linear")
         v_even = gmmd2(x[:8], y[:8], one, "linear")
@@ -266,11 +268,11 @@ class TestLinearMmd2:
         rng = np.random.default_rng(87)
         x = rng.normal(size=(100, 3))
         y = rng.normal(size=(100, 3)) * 1.3
-        grid = BandwidthGrid([0.7])
+        grid = [0.7]
         assert gmmd2(x, y, grid, "linear") == gmmd2(y, x, grid, "linear")
 
     def test_requires_equal_shapes(self):
-        one = BandwidthGrid([1.0])
+        one = [1.0]
         with pytest.raises(ValueError, match="equal shapes"):
             gmmd2(np.zeros((6, 1)), np.zeros((8, 1)), one, "linear")
         with pytest.raises(ValueError, match="at least 4"):
@@ -282,15 +284,14 @@ class TestGmmd2:
         rng = np.random.default_rng(88)
         x = rng.normal(size=(200, 2))
         y = rng.normal(size=(200, 2)) * 1.5
-        grid = BandwidthGrid.default()
-        per_sigma = [gmmd2(x, y, BandwidthGrid([s])) for s in grid.values]
-        np.testing.assert_allclose(gmmd2(x, y, grid), max(per_sigma), rtol=1e-12)
+        per_sigma = [gmmd2(x, y, [s]) for s in BANDWIDTHS]
+        np.testing.assert_allclose(gmmd2(x, y), max(per_sigma), rtol=1e-12)
 
     def test_custom_grid_and_estimators(self):
         rng = np.random.default_rng(89)
         x = rng.normal(size=(64, 2))
         y = rng.normal(size=(64, 2)) + 2.0
-        grid = BandwidthGrid(np.array([0.5, 1.0, 2.0]))
+        grid = [0.5, 1.0, 2.0]
         vq = gmmd2(x, y, grid, estimator="quadratic")
         vl = gmmd2(x, y, grid, estimator="linear")
         assert vq > 0.1 and vl > 0.1
@@ -366,17 +367,16 @@ class TestAvgGmmd2:
         b = SnapshotSeries(
             times, [rng.normal(size=(n2, 3)) + 0.1 * j for j, (_, n2) in enumerate(sizes)]
         )
-        grid = BandwidthGrid.default()
         x, y = a.samples[5], b.samples[5]
-        exponents = -0.5 / grid.values[0] ** 2 * np.sum((x[:, None] - y) ** 2, axis=2)
+        exponents = -0.5 / BANDWIDTHS[0] ** 2 * np.sum((x[:, None] - y) ** 2, axis=2)
         assert exponents.min() < _EXP_FLOOR <= exponents.max()
         sequential = []
         for t, x, y in zip(times, a.samples, b.samples):
             chosen = choose_estimator(len(x), len(y))
-            sequential.append((t, gmmd2(x, y, grid, chosen), chosen))
+            sequential.append((t, gmmd2(x, y, BANDWIDTHS, chosen), chosen))
         assert {est for _, _, est in sequential} == {"linear", "quadratic"}
-        assert per_snapshot_gmmd2(a, b, grid) == sequential
-        assert per_snapshot_gmmd2(a, b, grid) == per_snapshot_gmmd2(a, b, grid)
+        assert per_snapshot_gmmd2(a, b) == sequential
+        assert per_snapshot_gmmd2(a, b) == per_snapshot_gmmd2(a, b)
 
     def test_worker_error_reaches_caller(self):
         # a one-row snapshot passes the series checks and fails gmmd2's row

@@ -289,6 +289,7 @@ CORRUPTIONS = {
     "nan in last cdf row": (set_array("map2/knots_y", set_item((-1, 3), np.nan)), "finite"),
     "non-unit last direction": (set_array("map2/direction", set_item(-1, [0.6, 0.6])), "unit norm"),
     "wrong schema_version": (set_header(schema_version=999), "schema_version"),
+    "provenance not an object": (set_header(provenance=[]), "provenance object"),
 }
 
 

@@ -53,6 +53,30 @@ class TestSystemFactories:
         with pytest.raises(ValueError, match=r"lorenz96 system requires d >= 4, got d = 3"):
             benchmark_system("lorenz96", 3)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            *(
+                pytest.param(
+                    field, value, f"^{field} must be finite, got {value!r}$",
+                    id=f"{field}-{value}",
+                )
+                for field in ("param", "diffusion", "horizon", "init_std")
+                for value in (float("nan"), float("inf"))
+            ),
+            pytest.param("diffusion", -0.1, "^diffusion must be nonnegative$", id="diffusion<0"),
+            pytest.param("horizon", 0.0, "^horizon must be positive$", id="horizon=0"),
+            pytest.param("init_std", -0.1, "^init_std must be nonnegative$", id="init_std<0"),
+        ],
+    )
+    def test_scalar_constraints(self, field, value, message):
+        # a NaN diffusion used to switch the noise off, and NaN param or
+        # init_std, or an infinite horizon, failed only once integrated
+        fields = dict(param=0.1, diffusion=0.1, horizon=1.0, init_std=0.1)
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            SDESystem("ou", 2, init_means=np.zeros((1, 2)), **fields)
+
 
 class TestDrift:
     def test_vdp_hand_values(self):
