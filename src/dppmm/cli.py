@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
     _emit(
         {
             "command": "train",
-            "maps": len(model.maps),
+            "maps": len(model.times),
             "out": args.out,
             "seconds": round(seconds, 3),
         }

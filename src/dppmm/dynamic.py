@@ -2,9 +2,10 @@
 
 Training fits one projection-pursuit transport map per consecutive snapshot
 pair, anchored by a map from a small isotropic Gaussian base onto the first
-snapshot. Generation pushes fresh base draws through the chain cumulatively,
-so row n of every returned snapshot is one continuous trajectory. Between
-snapshot times, trajectories are interpolated per coordinate with cubic
+snapshot; the model stacks the steps of all maps into a few arrays. Generation
+pushes fresh base draws through the maps cumulatively, so row n of every
+returned snapshot is one continuous trajectory. Between snapshot times,
+trajectories are interpolated per coordinate with cubic
 splines, which keeps the generated paths C^2 where the snapshots allow it.
 """
 
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SnapshotSeries, _usable_cpus, checked_array, fit_rescaler
-from .ppmm import PPMMFitReport, PPMMMap, eval_ppmm, fit_ppmm
+from .ot1d import Map1D
+from .ppmm import PPMMFitReport, eval_ppmm, fit_ppmm
 
 __all__ = [
     "DPPMMModel",
@@ -32,22 +34,26 @@ DEFAULT_BASE_VARIANCE = 0.01
 
 @dataclass(frozen=True)
 class DPPMMModel:
-    """Trained chain: the rescaling and the per-pair transport maps.
+    """Trained chain: the rescaling and the per-pair transport maps, stacked.
 
     The maps work in rescaled units (x - shift) / scale, where ``shift`` and
     ``scale`` are (d,) vectors and every scale entry is positive; generated
     samples return to data units as x * scale + shift. The base is always
     N(0, DEFAULT_BASE_VARIANCE * I) in rescaled units.
-    ``maps[0]`` sends base samples onto the first snapshot; ``maps[j]``
-    sends snapshot j onto snapshot j+1. ``times`` are the snapshot times in
-    the units of the training data; the maps never see them, so any finite,
-    strictly increasing times are valid.
+    Map 0 sends base samples onto the first snapshot; map j sends snapshot j
+    onto snapshot j+1. ``times`` are the snapshot times in the units of the
+    training data; the maps never see them, so any finite, strictly
+    increasing times are valid. The maps are one chain (``ppmm.eval_ppmm``)
+    of S = sum(steps) steps, and map j is its next ``steps[j]`` rows.
     """
 
     shift: np.ndarray  # (d,)
     scale: np.ndarray  # (d,)
-    times: np.ndarray
-    maps: tuple[PPMMMap, ...]
+    times: np.ndarray  # (M,)
+    steps: np.ndarray  # (M,) int64
+    directions: np.ndarray  # (S, d)
+    knots_x: np.ndarray  # (S, K)
+    knots_y: np.ndarray  # (S, K)
 
     def __post_init__(self):
         shift = checked_array(self.shift, "shift", ndim=1, frozen="copy")
@@ -58,18 +64,27 @@ class DPPMMModel:
         times = checked_array(
             self.times, "times", ndim=1, order="strictly increasing", frozen="copy"
         )
-        maps = tuple(self.maps)
-        if len(times) != len(maps):
-            raise ValueError("need exactly one map per snapshot time")
-        for j, ppmm_map in enumerate(maps):
-            if ppmm_map.dim != d:
-                raise ValueError(
-                    f"map {j} has dimension {ppmm_map.dim}, expected {d}"
-                )
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "maps", maps)
+        steps = np.array(self.steps)
+        if steps.shape != times.shape or steps.dtype.kind not in "iu" or np.any(steps < 0):
+            raise ValueError(f"need one step count >= 0 per time, got steps {steps.tolist()}")
+        steps = steps.astype(np.int64)
+        steps.setflags(write=False)
+        directions = checked_array(self.directions, "directions", 0, d, frozen="copy")
+        total = sum(steps.tolist())  # in Python ints: an int64 sum can wrap
+        if total != len(directions):
+            raise ValueError(f"step counts sum to {total}, but {len(directions)} directions")
+        norms = np.linalg.norm(directions, axis=1)
+        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+        if off.size:
+            raise ValueError(f"direction {off[0]} must have unit norm, got {norms[off[0]]!r}")
+        knots = Map1D(self.knots_x, self.knots_y)
+        if len(knots) != len(directions):
+            raise ValueError(f"{len(directions)} directions but {len(knots)} knot rows")
+        for name, value in (
+            ("shift", shift), ("scale", scale), ("times", times), ("steps", steps),
+            ("directions", directions), ("knots_x", knots.knots_x), ("knots_y", knots.knots_y),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -101,6 +116,9 @@ def train_dppmm(
     ``bandwidth`` selects the 1D map knots per fit: None for the exact
     sorted knots, "scott" for the KDE-regularized knots.
 
+    Exact knots are one per source row, so with ``bandwidth`` None the
+    snapshots 0..M-2 must share one row count, or a ValueError names them.
+
     The pairs are fitted on ``workers`` threads when given; ``parallel``
     without ``workers`` uses one thread per pair, at most one per CPU this
     process may use; with neither, the fits run in the calling thread. Each
@@ -111,6 +129,11 @@ def train_dppmm(
         raise ValueError("training requires at least 2 snapshots")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    counts = [len(x) for x in series.samples[:-1]]
+    if bandwidth is None and len(set(counts)) > 1:
+        raise ValueError(
+            f"exact knots need one row count in snapshots 0..{len(counts) - 1}, got {counts}"
+        )
     shift, scale = fit_rescaler(series)
     targets = [(x - shift) / scale for x in series.samples]
     sources = [_base_draw(targets[0].shape[0], series.dim, seed), *targets[:-1]]
@@ -129,8 +152,10 @@ def train_dppmm(
     else:
         with ThreadPoolExecutor(max_workers=workers or min(len(pairs), _usable_cpus())) as pool:
             results = list(pool.map(fit_pair, pairs))
-    maps, reports = zip(*results)
-    return DPPMMModel(shift, scale, series.times, maps), reports
+    chains, reports = zip(*results)
+    steps = [len(directions) for directions, _, _ in chains]
+    chain = (np.concatenate(arrays) for arrays in zip(*chains))
+    return DPPMMModel(shift, scale, series.times, steps, *chain), reports
 
 
 def generate(model: DPPMMModel, n: int, seed: int) -> list[np.ndarray]:
@@ -144,8 +169,10 @@ def generate(model: DPPMMModel, n: int, seed: int) -> list[np.ndarray]:
         raise ValueError(f"n must be >= 1, got {n}")
     current = _base_draw(n, model.dim, seed)
     snapshots = []
-    for ppmm_map in model.maps:
-        current = eval_ppmm(ppmm_map, current)
+    stops = np.cumsum(model.steps)
+    for start, stop in zip(stops - model.steps, stops):
+        chain = (a[start:stop] for a in (model.directions, model.knots_x, model.knots_y))
+        current = eval_ppmm(*chain, current)
         snapshots.append(current * model.scale + model.shift)
     return snapshots
 

@@ -1,41 +1,50 @@
 """Model persistence: trained chains as a schema-versioned array archive.
 
 A model file is an uncompressed zip of ``.npy`` entries, readable with
-plain ``numpy.load(path, allow_pickle=False)``. The arrays are stacked by
-kind, as the chain holds them in memory: per map, its (steps, d) direction
-matrix and, for a map with steps, the two knot matrices of its 1D maps, so
-a file holds a few dozen entries however long the chains are. The map count
-is the length of ``times``. A small ``header.json`` entry carries the schema
-version and the provenance.
+plain ``numpy.load(path, allow_pickle=False)``. It holds the model's arrays
+as ``DPPMMModel`` holds them in memory, one entry each: the rescaling, the
+times, the int64 step count of each map and the stacked directions and
+knots of all steps, so every file has the same eight entries however long
+the chains are. A small ``header.json`` entry carries the schema version
+and the provenance.
 
 Entries have a fixed order and a fixed timestamp, so saving is
 byte-reproducible and save -> load -> save is byte-identical; arrays keep
-their float64 bits, so loaded models evaluate bit-exactly. Loading refuses
-pickled or non-float64 entries and any set of entry names other than the
-one the maps' step counts imply, checks the shape of each entry, then
-hands each stacked matrix to its validating constructor, which checks it
-once, so a corrupt file fails with the invariant it breaks.
+their bits, so loaded models evaluate bit-exactly. Loading refuses any
+other set of entry names, pickled entries, entries of another dtype or
+rank, and entries whose data size differs from what their header declares,
+before it reads any data. It then hands the arrays to ``DPPMMModel``, which
+checks them once, so a corrupt file fails with the invariant it breaks.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .dynamic import DPPMMModel
-from .ot1d import Map1D
-from .ppmm import PPMMMap
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model"]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 _HEADER = "header.json"
 _DATE_TIME = (1980, 1, 1, 0, 0, 0)  # the earliest zip timestamp
-_KNOTS = ("knots_x", "knots_y")
+# entry -> (dtype, ndim), in file order; DPPMMModel checks everything else
+_ARRAYS = {
+    "shift": (np.float64, 1),
+    "scale": (np.float64, 1),
+    "times": (np.float64, 1),
+    "steps": (np.int64, 1),
+    "directions": (np.float64, 2),
+    "knots_x": (np.float64, 2),
+    "knots_y": (np.float64, 2),
+}
+_ENTRIES = {_HEADER, *(f"{name}.npy" for name in _ARRAYS)}
 
 
 def reports_to_list(reports) -> list[dict]:
@@ -53,47 +62,31 @@ def save_model(path, model: DPPMMModel, provenance: dict) -> None:
     header = {"schema_version": SCHEMA_VERSION, "provenance": provenance}
     entries = [
         (_HEADER, json.dumps(header, separators=(",", ":"), allow_nan=False).encode()),
-        ("shift.npy", _npy(model.shift)),
-        ("scale.npy", _npy(model.scale)),
-        ("times.npy", _npy(model.times)),
+        *((f"{name}.npy", _npy(getattr(model, name))) for name in _ARRAYS),
     ]
-    for j, ppmm_map in enumerate(model.maps):
-        entries.append((f"map{j}/direction.npy", _npy(ppmm_map.directions)))
-        if ppmm_map.maps1d is not None:
-            for name in _KNOTS:
-                entries.append((f"map{j}/{name}.npy", _npy(getattr(ppmm_map.maps1d, name))))
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, data in entries:
             archive.writestr(zipfile.ZipInfo(name, _DATE_TIME), data)
 
 
-def _read_array(archive: zipfile.ZipFile, name: str, shape: tuple) -> np.ndarray:
-    """Read a float64 entry whose shape matches ``shape`` (None matches any)."""
-    arr = np.lib.format.read_array(
-        io.BytesIO(archive.read(name + ".npy")), allow_pickle=False
-    )
-    if arr.dtype != np.float64:
-        raise ValueError(f"entry {name} has dtype {arr.dtype}, expected float64")
-    if arr.ndim != len(shape) or any(
-        want is not None and got != want for got, want in zip(arr.shape, shape)
-    ):
-        raise ValueError(f"entry {name} has shape {arr.shape}, expected {shape}")
-    return arr
-
-
-def _entry_names(directions) -> set[str]:
-    """The entry names of an archive whose maps have these direction matrices."""
-    names = {_HEADER, "shift.npy", "scale.npy", "times.npy"}
-    for j, p in enumerate(directions):
-        names.update(f"map{j}/{name}.npy" for name in ("direction", *(_KNOTS if len(p) else ())))
-    return names
-
-
-def _read_map(archive: zipfile.ZipFile, j: int, directions: np.ndarray) -> PPMMMap:
-    if not len(directions):
-        return PPMMMap(directions)
-    knots = (_read_array(archive, f"map{j}/{name}", (len(directions), None)) for name in _KNOTS)
-    return PPMMMap(directions, Map1D(*knots))
+def _read_array(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """Read an entry after checking its header against ``_ARRAYS`` and its size."""
+    fmt = np.lib.format
+    data = archive.read(name + ".npy")
+    buf = io.BytesIO(data)
+    major, _ = fmt.read_magic(buf)
+    read_header = fmt.read_array_header_1_0 if major == 1 else fmt.read_array_header_2_0
+    shape, _, dtype = read_header(buf)
+    want, ndim = _ARRAYS[name]
+    if dtype != want:
+        raise ValueError(f"entry {name} has dtype {dtype}, expected {np.dtype(want)}")
+    if len(shape) != ndim:
+        raise ValueError(f"entry {name} has shape {shape}, expected {ndim} dimensions")
+    held, declared = len(data) - buf.tell(), math.prod(shape) * dtype.itemsize
+    if held != declared:
+        raise ValueError(f"entry {name} holds {held} data bytes, its header declares {declared}")
+    buf.seek(0)
+    return fmt.read_array(buf, allow_pickle=False)
 
 
 def load_model(path) -> tuple[DPPMMModel, dict]:
@@ -112,20 +105,13 @@ def load_model(path) -> tuple[DPPMMModel, dict]:
             provenance = header["provenance"]
             if not isinstance(provenance, dict):
                 raise ValueError("header needs a provenance object")
-            shift = _read_array(archive, "shift", (None,))
-            scale = _read_array(archive, "scale", shift.shape)
-            times = _read_array(archive, "times", (None,))
-            directions = [
-                _read_array(archive, f"map{j}/direction", (None, len(shift)))
-                for j in range(len(times))
-            ]
-            names, expected = set(archive.namelist()), _entry_names(directions)
-            if names != expected:
+            names = set(archive.namelist())
+            if names != _ENTRIES:
                 raise ValueError(
-                    f"entries do not match {len(times)} maps: unexpected "
-                    f"{sorted(names - expected)}, missing {sorted(expected - names)}"
+                    f"model file invalid: unexpected entries {sorted(names - _ENTRIES)}, "
+                    f"missing {sorted(_ENTRIES - names)}"
                 )
-            maps = tuple(_read_map(archive, j, p) for j, p in enumerate(directions))
+            arrays = {name: _read_array(archive, name) for name in _ARRAYS}
     except zipfile.BadZipFile as exc:
         raise ValueError(
             f"{path} is not a schema-{SCHEMA_VERSION} model archive ({exc}); "
@@ -133,4 +119,4 @@ def load_model(path) -> tuple[DPPMMModel, dict]:
         ) from exc
     except (KeyError, TypeError, EOFError, json.JSONDecodeError) as exc:
         raise ValueError(f"model file invalid: {exc!r}") from exc
-    return DPPMMModel(shift, scale, times, maps), provenance
+    return DPPMMModel(**arrays), provenance

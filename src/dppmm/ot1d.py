@@ -43,9 +43,10 @@ class Map1D:
     """Piecewise-linear monotone maps through (knots_x, knots_y) pairs.
 
     Row i of the (k, n) knot matrices is map i; a single map may be given
-    as two vectors. Constant beyond the extreme knots: a point left of the
-    first knot goes to the first target knot, and one right of the last
-    knot to the last target knot, so a map never leaves its target's range.
+    as two vectors, and k may be 0. Constant beyond the extreme knots: a
+    point left of the first knot goes to the first target knot, and one
+    right of the last knot to the last target knot, so a map never leaves
+    its target's range.
     """
 
     knots_x: np.ndarray
@@ -53,11 +54,11 @@ class Map1D:
 
     def __post_init__(self):
         kx, ky = (
-            checked_array(np.atleast_2d(k), name, order="nondecreasing", frozen="copy")
+            checked_array(np.atleast_2d(k), name, 0, order="nondecreasing", frozen="copy")
             for k, name in ((self.knots_x, "knots_x"), (self.knots_y, "knots_y"))
         )
         if kx.shape != ky.shape or kx.shape[1] < 2:
-            raise ValueError(f"knots need one shape (k >= 1, n >= 2), got {kx.shape}, {ky.shape}")
+            raise ValueError(f"knots need one shape (n >= 2), got {kx.shape}, {ky.shape}")
         object.__setattr__(self, "knots_x", kx)
         object.__setattr__(self, "knots_y", ky)
 

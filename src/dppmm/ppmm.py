@@ -6,7 +6,8 @@ the target (per SAVE), fits a monotone 1D transport map along it, and moves
 every sample along that direction by the 1D displacement. The chain stops
 when the root-mean-square displacement of the original source stabilizes in
 relative terms, when SAVE finds no informative direction, or at the
-iteration cap.
+iteration cap. A chain is its steps' stacked arrays: the (k, d) unit
+directions and the (k, K) ``knots_x`` and ``knots_y`` of the 1D maps.
 """
 
 from __future__ import annotations
@@ -16,44 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import checked_array
-from .ot1d import Map1D, fit_regularized_map, fit_sorted_map
+from .ot1d import KDE_BINS, fit_regularized_map, fit_sorted_map
 from .projection import INFORMATIVE_EIGENVALUE, save_direction
 
 __all__ = [
-    "PPMMMap",
     "PPMMFitReport",
     "fit_ppmm",
     "eval_ppmm",
     "converged",
 ]
-
-
-@dataclass(frozen=True)
-class PPMMMap:
-    """A chain of rank-one transport updates acting on d-dimensional samples.
-
-    Step i moves samples along row i of the (k, d) ``directions`` matrix by
-    map i (row i) of ``maps1d``. A chain without steps has a (0, d) matrix
-    and ``maps1d`` None.
-    """
-
-    directions: np.ndarray
-    maps1d: Map1D | None = None
-
-    def __post_init__(self):
-        p = checked_array(self.directions, "directions", 0, frozen="copy")
-        norms = np.linalg.norm(p, axis=1)
-        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
-        if off.size:
-            raise ValueError(f"direction {off[0]} must have unit norm, got {norms[off[0]]!r}")
-        rows = 0 if self.maps1d is None else len(self.maps1d)
-        if rows != len(p):
-            raise ValueError(f"{len(p)} directions but {rows} 1D maps")
-        object.__setattr__(self, "directions", p)
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
 
 
 @dataclass(frozen=True)
@@ -84,17 +56,19 @@ def converged(previous_w2: float, current_w2: float, alpha: float) -> bool:
     return abs(current_w2 - previous_w2) / abs(current_w2) <= alpha
 
 
-def eval_ppmm(ppmm_map: PPMMMap, x) -> np.ndarray:
-    """Push sample rows through the chain of rank-one transport updates.
+def eval_ppmm(directions, knots_x, knots_y, x) -> np.ndarray:
+    """Push sample rows through a chain of rank-one transport updates.
 
-    Rows are independent; components orthogonal to every step direction are
-    untouched. An empty chain is the identity.
+    Step i moves every row along ``directions[i]`` by the 1D map through
+    ``knots_x[i]`` and ``knots_y[i]``. Rows are independent; components
+    orthogonal to every step direction are untouched. A chain without steps
+    is the identity.
     """
-    x = checked_array(x, "x", 0, ppmm_map.dim)
+    x = checked_array(x, "x", 0, directions.shape[1])
     out = x.copy()
-    for i, p in enumerate(ppmm_map.directions):
+    for p, kx, ky in zip(directions, knots_x, knots_y):
         proj = out @ p
-        out += np.outer(ppmm_map.maps1d(proj, i) - proj, p)
+        out += np.outer(np.interp(proj, kx, ky) - proj, p)
     return out
 
 
@@ -104,7 +78,7 @@ def fit_ppmm(
     alpha: float = 1e-3,
     max_iter: int | None = None,
     bandwidth: str | None = None,
-) -> tuple[PPMMMap, PPMMFitReport]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], PPMMFitReport]:
     """Fit a projection-pursuit transport map from x-samples to y-samples.
 
     Each iteration takes the SAVE direction between the current samples and
@@ -117,8 +91,10 @@ def fit_ppmm(
     INFORMATIVE_EIGENVALUE ("no_informative_direction") or reaching
     ``max_iter`` (default 10 * d) are the other exits.
 
-    Returns the fitted map and a report whose w2_history has one entry per
-    completed iteration.
+    Returns the fitted chain, (directions, knots_x, knots_y) with one row
+    per step, and a report whose w2_history has one entry per completed
+    iteration. Every step's map has K knots: len(x) exact ones, or the
+    KDE_BINS grid points.
     """
     x = checked_array(x, "x", 2)
     y = checked_array(y, "y", 2, x.shape[1])
@@ -132,10 +108,14 @@ def fit_ppmm(
     if bandwidth not in (None, "scott"):
         raise ValueError(f"bandwidth must be None or 'scott', got {bandwidth!r}")
 
+    fit1d, n_knots = (
+        (fit_sorted_map, len(x)) if bandwidth is None else (fit_regularized_map, KDE_BINS)
+    )
     original = x
     current = x.copy()
     directions: list[np.ndarray] = []
-    maps1d: list[Map1D] = []
+    knots_x: list[np.ndarray] = []
+    knots_y: list[np.ndarray] = []
     history: list[float] = []
     stop_reason = "max_iter"
 
@@ -146,10 +126,11 @@ def fit_ppmm(
             break
         proj = current @ p
         target_proj = y @ p
-        map1d = (fit_sorted_map if bandwidth is None else fit_regularized_map)(proj, target_proj)
+        map1d = fit1d(proj, target_proj)
         current += np.outer(map1d(proj) - proj, p)
         directions.append(p)
-        maps1d.append(map1d)
+        knots_x.append(map1d.knots_x[0])
+        knots_y.append(map1d.knots_y[0])
 
         disp = current - original
         history.append(float(np.sqrt(np.mean(np.sum(disp * disp, axis=1)))))
@@ -157,11 +138,6 @@ def fit_ppmm(
             stop_reason = "tolerance"
             break
 
-    report = PPMMFitReport(w2_history=tuple(history), stop_reason=stop_reason)
-    stacked = None
-    if maps1d:
-        stacked = Map1D(
-            np.concatenate([m.knots_x for m in maps1d]),
-            np.concatenate([m.knots_y for m in maps1d]),
-        )
-    return PPMMMap(np.array(directions).reshape(-1, d), stacked), report
+    knots = (np.reshape(k, (-1, n_knots)) for k in (knots_x, knots_y))
+    chain = (np.reshape(directions, (-1, d)), *knots)
+    return chain, PPMMFitReport(w2_history=tuple(history), stop_reason=stop_reason)

@@ -128,7 +128,7 @@ class TestSimulate:
 class TestTrain:
     def test_model_is_loadable_with_provenance(self, pipeline):
         model, provenance = load_model(pipeline["model"])
-        assert len(model.maps) == 5
+        assert len(model.times) == 5
         assert provenance["seed"] == 5
         # train runs the library's fixed fit settings, so only the seed is an input
         assert "bandwidth" not in provenance
@@ -598,7 +598,7 @@ class TestErrorPaths:
         assert "17 parameters with defaults" in " ".join(
             README.read_text(encoding="utf-8").split()
         )
-        assert {name: k for name, k in fields.items() if k} == {"ppmm.PPMMMap": ["maps1d"]}
+        assert {name: k for name, k in fields.items() if k} == {}
 
     def test_help_via_module_entry_point(self):
         proc = subprocess.run(

@@ -13,7 +13,7 @@ from dppmm.core import (
 from dppmm.dynamic import DPPMMModel, fit_transport_splines
 from dppmm.metrics import gmmd2
 from dppmm.ot1d import Map1D
-from dppmm.ppmm import PPMMMap, eval_ppmm, fit_ppmm
+from dppmm.ppmm import eval_ppmm, fit_ppmm
 from dppmm.projection import save_direction
 from dppmm.sde import SDESystem
 
@@ -73,7 +73,7 @@ class TestSnapshot:
         lambda z: gmmd2(z, z),
         lambda z: save_direction(z, z),
         lambda z: fit_ppmm(z, z),
-        lambda z: eval_ppmm(PPMMMap(np.zeros((0, 1))), z),
+        lambda z: eval_ppmm(np.zeros((0, 1)), *np.zeros((2, 0, 2)), z),
     ],
     ids=["SnapshotSeries", "gmmd2", "save_direction", "fit_ppmm", "eval_ppmm"],
 )
@@ -91,9 +91,12 @@ FROZEN_TYPES = {
         ("times", "samples"),
     ),
     "DPPMMModel": (
-        lambda: [np.zeros(2), np.ones(2), np.array([0.0, 1.0])],
-        lambda shift, scale, t: DPPMMModel(shift, scale, t, (PPMMMap(np.zeros((0, 2))),) * 2),
-        ("shift", "scale", "times"),
+        lambda: [
+            np.zeros(2), np.ones(2), np.array([0.0, 1.0]), np.array([1, 0]),
+            np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([[0.0, 2.0]]),
+        ],
+        DPPMMModel,
+        ("shift", "scale", "times", "steps", "directions", "knots_x", "knots_y"),
     ),
     "SplineBundle": (
         lambda: [np.array([0.0, 0.5, 1.0]), *(np.full((2, 2), v) for v in (0.0, 1.0, 3.0))],
@@ -104,11 +107,6 @@ FROZEN_TYPES = {
         lambda: [np.array([[1.0, 1.0]])],
         lambda m: SDESystem("vdp", 2, 1.0, 0.0, 1.0, m, 0.1),
         ("init_means",),
-    ),
-    "PPMMMap": (
-        lambda: [np.array([[1.0, 0.0]])],
-        lambda p: PPMMMap(p, Map1D([0.0, 1.0], [0.0, 1.0])),
-        ("directions",),
     ),
     "Map1D": (
         lambda: [np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0])],

@@ -17,8 +17,8 @@ from dppmm.dynamic import (
     interpolate,
     train_dppmm,
 )
-from dppmm.ot1d import Map1D
-from dppmm.ppmm import PPMMMap, eval_ppmm
+from dppmm.ot1d import KDE_BINS
+from dppmm.ppmm import eval_ppmm
 from dppmm.sde import make_benchmark
 
 
@@ -29,14 +29,19 @@ def drifting_series(seed, n=800, means=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), std
     )
 
 
-def _map1d_fields(maps1d, i):
+def chains(model):
+    """Each map's (directions, knots_x, knots_y) rows of the model's stacked arrays."""
+    stops = np.cumsum(model.steps)
+    return [
+        tuple(a[start:stop] for a in (model.directions, model.knots_x, model.knots_y))
+        for start, stop in zip(stops - model.steps, stops)
+    ]
+
+
+def _map1d_fields(knots_x, knots_y):
     # the per-step layout of the former sorted maps, kept byte for byte so
     # that the pinned sorted-map digest still checks the same numbers
-    return {
-        "variant": "sorted",
-        "knots_x": maps1d.knots_x[i].tolist(),
-        "knots_y": maps1d.knots_y[i].tolist(),
-    }
+    return {"variant": "sorted", "knots_x": knots_x.tolist(), "knots_y": knots_y.tolist()}
 
 
 def maps_json(model):
@@ -44,11 +49,11 @@ def maps_json(model):
     maps = [
         {
             "steps": [
-                {"direction": p.tolist(), "map1d": _map1d_fields(ppmm_map.maps1d, i)}
-                for i, p in enumerate(ppmm_map.directions)
+                {"direction": p.tolist(), "map1d": _map1d_fields(kx, ky)}
+                for p, kx, ky in zip(*chain)
             ]
         }
-        for ppmm_map in model.maps
+        for chain in chains(model)
     ]
     return json.dumps(maps, separators=(",", ":")).encode()
 
@@ -59,7 +64,10 @@ class TestModelValidation:
             shift=np.zeros(2),
             scale=np.ones(2),
             times=np.array([0.0, 1.0]),
-            maps=(PPMMMap(np.zeros((0, 2))), PPMMMap(np.zeros((0, 2)))),
+            steps=np.array([0, 0]),
+            directions=np.zeros((0, 2)),
+            knots_x=np.zeros((0, 2)),
+            knots_y=np.zeros((0, 2)),
         )
         kwargs.update(overrides)
         return DPPMMModel(**kwargs)
@@ -69,8 +77,8 @@ class TestModelValidation:
         assert m.dim == 2
 
     def test_rejects_time_map_mismatch(self):
-        with pytest.raises(ValueError, match="one map per"):
-            self.make_model(maps=(PPMMMap(np.zeros((0, 2))),))
+        with pytest.raises(ValueError, match=r"one step count >= 0 per time, got steps \[0\]"):
+            self.make_model(steps=np.array([0]))
 
     def test_rejects_non_finite_or_non_increasing_times(self):
         for times in ([0.0, np.inf], [np.nan, 1.0], [0.5, 0.5], [2.0, 1.0]):
@@ -80,8 +88,60 @@ class TestModelValidation:
         assert self.make_model(times=np.array([3.0, 10.5])).times[-1] == 10.5
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="map 0 has dimension 3, expected 2"):
-            self.make_model(maps=(PPMMMap(np.zeros((0, 3))), PPMMMap(np.zeros((0, 2)))))
+        with pytest.raises(ValueError, match="directions has 3 columns, expected 2"):
+            self.make_model(directions=np.zeros((0, 3)))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                dict(steps=np.array([1, -1])),
+                "need one step count >= 0 per time, got steps [1, -1]",
+            ),
+            (
+                dict(steps=np.array([0.0, 0.0])),
+                "need one step count >= 0 per time, got steps [0.0, 0.0]",
+            ),
+            (dict(steps=np.array([1, 0])), "step counts sum to 1, but 0 directions"),
+            (
+                # 2**64 + 2 wraps to 2 in int64, which would hand map 3 both rows
+                dict(
+                    times=np.arange(4.0),
+                    steps=np.array([2**62] * 3 + [2**62 + 2]),
+                    directions=np.eye(2),
+                    knots_x=np.tile([0.0, 1.0], (2, 1)),
+                    knots_y=np.tile([0.0, 1.0], (2, 1)),
+                ),
+                "step counts sum to 18446744073709551618, but 2 directions",
+            ),
+            (
+                dict(steps=np.array([1, 0]), directions=np.array([[1.0, 0.0]])),
+                "1 directions but 0 knot rows",
+            ),
+            (
+                dict(
+                    steps=np.array([0, 1]),
+                    directions=np.array([[0.0, 1.0]]),
+                    knots_x=np.array([[0.0, 1.0]]),
+                    knots_y=np.array([[1.0, 0.0]]),
+                ),
+                "knots_y must be finite and nondecreasing",
+            ),
+        ],
+        ids=["negative", "float", "sum", "sum-wraps", "knot-rows", "decreasing-knots"],
+    )
+    def test_rejects_bad_chain(self, overrides, message):
+        # map j is the next steps[j] rows of the stacked arrays, so the step
+        # counts must partition the direction rows, one knot row per direction
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            self.make_model(**overrides)
+
+    def test_map_j_is_its_rows(self):
+        directions = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        knots = np.tile([0.0, 1.0], (3, 1))
+        model = self.make_model(steps=[2, 1], directions=directions, knots_x=knots, knots_y=knots)
+        assert model.steps.dtype == np.int64
+        assert [c[0].tolist() for c in chains(model)] == [directions[:2].tolist(), [[0.6, 0.8]]]
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -106,7 +166,8 @@ class TestTrainDppmm:
     def test_recovers_drifting_gaussian_means(self):
         series = drifting_series(110)
         model, reports = train_dppmm(series, seed=1)
-        assert len(model.maps) == len(series) == len(reports)
+        assert len(model.steps) == len(series) == len(reports)
+        assert model.steps.tolist() == [r.k_final for r in reports]
         np.testing.assert_array_equal(model.times, series.times)
         generated = generate(model, 4000, seed=2)
         for mats, mu in zip(generated, ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))):
@@ -146,15 +207,12 @@ class TestTrainDppmm:
         m0, _ = train_dppmm(series, seed=0)
         m1, _ = train_dppmm(series, seed=99)
         probe = np.random.default_rng(5).normal(size=(20, 2)) * 0.3
+        c0, c1 = chains(m0), chains(m1)
         # the base->first map differs with the seed ...
-        assert not np.array_equal(
-            eval_ppmm(m0.maps[0], probe), eval_ppmm(m1.maps[0], probe)
-        )
+        assert not np.array_equal(eval_ppmm(*c0[0], probe), eval_ppmm(*c1[0], probe))
         # ... but snapshot-to-snapshot maps never see the base draw
         for j in (1, 2):
-            np.testing.assert_array_equal(
-                eval_ppmm(m0.maps[j], probe), eval_ppmm(m1.maps[j], probe)
-            )
+            np.testing.assert_array_equal(eval_ppmm(*c0[j], probe), eval_ppmm(*c1[j], probe))
 
     def test_stationary_series_gives_small_secondary_displacements(self):
         rng = np.random.default_rng(115)
@@ -200,8 +258,21 @@ class TestTrainDppmm:
         series = drifting_series(116, n=200)
         model, _ = train_dppmm(series, bandwidth=None)
         # sorted knots: one per source row, against KDE_BINS grid knots
-        assert all(isinstance(m.maps1d, Map1D) for m in model.maps)
-        assert {m.maps1d.knots_x.shape[1] for m in model.maps} == {200}
+        assert model.knots_x.shape == model.knots_y.shape == (model.steps.sum(), 200)
+
+    def test_exact_knots_need_one_row_count(self):
+        # exact maps keep one knot per source row, so sources of 300 and 200
+        # rows would stack ragged knot rows; KDE maps keep KDE_BINS grid
+        # knots whatever the row counts
+        rng = np.random.default_rng(117)
+        series = SnapshotSeries(
+            range(3), [rng.normal(size=(n, 2)) * 0.3 + j for j, n in enumerate((300, 200, 250))]
+        )
+        model, _ = train_dppmm(series)
+        assert model.knots_x.shape == (model.steps.sum(), KDE_BINS)
+        message = "exact knots need one row count in snapshots 0..1, got [300, 200]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_dppmm(series, bandwidth=None)
 
 
 class TestGenerate:
@@ -210,8 +281,8 @@ class TestGenerate:
         model, _ = train_dppmm(series, seed=0)
         gen = generate(model, 500, seed=7)
         current = _base_draw(500, model.dim, 7)
-        for ppmm_map, mat in zip(model.maps, gen):
-            current = eval_ppmm(ppmm_map, current)
+        for chain, mat in zip(chains(model), gen):
+            current = eval_ppmm(*chain, current)
             assert mat.tobytes() == (current * model.scale + model.shift).tobytes()
 
     def test_deterministic_in_seed(self):

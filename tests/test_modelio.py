@@ -45,7 +45,7 @@ def zero_step_model():
     x0, _, x2 = drifting_series().samples
     model, reports, provenance = fit(SnapshotSeries(range(3), [x0, x0, x2]))
     assert reports[1].stop_reason == "no_informative_direction"
-    assert reports[1].k_final == 0 and model.maps[1].maps1d is None
+    assert reports[1].k_final == 0 and model.steps[1] == 0
     return model, reports, provenance
 
 
@@ -136,39 +136,35 @@ class TestRoundTrip:
             infos = archive.infolist()
         assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
         assert all(i.date_time == (1980, 1, 1, 0, 0, 0) for i in infos)
-        with_steps = ["direction", "knots_x", "knots_y"]
         assert [i.filename for i in infos] == [
-            "header.json", "shift.npy", "scale.npy", "times.npy",
-            *(f"map0/{n}.npy" for n in with_steps),
-            "map1/direction.npy",
-            *(f"map2/{n}.npy" for n in with_steps),
+            "header.json", "shift.npy", "scale.npy", "times.npy", "steps.npy",
+            "directions.npy", "knots_x.npy", "knots_y.npy",
         ]
         content = entries(path)
         header = json.loads(content["header.json"])
         assert header == {"schema_version": SCHEMA_VERSION, "provenance": provenance}
-        for j, report in enumerate(reports):
-            k = report.k_final
-            assert array(content, f"map{j}/direction").shape == (k, 2)
-            if k:
-                # KDE maps: knots_x is each step's grid, knots_y its image
-                knots_x = array(content, f"map{j}/knots_x")
-                assert knots_x.shape == array(content, f"map{j}/knots_y").shape == (k, KDE_BINS)
-                assert np.all(np.diff(knots_x, axis=1) > 0)
+        steps = array(content, "steps")
+        assert steps.dtype == np.int64 and steps.tolist() == [r.k_final for r in reports]
+        assert array(content, "directions").shape == (steps.sum(), 2)
+        # KDE maps: knots_x is each step's grid, knots_y its image
+        knots_x = array(content, "knots_x")
+        assert knots_x.shape == array(content, "knots_y").shape == (steps.sum(), KDE_BINS)
+        assert np.all(np.diff(knots_x, axis=1) > 0)
 
     def test_cli_train_file_bytes_are_pinned(self, tmp_path):
-        # SHA-256 of the schema-6 file that `train` (scott maps) writes; a
+        # SHA-256 of the schema-7 file that `train` (scott maps) writes; a
         # refactor of the in-memory chain must keep the file byte for byte
         write_snapshot_dir(drifting_series(), tmp_path / "data")
         path = tmp_path / "model.npz"
         assert main(["train", "--data", str(tmp_path / "data"), "--out", str(path)]) == 0
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "e23455cb343afa59692f119fbbf546194f02ed228bac6e526eb667e972b98a0b"
+        assert digest == "6c2a5b16082b869baf303d4e6e4a283ffe6121e220d3198b4a27d4bc662f3a2e"
 
     @pytest.mark.parametrize(
         "fixture, digest",
         [
-            ("sorted_model", "b6f49e0897b91dd84f45ad090b68e15aa175dfceb57fd7ab1ce04ce3d75e985f"),
-            ("zero_step_model", "0d0554306b39de18cc7beee7774b1289ff0c3010ed84df1a2ba25d706ee236a9"),
+            ("sorted_model", "5b3534d19726912e4f78d66296ff916a1037f65b4a3046b8fa5d534791f0b69e"),
+            ("zero_step_model", "7903a2fc55a44194b5a78917a6287d06059a1b3cdfde840e8ffda337dbaf4598"),
         ],
     )
     def test_saved_file_bytes_are_pinned(self, tmp_path, request, fixture, digest):
@@ -182,9 +178,8 @@ class TestRoundTrip:
         path = tmp_path / "model.npz"
         save_model(path, model, provenance)
         content = entries(path)
-        for j, report in enumerate(reports):
-            assert array(content, f"map{j}/knots_x").shape == (report.k_final, 400)
-            assert array(content, f"map{j}/knots_y").shape == (report.k_final, 400)
+        steps = sum(r.k_final for r in reports)
+        assert array(content, "knots_x").shape == array(content, "knots_y").shape == (steps, 400)
 
 
 def readme_entry_names() -> set[str]:
@@ -199,10 +194,10 @@ def test_cli_model_opens_with_plain_numpy_and_matches_readme(tmp_path):
     rc = main(["train", "--data", str(tmp_path / "data"), "--out", str(path)])
     assert rc == 0
     with np.load(path, allow_pickle=False) as archive:
-        names = {re.sub(r"^map\d+/", "map{j}/", name) for name in archive.files}
+        names = set(archive.files)
         header = json.loads(archive["header.json"])
         assert archive["times"].tolist() == [0.0, 1.0, 2.0]
-        assert archive["map0/direction"].shape[1] == 2
+        assert archive["directions"].shape[1] == 2
     assert header["schema_version"] == SCHEMA_VERSION
     assert names == readme_entry_names()
 
@@ -242,6 +237,14 @@ def set_item(index, value):
     return change
 
 
+def huge_times(content):
+    # a times entry whose header declares 8 TiB of float64 over 24 data bytes
+    buf = io.BytesIO()
+    header = {"descr": "<f8", "fortran_order": False, "shape": (2**40,)}
+    np.lib.format.write_array_header_1_0(buf, header)
+    content["times.npy"] = buf.getvalue() + bytes(24)
+
+
 V4_JSON = (
     '{"schema_version":4,"rescaler":{"shift":[0.0,0.0],"scale":[1.0,1.0]},'
     '"times":[0.0],"maps":[{"steps":[]}],"provenance":{}}\n'
@@ -250,44 +253,69 @@ V4_JSON = (
 # name -> (make(src, dst) writing a corrupted copy of the model at src, match)
 CORRUPTIONS = {
     "schema-v4 json": (
-        lambda src, dst: dst.write_text(V4_JSON, encoding="utf-8"), "not a schema-6"
+        lambda src, dst: dst.write_text(V4_JSON, encoding="utf-8"), "not a schema-7"
     ),
     "truncated archive": (
         lambda src, dst: dst.write_bytes(src.read_bytes()[: src.stat().st_size // 2]),
-        "not a schema-6",
+        "not a schema-7",
     ),
-    "missing entry": (edit(lambda c: c.pop("map2/direction.npy")), "invalid"),
-    # map 2 has steps, so it needs both knot matrices
-    "missing knots": (
-        edit(lambda c: c.pop("map2/knots_y.npy")), r"missing \['map2/knots_y.npy'\]"
-    ),
-    # a map beyond the 3 times: the map count comes from times alone
+    "missing entry": (edit(lambda c: c.pop("directions.npy")), "invalid"),
+    "missing knots": (edit(lambda c: c.pop("knots_y.npy")), r"missing \['knots_y.npy'\]"),
+    "missing steps": (edit(lambda c: c.pop("steps.npy")), r"missing \['steps.npy'\]"),
+    # an entry of the per-map layout of schema 6: the entry set is fixed
     "stray entry": (
         edit(lambda c: c.update({"map3/direction.npy": npy(np.zeros((0, 2)))})),
-        r"unexpected \['map3/direction.npy'\]",
+        r"unexpected entries \['map3/direction.npy'\]",
     ),
-    # map 2 has steps but stores no 1D map for them
+    # steps but no 1D maps for them
     "steps without variant": (
-        edit(lambda c: [c.pop(f"map2/knots_{a}.npy") for a in "xy"]),
-        r"missing \['map2/knots_x.npy', 'map2/knots_y.npy'\]",
+        edit(lambda c: [c.pop(f"knots_{a}.npy") for a in "xy"]),
+        r"missing \['knots_x.npy', 'knots_y.npy'\]",
     ),
     "missing header": (edit(lambda c: c.pop("header.json")), "invalid"),
+    # refused by its header, before any pickle is read
     "object dtype": (
         edit(lambda c: c.update(
-            {"map0/direction.npy": npy(np.array([[1.0, 0.0]], dtype=object), True)}
+            {"directions.npy": npy(np.array([[1.0, 0.0]], dtype=object), True)}
         )),
-        "allow_pickle",
+        "entry directions has dtype object",
     ),
     "float32 entry": (set_array("times", lambda a: a.astype(np.float32)), "float32"),
+    "float64 steps": (
+        set_array("steps", lambda a: a.astype(np.float64)),
+        "entry steps has dtype float64, expected int64",
+    ),
+    "header declares more data": (
+        edit(huge_times), "entry times holds 24 data bytes, its header declares 8796093022208"
+    ),
     # the trained maps are KDE maps: knots_y holds G^-1 (o) F on the grid,
     # so the "cdf" cases corrupt what the CDFs of schema 5 became
-    "wrong-shape cdf": (set_array("map0/knots_y", lambda a: a[:, :-1]), "shape"),
-    "wrong-shape direction": (set_array("map1/direction", lambda a: a[:, :1]), "shape"),
-    "scale longer than shift": (set_array("scale", lambda a: np.append(a, 1.0)), "shape"),
-    "nan in cdf": (set_array("map0/knots_y", set_item((0, 3), np.nan)), "finite"),
-    # the last row of the last map: a check of row 0 alone misses these
-    "nan in last cdf row": (set_array("map2/knots_y", set_item((-1, 3), np.nan)), "finite"),
-    "non-unit last direction": (set_array("map2/direction", set_item(-1, [0.6, 0.6])), "unit norm"),
+    "wrong-shape cdf": (set_array("knots_y", lambda a: a[:, :-1]), "shape"),
+    "wrong-shape direction": (
+        set_array("directions", lambda a: a[:, :1]), "directions has 1 columns, expected 2"
+    ),
+    "scale longer than shift": (
+        set_array("scale", lambda a: np.append(a, 1.0)), "scale has 3 entries, expected 2"
+    ),
+    "nan in cdf": (set_array("knots_y", set_item((0, 3), np.nan)), "finite"),
+    # the last row, the last step of the last map: a check of row 0 alone
+    # misses these
+    "nan in last cdf row": (set_array("knots_y", set_item((-1, 3), np.nan)), "finite"),
+    "non-unit last direction": (set_array("directions", set_item(-1, [0.6, 0.6])), "unit norm"),
+    # map 1's count goes to map 0 and one more, so the sum still holds
+    "negative step count": (
+        set_array("steps", lambda a: a + [a[1] + 1, -a[1] - 1, 0]),
+        r"step count >= 0 per time, got steps \[\d+, -1, \d+\]",
+    ),
+    "steps not summing to directions": (
+        set_array("steps", lambda a: a + [0, 0, 1]), r"step counts sum to \d+, but \d+ directions"
+    ),
+    "knot rows not direction rows": (
+        edit(lambda c: c.update(
+            {f"knots_{a}.npy": npy(array(c, f"knots_{a}")[:-1]) for a in "xy"}
+        )),
+        r"(\d+) directions but (?!\1)\d+ knot rows",
+    ),
     "wrong schema_version": (set_header(schema_version=999), "schema_version"),
     "provenance not an object": (set_header(provenance=[]), "provenance object"),
 }
@@ -321,7 +349,7 @@ class TestValidationOnLoad:
     def test_wrong_schema_version(self, saved):
         rejected(saved, set_header(schema_version=999), "schema_version")
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_older_schema_version_rejected(self, saved, version):
         rejected(saved, set_header(schema_version=version), "schema_version")
 
@@ -329,7 +357,7 @@ class TestValidationOnLoad:
         rejected(saved, edit(lambda c: c.pop("shift.npy")), "invalid")
 
     def test_corrupt_direction_caught_by_domain_validation(self, saved):
-        rejected(saved, set_array("map0/direction", set_item(0, [5.0, 5.0])), "unit norm")
+        rejected(saved, set_array("directions", set_item(0, [5.0, 5.0])), "unit norm")
 
     @pytest.mark.parametrize("where", ["knots_x", "times"])
     def test_nan_in_file_rejected(self, tmp_path, trained, sorted_model, where):
@@ -337,15 +365,14 @@ class TestValidationOnLoad:
         path = tmp_path / "good.npz"
         save_model(path, model, provenance)
         index = 1 if where == "times" else (0, 3)
-        name = where if where == "times" else f"map0/{where}"
-        rejected(path, set_array(name, set_item(index, np.nan)), "finite")
+        rejected(path, set_array(where, set_item(index, np.nan)), "finite")
 
     def test_unknown_map_variant(self, saved):
         # a map stored in any layout but knots is refused by its entry names
         rejected(
             saved,
-            edit(lambda c: c.update({"map0/spline.npy": c.pop("map0/knots_y.npy")})),
-            r"unexpected \['map0/spline.npy'\], missing \['map0/knots_y.npy'\]",
+            edit(lambda c: c.update({"spline.npy": c.pop("knots_y.npy")})),
+            r"unexpected entries \['spline.npy'\], missing \['knots_y.npy'\]",
         )
 
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
@@ -373,4 +400,4 @@ class TestValidationOnLoad:
         assert reports[-1].k_final >= 2
         path = tmp_path / "good.npz"
         save_model(path, model, provenance)
-        rejected(path, set_array("map2/knots_x", set_item((-1, 0), 1e6)), "nondecreasing")
+        rejected(path, set_array("knots_x", set_item((-1, 0), 1e6)), "nondecreasing")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from dppmm.dynamic import DPPMMModel
 from dppmm.ot1d import KDE_BINS, Map1D
 from dppmm.ppmm import (
     PPMMFitReport,
-    PPMMMap,
     converged,
     eval_ppmm,
     fit_ppmm,
@@ -12,10 +12,17 @@ from dppmm.ppmm import (
 from dppmm.projection import INFORMATIVE_EIGENVALUE
 
 
-def rms_displacement(m, x):
+def rms_displacement(chain, x):
     """Root-mean-square row norm of the chain's displacement of x."""
-    disp = eval_ppmm(m, x) - x
+    disp = eval_ppmm(*chain, x) - x
     return float(np.sqrt(np.mean(np.sum(disp * disp, axis=1))))
+
+
+def one_map_model(directions, knots=None):
+    """A d=2 model whose single map is this chain; knots default to identities."""
+    if knots is None:
+        knots = np.tile([0.0, 1.0], (len(directions), 1))
+    return DPPMMModel(np.zeros(2), np.ones(2), [0.0], [len(directions)], directions, knots, knots)
 
 
 class TestConvergedPredicate:
@@ -50,86 +57,80 @@ class TestReportAndMapTypes:
         assert report.k_final == len(report.w2_history) == 2
 
     def test_map_dimension_checks(self):
-        identity = Map1D(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        # a chain is checked where it is held: in the model's stacked arrays
         with pytest.raises(ValueError, match="2-D"):
-            PPMMMap(np.array([1.0, 0.0]), identity)
+            one_map_model(np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="no columns"):
-            PPMMMap(np.zeros((0, 0)))
-        m = PPMMMap(np.array([[1.0, 0.0]]), identity)
+            one_map_model(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="directions has 3 columns, expected 2"):
+            one_map_model(np.array([[1.0, 0.0, 0.0]]))
+        m = one_map_model(np.array([[1.0, 0.0]]))
         assert len(m.directions) == 1 and m.dim == 2
 
     def test_map_rejects_row_count_mismatch(self):
         knots = np.array([[0.0, 1.0], [0.0, 2.0]])
-        two_maps = Map1D(knots, knots)
-        with pytest.raises(ValueError, match="1 directions but 2 1D maps"):
-            PPMMMap(np.array([[1.0, 0.0]]), two_maps)
-        with pytest.raises(ValueError, match="2 directions but 0 1D maps"):
-            PPMMMap(np.eye(2))
+        with pytest.raises(ValueError, match="1 directions but 2 knot rows"):
+            one_map_model(np.array([[1.0, 0.0]]), knots)
+        with pytest.raises(ValueError, match="2 directions but 0 knot rows"):
+            one_map_model(np.eye(2), np.zeros((0, 2)))
 
     def test_map_rejects_non_unit_row(self):
         # the last row is off, so a check of row 0 alone would pass it
-        knots = np.array([[0.0, 1.0]] * 3)
-        maps1d = Map1D(knots, knots)
         for bad in ([0.6, 0.6], [1.0 + 1e-11, 0.0]):
             with pytest.raises(ValueError, match="direction 2 must have unit norm"):
-                PPMMMap(np.array([[1.0, 0.0], [0.6, 0.8], bad]), maps1d)
+                one_map_model(np.array([[1.0, 0.0], [0.6, 0.8], bad]))
         with pytest.raises(ValueError, match="non-finite"):
-            PPMMMap(np.array([[1.0, 0.0], [0.6, 0.8], [np.nan, 0.0]]), maps1d)
-        PPMMMap(np.array([[1.0, 0.0], [0.6, 0.8], [1.0 + 1e-13, 0.0]]), maps1d)
+            one_map_model(np.array([[1.0, 0.0], [0.6, 0.8], [np.nan, 0.0]]))
+        one_map_model(np.array([[1.0, 0.0], [0.6, 0.8], [1.0 + 1e-13, 0.0]]))
 
     def test_map_directions_read_only(self):
-        directions = np.array([[1.0, 0.0]])
-        m = PPMMMap(directions, Map1D([0.0, 1.0], [0.0, 1.0]))
+        m = one_map_model(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError):
             m.directions[0, 0] = 0.0
 
     def test_map_directions_are_a_private_copy(self):
         directions = np.array([[1.0, 0.0]])
-        m = PPMMMap(directions, Map1D([0.0, 1.0], [0.0, 1.0]))
-        directions[0, 0] = 5.0  # a non-unit row the map must not see
+        m = one_map_model(directions)
+        directions[0, 0] = 5.0  # a non-unit row the model must not see
         assert directions.flags.writeable
         np.testing.assert_array_equal(m.directions, [[1.0, 0.0]])
 
     def test_empty_chain_is_identity(self):
-        m = PPMMMap(np.zeros((0, 3)))
         x = np.random.default_rng(0).normal(size=(10, 3))
-        np.testing.assert_array_equal(eval_ppmm(m, x), x)
+        np.testing.assert_array_equal(eval_ppmm(np.zeros((0, 3)), *np.zeros((2, 0, 2)), x), x)
 
 
 class TestEvalPpmm:
     def test_single_step_moves_along_direction_only(self):
         p = np.array([0.0, 1.0])
         shift = Map1D(np.array([-5.0, 5.0]), np.array([-3.0, 7.0]))  # +2
-        m = PPMMMap(p[None], shift)
         x = np.array([[1.0, 0.5], [-2.0, 3.0]])
-        out = eval_ppmm(m, x)
+        out = eval_ppmm(p[None], shift.knots_x, shift.knots_y, x)
         np.testing.assert_allclose(out[:, 0], x[:, 0])
         np.testing.assert_allclose(out[:, 1], x[:, 1] + 2.0)
 
     def test_input_not_mutated(self):
         p = np.array([1.0, 0.0])
         shift = Map1D(np.array([-5.0, 5.0]), np.array([-4.0, 6.0]))
-        m = PPMMMap(p[None], shift)
         x = np.zeros((4, 2))
-        eval_ppmm(m, x)
+        eval_ppmm(p[None], shift.knots_x, shift.knots_y, x)
         np.testing.assert_array_equal(x, 0.0)
 
     def test_displacement_lies_in_direction_span(self):
         rng = np.random.default_rng(60)
         x = rng.normal(size=(300, 4))
         y = rng.normal(size=(300, 4)) @ np.diag([1.0, 2.0, 1.0, 1.0])
-        m, _ = fit_ppmm(x, y, max_iter=3, alpha=0.0)
-        disp = eval_ppmm(m, x) - x
-        basis = m.directions.T
+        chain, _ = fit_ppmm(x, y, max_iter=3, alpha=0.0)
+        disp = eval_ppmm(*chain, x) - x
+        basis = chain[0].T
         # residual after projecting displacements onto the step-direction span
         coef, *_ = np.linalg.lstsq(basis, disp.T, rcond=None)
         residual = disp.T - basis @ coef
         assert np.max(np.abs(residual)) <= 1e-9
 
     def test_rejects_wrong_dimension(self):
-        m = PPMMMap(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="columns"):
-            eval_ppmm(m, np.zeros((5, 2)))
+            eval_ppmm(np.zeros((0, 3)), *np.zeros((2, 0, 2)), np.zeros((5, 2)))
 
 
 class TestFitPpmm:
@@ -150,10 +151,10 @@ class TestFitPpmm:
     def test_identical_inputs_stop_without_informative_direction(self):
         rng = np.random.default_rng(61)
         x = rng.normal(size=(200, 3))
-        m, report = fit_ppmm(x, x.copy())
+        chain, report = fit_ppmm(x, x.copy())
         assert report.stop_reason == "no_informative_direction"
         assert report.k_final <= 1
-        assert len(m.directions) == report.k_final
+        assert [len(a) for a in chain] == [report.k_final] * 3
 
     def test_score_at_threshold_is_informative(self, monkeypatch):
         # a score of exactly INFORMATIVE_EIGENVALUE still fits a map; the
@@ -164,10 +165,10 @@ class TestFitPpmm:
         )
         rng = np.random.default_rng(69)
         x = rng.normal(size=(100, 2))
-        m, report = fit_ppmm(x, 2.0 * x)
+        chain, report = fit_ppmm(x, 2.0 * x)
         assert report.k_final == 1
         assert report.stop_reason == "no_informative_direction"
-        assert len(m.directions) == 1
+        assert len(chain[0]) == 1
 
     def test_gaussian_shift_recovers_w2(self):
         # target is the source translated by (2, 0): true transport cost 2
@@ -175,8 +176,8 @@ class TestFitPpmm:
         x = rng.normal(size=(4000, 2))
         y = rng.normal(size=(4000, 2))
         y[:, 0] += 2.0
-        m, report = fit_ppmm(x, y)
-        w2 = rms_displacement(m, x)
+        chain, report = fit_ppmm(x, y)
+        w2 = rms_displacement(chain, x)
         assert abs(w2 - 2.0) / 2.0 < 0.05
         assert report.w2_history[-1] == pytest.approx(w2)
 
@@ -186,8 +187,8 @@ class TestFitPpmm:
         rng = np.random.default_rng(63)
         x = rng.normal(size=(4000, 2))
         y = rng.normal(size=(4000, 2)) @ np.diag([3.0, 1.0])
-        m, _ = fit_ppmm(x, y)
-        w2 = rms_displacement(m, x)
+        chain, _ = fit_ppmm(x, y)
+        w2 = rms_displacement(chain, x)
         assert abs(w2 - 2.0) / 2.0 < 0.1
 
     def test_pushforward_matches_target_moments(self):
@@ -195,8 +196,8 @@ class TestFitPpmm:
         x = rng.normal(size=(3000, 3))
         a = np.array([[1.0, 0.3, 0.0], [0.0, 0.8, 0.2], [0.0, 0.0, 1.4]])
         y = rng.normal(size=(3000, 3)) @ a.T + np.array([1.0, -2.0, 0.5])
-        m, _ = fit_ppmm(x, y)
-        pushed = eval_ppmm(m, x)
+        chain, _ = fit_ppmm(x, y)
+        pushed = eval_ppmm(*chain, x)
         np.testing.assert_allclose(pushed.mean(axis=0), y.mean(axis=0), atol=0.15)
         np.testing.assert_allclose(
             np.cov(pushed, rowvar=False), np.cov(y, rowvar=False), atol=0.25
@@ -211,8 +212,8 @@ class TestFitPpmm:
         before = gmmd2(x, y)
         # run the chain past the displacement-stabilization stop: the
         # pushforward discrepancy falls to the same-law sampling noise level
-        m, _ = fit_ppmm(x, y, alpha=0.0, max_iter=30)
-        after = gmmd2(eval_ppmm(m, x), y)
+        chain, _ = fit_ppmm(x, y, alpha=0.0, max_iter=30)
+        after = gmmd2(eval_ppmm(*chain, x), y)
         assert before > 0.1
         assert abs(after) < 1e-4
 
@@ -223,8 +224,8 @@ class TestFitPpmm:
         x = rng.normal(size=(1500, 3))
         y = rng.normal(size=(1500, 3)) * np.array([2.0, 0.5, 1.0]) + 1.0
         before = gmmd2(x, y)
-        m, report = fit_ppmm(x, y)
-        after = gmmd2(eval_ppmm(m, x), y)
+        chain, report = fit_ppmm(x, y)
+        after = gmmd2(eval_ppmm(*chain, x), y)
         assert report.stop_reason == "tolerance"
         assert after < 0.5 * before
 
@@ -232,8 +233,8 @@ class TestFitPpmm:
         rng = np.random.default_rng(66)
         x = rng.normal(size=(500, 2))
         y = rng.normal(size=(500, 2)) * 1.5
-        m, report = fit_ppmm(x, y, alpha=0.05)
-        assert len(report.w2_history) == report.k_final == len(m.directions)
+        chain, report = fit_ppmm(x, y, alpha=0.05)
+        assert len(report.w2_history) == report.k_final == len(chain[0])
         assert report.stop_reason in ("tolerance", "max_iter")
         if report.stop_reason == "tolerance":
             assert report.k_final >= 2
@@ -248,9 +249,9 @@ class TestFitPpmm:
         rng = np.random.default_rng(67)
         x = rng.normal(size=(400, 3))
         y = rng.normal(size=(400, 3)) * 2.0
-        m, report = fit_ppmm(x, y, alpha=0.0, max_iter=4)
+        chain, report = fit_ppmm(x, y, alpha=0.0, max_iter=4)
         assert report.stop_reason == "max_iter"
-        assert len(m.directions) == 4
+        assert len(chain[0]) == 4
 
     def test_default_iteration_cap_scales_with_dimension(self):
         rng = np.random.default_rng(68)
@@ -264,21 +265,21 @@ class TestFitPpmm:
         rng = np.random.default_rng(69)
         x = rng.normal(size=(600, 3))
         y = rng.normal(size=(600, 3)) + 0.5
-        m1, r1 = fit_ppmm(x, y)
-        m2, r2 = fit_ppmm(x.copy(), y.copy())
+        c1, r1 = fit_ppmm(x, y)
+        c2, r2 = fit_ppmm(x.copy(), y.copy())
         assert r1 == r2
-        assert len(m1.directions) == len(m2.directions)
+        assert len(c1[0]) == len(c2[0])
         t = rng.normal(size=(50, 3))
-        np.testing.assert_array_equal(eval_ppmm(m1, t), eval_ppmm(m2, t))
+        np.testing.assert_array_equal(eval_ppmm(*c1, t), eval_ppmm(*c2, t))
 
     def test_regularized_variant_runs_and_transports(self):
         rng = np.random.default_rng(70)
         x = rng.normal(size=(2000, 2)) * 0.2
         y = rng.normal(size=(2000, 2)) * 0.2 + np.array([0.6, 0.0])
-        m, report = fit_ppmm(x, y, bandwidth="scott")
+        chain, report = fit_ppmm(x, y, bandwidth="scott")
         # one row of KDE grid knots per step
-        assert m.maps1d.knots_x.shape == (report.k_final, KDE_BINS)
-        pushed = eval_ppmm(m, x)
+        assert chain[1].shape == chain[2].shape == (report.k_final, KDE_BINS)
+        pushed = eval_ppmm(*chain, x)
         np.testing.assert_allclose(pushed.mean(axis=0), y.mean(axis=0), atol=0.05)
 
     def test_reasonable_iteration_count_on_easy_problem(self):
