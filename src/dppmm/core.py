@@ -154,17 +154,157 @@ def write_snapshot_dir(series: SnapshotSeries, path) -> None:
         fh.write("\n")
 
 
-_CSV_BLOCK_ROWS = 4096
+# Values formatted per block of rows: a block's buffers peak near 1.1 MB
+# (about 135 bytes per value), so a snapshot's text is never held whole.
+_CSV_BLOCK_VALUES = 8192
 
 
 def _write_csv_matrix(path, x: np.ndarray) -> None:
-    # One %-format per block of rows instead of one per row; the bytes match
-    # np.savetxt(fmt="%.17g", delimiter=",").
-    row = ",".join(["%.17g"] * x.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for start in range(0, x.shape[0], _CSV_BLOCK_ROWS):
-            block = x[start : start + _CSV_BLOCK_ROWS]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","); see _csv_text
+    block_rows = max(1, _CSV_BLOCK_VALUES // x.shape[1])
+    with open(path, "wb") as fh:
+        for start in range(0, x.shape[0], block_rows):
+            fh.write(_csv_text(x[start : start + block_rows]))
+
+
+# %.17g prints x != 0 from its decimal exponent X = floor(log10|x|) and its
+# 17 significant digits, the integer D nearest to |x| * 10**(16 - X), ties to
+# even (a D of 1e17 would print as 1e16 with X + 1). X picks the layout:
+# "ddd.ddd" for 0 <= X <= 16, "0.000ddd" for -4 <= X < 0, else "d.ddde-05";
+# trailing zeros of D are dropped. For X in -6..16 the product is formed
+# exactly, as hi + lo from the exact doubles 1e0..1e22 by Dekker's
+# two-product (Numer. Math. 18, 1971). Values of any other exponent, and
+# non-finite ones, are formatted with "%.17g" one at a time.
+_CSV_WIDTH = 25  # the longest %.17g text, 24 characters, then a separator
+_FALLBACK = 23  # layout class of the values formatted one at a time
+_TEN = 10.0 ** np.arange(23)
+
+
+def _split(a):
+    """Veltkamp's split of a into hi + lo, each of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_TEN_HI, _TEN_LO = _split(_TEN)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo == a * 10**k exactly, with hi = fl(a * 10**k)."""
+    hi = a * _TEN[k]
+    ah, al = _split(a)
+    bh, bl = _TEN_HI[k], _TEN_LO[k]
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's layout class X + 6 and its D as an int64. Zeros are class
+    6 with D = 0; values outside the exact range are class _FALLBACK."""
+    a = np.abs(v)
+    exact = (a >= 1e-7) & (a < 1e18)  # false for NaN
+    a[~exact] = 0.0
+    e = np.floor(np.log10(a, out=np.zeros_like(a), where=exact))
+    e = np.clip(e, -6, 16).astype(np.intp)
+    hi, lo = _scaled(a, 16 - e)
+    # log10 may be one off next to a power of ten; hi + lo must be in [1e16, 1e17)
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    down = exact & ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+    e += up
+    e -= down
+    exact &= (e >= -6) & (e <= 16)
+    fix = up | down
+    a[~exact], e[~exact] = 0.0, 0
+    hi[fix], lo[fix] = _scaled(a[fix], 16 - e[fix])
+    # hi >= 1e16 is an even integer, so hi + rint(lo) rounds hi + lo half-even
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # no double of exponent -6..16 lies close enough below a power of ten to
+    # round up to D = 1e17; should one do so, it takes the per-value path
+    exact &= (d >= 10**16) & (d < 10**17)
+    cls = (e + 6).astype(np.int8)
+    cls[~exact & (v != 0)] = _FALLBACK
+    return cls, d
+
+
+def _digit_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of each D as ASCII, one row per digit, and the number of
+    digits before the trailing zeros."""
+    high, low = np.divmod(d, 10**8)
+    chars = np.empty((17, d.size), np.uint8)
+    zeros = np.ones(d.size, bool)
+    nsig = np.full(d.size, 17, np.uint8)
+    for part, ks in ((low.astype(np.uint32), range(16, 8, -1)),
+                     (high.astype(np.uint32), range(8, -1, -1))):
+        for k in ks:
+            rest = part // 10
+            chars[k] = part - 10 * rest
+            zeros &= chars[k] == 0
+            nsig -= zeros
+            part = rest
+    chars += ord("0")
+    return chars, nsig
+
+
+def _csv_layouts():
+    """Per layout class X + 6 (X = -6..16): the text of a negative value with
+    digits 0 and a trailing ",", the number of digits before the point, the
+    slot of the digit after it and the slots of the exponent."""
+    layouts = []
+    for x in range(-6, 17):
+        exponent = slice(0, 0)
+        if 0 <= x <= 16:
+            text, cut, after = "-" + "0" * (x + 1) + "." + "0" * (16 - x), x + 1, x + 3
+        elif -4 <= x < 0:
+            text, cut, after = "-0." + "0" * (16 - x), 0, 2 - x
+        else:
+            text, cut, after = "-0." + "0" * 16 + f"e{x:+03d}", 1, 3
+            exponent = slice(len(text) - 4, len(text))
+        text = text.ljust(_CSV_WIDTH - 1) + ","
+        layouts.append((np.frombuffer(text.encode(), np.uint8), cut, after, exponent))
+    return layouts
+
+
+_CSV_LAYOUTS = _csv_layouts()
+
+
+def _csv_text(x: np.ndarray) -> bytes:
+    """The rows of ``x`` as %.17g text, values separated by "," and rows
+    ended by "\\n"."""
+    v = x.ravel()
+    cls, d = _significands(v)
+    # one run of rows per layout class, in class order, the fallback last
+    order = np.argsort(cls, kind="stable")
+    counts = np.bincount(cls, minlength=_FALLBACK + 1)
+    chars, nsig = _digit_rows(d[order[: v.size - counts[_FALLBACK]]])
+    # each value's text in a fixed-width row, and which of its slots to keep
+    out = np.empty((v.size, _CSV_WIDTH), np.uint8)
+    keep = np.zeros((v.size, _CSV_WIDTH), bool)
+    slots = np.arange(_CSV_WIDTH, dtype=np.uint8)
+    start = 0
+    for c in np.flatnonzero(counts[:_FALLBACK]):
+        rows = slice(start, start + counts[c])
+        text, cut, after, exponent = _CSV_LAYOUTS[c]
+        out[rows] = text
+        out[rows, 1 : 1 + cut] = chars[:cut, rows].T
+        out[rows, after : after + 17 - cut] = chars[cut:, rows].T
+        n = nsig[rows]
+        end = np.where(n > cut, n + (after - cut), cut + 1)
+        np.less(slots, end[:, None], out=keep[rows])
+        keep[rows, exponent] = True
+        start = rows.stop
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(v.size)
+    out = np.take(out, inverse, axis=0)
+    keep = np.take(keep, inverse, axis=0)
+    keep[:, 0] = np.signbit(v)
+    keep[:, -1] = True
+    out[:, -1] = ord(",")
+    out.reshape(*x.shape, _CSV_WIDTH)[:, -1, -1] = ord("\n")
+    for i in np.flatnonzero(cls == _FALLBACK):
+        text = np.frombuffer(b"%.17g" % v[i], np.uint8)
+        out[i, : text.size] = text
+        keep[i, : text.size] = True
+    return out[keep].tobytes()
 
 
 def read_snapshot_dir(path) -> SnapshotSeries:

@@ -70,23 +70,25 @@ def save_model(path, model: DPPMMModel, provenance: dict) -> None:
 
 
 def _read_array(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    """Read an entry after checking its header against ``_ARRAYS`` and its size."""
+    """A read-only view of an entry's data bytes, after checking its header
+    against ``_ARRAYS`` and its size."""
     fmt = np.lib.format
     data = archive.read(name + ".npy")
     buf = io.BytesIO(data)
     major, _ = fmt.read_magic(buf)
     read_header = fmt.read_array_header_1_0 if major == 1 else fmt.read_array_header_2_0
-    shape, _, dtype = read_header(buf)
+    shape, fortran_order, dtype = read_header(buf)
     want, ndim = _ARRAYS[name]
     if dtype != want:
         raise ValueError(f"entry {name} has dtype {dtype}, expected {np.dtype(want)}")
     if len(shape) != ndim:
         raise ValueError(f"entry {name} has shape {shape}, expected {ndim} dimensions")
-    held, declared = len(data) - buf.tell(), math.prod(shape) * dtype.itemsize
+    count = math.prod(shape)
+    held, declared = len(data) - buf.tell(), count * dtype.itemsize
     if held != declared:
         raise ValueError(f"entry {name} holds {held} data bytes, its header declares {declared}")
-    buf.seek(0)
-    return fmt.read_array(buf, allow_pickle=False)
+    array = np.frombuffer(data, dtype, count, offset=buf.tell())
+    return array.reshape(shape, order="F" if fortran_order else "C")
 
 
 def load_model(path) -> tuple[DPPMMModel, dict]:

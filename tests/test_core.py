@@ -1,10 +1,14 @@
+import io
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from dppmm.core import (
     SnapshotSeries,
+    _write_csv_matrix,
     fit_rescaler,
     read_snapshot_csv,
     read_snapshot_dir,
@@ -15,7 +19,7 @@ from dppmm.metrics import gmmd2
 from dppmm.ot1d import Map1D
 from dppmm.ppmm import eval_ppmm, fit_ppmm
 from dppmm.projection import save_direction
-from dppmm.sde import SDESystem
+from dppmm.sde import SDESystem, make_benchmark
 
 
 def make_series(rng, times=(0.0, 1.0, 2.0), n=50, d=3, spread=2.0):
@@ -270,3 +274,110 @@ class TestSnapshotIO:
         assert series.times.tolist() == [0.0]
         assert len(series.samples) == 1
         np.testing.assert_array_equal(series.samples[0], [[1.5, 2.5], [-3.0, 4.0]])
+
+
+def written_bytes(tmp_path, x) -> bytes:
+    """What `_write_csv_matrix` writes for ``x``, with every warning an error."""
+    path = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _write_csv_matrix(path, x)
+    return path.read_bytes()
+
+
+def savetxt_bytes(x) -> bytes:
+    buf = io.BytesIO()
+    np.savetxt(buf, x, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def percent_bytes(x) -> bytes:
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in x.tolist()).encode()
+
+
+def random_bit_patterns(rng, n, exponents=(0, 2047)):
+    """``n`` finite doubles of random mantissa and sign, with biased binary
+    exponents drawn uniformly from the half-open range ``exponents``."""
+    bits = rng.integers(0, 1 << 52, size=n, dtype=np.uint64)
+    bits |= rng.integers(*exponents, size=n, dtype=np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x)]
+
+
+def powers_of_ten_and_neighbours():
+    tens = np.array([float(f"1e{k}") for k in range(-8, 19)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+class TestCsvWriter:
+    """`_write_csv_matrix` writes exactly the bytes of np.savetxt(fmt="%.17g")."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["all exponents", "exact-path exponents", "decimal scales", "powers of ten",
+         "extremes", "one row", "one column"],
+    )
+    def test_matches_savetxt_and_percent_format(self, tmp_path, case):
+        rng = np.random.default_rng(17)
+        if case == "all exponents":
+            x = random_bit_patterns(rng, 100_000)
+        elif case == "exact-path exponents":
+            # binary exponents -24..57 hold every decimal exponent -7..17
+            x = random_bit_patterns(rng, 100_000, (1023 - 24, 1023 + 58))
+        elif case == "decimal scales":
+            x = rng.uniform(-10, 10, size=(4000, 25)) * 10.0 ** np.arange(-7, 18)
+        elif case == "powers of ten":
+            x = powers_of_ten_and_neighbours()
+            x = np.concatenate([x, -x])
+        elif case == "extremes":
+            x = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                          -1.7976931348623157e308, 1e15 + 0.25, 1e15 + 0.75, 1.0, -1.0])
+        elif case == "one row":
+            x = rng.normal(size=(1, 7))
+        else:
+            x = rng.normal(size=(9, 1))
+        if x.ndim == 1:
+            x = x[: x.size // 10 * 10].reshape(-1, 10)
+        got = written_bytes(tmp_path, x)
+        assert got == savetxt_bytes(x)
+        assert got == percent_bytes(x)
+
+    def test_lorenz96_split_matches_savetxt(self, tmp_path):
+        train, _ = make_benchmark("lorenz96", 10, 2500, seed=3, m=3, dt=0.01)
+        for x in train.samples:
+            assert written_bytes(tmp_path, x) == savetxt_bytes(x)
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (1e15 + 0.25, "1000000000000000.2"),
+            (1e15 + 0.75, "1000000000000000.8"),
+            (np.nextafter(1e-4, 0.0), "9.9999999999999991e-05"),
+            (1e-4, "0.0001"),
+            (np.nextafter(1e16, 0.0), "9999999999999998"),
+            (1e16, "10000000000000000"),
+            (1e17, "1e+17"),
+            (np.nextafter(1e17, 0.0), "99999999999999984"),
+            (-0.0, "-0"),
+            (0.0, "0"),
+            (5e-324, "4.9406564584124654e-324"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+        ],
+    )
+    def test_pinned_texts(self, tmp_path, value, text):
+        assert written_bytes(tmp_path, np.array([[value, -value]])) == (
+            f"{text},{text[1:] if text.startswith('-') else '-' + text}\n".encode()
+        )
+
+    def test_memory_peak_of_one_benchmark_file(self, tmp_path):
+        # one Lorenz-96 d=10 snapshot: 2500 rows of 10 columns; the writer
+        # that formatted 4096-row blocks with %.17g peaked at 1.53 MB here
+        x = np.random.default_rng(23).uniform(-1.0, 1.0, size=(2500, 10))
+        tracemalloc.start()
+        try:
+            _write_csv_matrix(tmp_path / "x.csv", x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.53e6
