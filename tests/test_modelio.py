@@ -102,6 +102,19 @@ class TestRoundTrip:
         for ma, mb in zip(generate(model, 300, seed=7), generate(loaded, 300, seed=7)):
             np.testing.assert_array_equal(ma, mb)
 
+    def test_fortran_order_entries_load_alike(self, tmp_path, trained):
+        model, _, provenance = trained
+        save_model(tmp_path / "model.npz", model, provenance)
+        content = entries(tmp_path / "model.npz")
+        matrices = ("directions", "knots_x", "knots_y")
+        for name in matrices:
+            content[name + ".npy"] = npy(np.asfortranarray(getattr(model, name)))
+            assert b"'fortran_order': True" in content[name + ".npy"]
+        write_entries(tmp_path / "fortran.npz", content)
+        loaded, _ = load_model(tmp_path / "fortran.npz")
+        for name in matrices:
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+
     def test_provenance_preserved(self, tmp_path, trained):
         model, reports, provenance = trained
         path = tmp_path / "model.npz"
