@@ -34,6 +34,12 @@ __all__ = [
 _ORDERS = {"strictly increasing": np.greater, "nondecreasing": np.greater_equal}
 
 
+def _views_bytes(x) -> bool:
+    while isinstance(x, np.ndarray):
+        x = x.base
+    return isinstance(x, bytes)
+
+
 def checked_array(
     x, name: str, min_rows: int = 1, dim: int | None = None, *,
     ndim: int = 2, order: str | None = None, frozen: str | None = None,
@@ -47,9 +53,11 @@ def checked_array(
     "nondecreasing" also asks for that order along the last axis. ``frozen``
     "view" returns a read-only view, so that bulk samples are never copied,
     and "copy" a private read-only copy, so that no caller can change a
-    checked array behind its checks.
+    checked array behind its checks; a view of a ``bytes`` object is not
+    copied, as nothing can write through it.
     """
-    x = (np.array if frozen == "copy" else np.asarray)(x, dtype=np.float64)
+    copy = frozen == "copy" and not _views_bytes(x)
+    x = (np.array if copy else np.asarray)(x, dtype=np.float64)
     if ndim == 1:
         x = x.reshape(-1)
     elif x.ndim != ndim:
@@ -155,9 +163,9 @@ def write_snapshot_dir(series: SnapshotSeries, path) -> None:
 
 
 # Values formatted per block of rows. A block's buffers peak near 0.28 MB,
-# about 135 bytes per value: 8192-value blocks wrote a 2500x10 matrix about
-# 25% faster, but over many files they raised the peak RSS of a process by
-# 1-2 MB, as freed heap memory no longer fitted its later requests.
+# about 135 bytes per value. 8192-value blocks wrote a 2500x10 matrix 5-10%
+# faster, but raised the peak RSS of a Lorenz-96 d=10 benchmark run by 3%,
+# which 2048-value blocks left unchanged.
 _CSV_BLOCK_VALUES = 2048
 
 
