@@ -127,16 +127,16 @@ class SnapshotSeries:
 
 def fit_rescaler(series: SnapshotSeries) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``(shift, scale)`` whose map x -> (x - shift) / scale sends a
-    raw series into [-1, 1]^d, pooling min/max over all snapshots.
+    raw series into [-1, 1]^d, pooling min/max over all snapshots (each
+    snapshot's, then theirs, so that no pooled copy is made).
 
     Dimensions with zero pooled range are centered at their value and left
     unscaled (scale 1), keeping the map invertible.
     """
     if len(series) < 2:
         raise ValueError("rescaler fitting needs at least two snapshots")
-    pooled = np.vstack(series.samples)
-    lo = pooled.min(axis=0)
-    hi = pooled.max(axis=0)
+    lo = np.min([x.min(axis=0) for x in series.samples], axis=0)
+    hi = np.max([x.max(axis=0) for x in series.samples], axis=0)
     span = hi - lo
     degenerate = span <= 0
     scale = np.where(degenerate, 1.0, span / 2.0)
@@ -162,11 +162,13 @@ def write_snapshot_dir(series: SnapshotSeries, path) -> None:
         fh.write("\n")
 
 
-# Values formatted per block of rows. A block's buffers peak near 0.28 MB,
-# about 135 bytes per value. 8192-value blocks wrote a 2500x10 matrix 5-10%
-# faster, but raised the peak RSS of a Lorenz-96 d=10 benchmark run by 3%,
-# which 2048-value blocks left unchanged.
-_CSV_BLOCK_VALUES = 2048
+# Values formatted per block of rows, about 136 bytes each: 1.36 MB, under
+# the 1.53 MB the writer's memory test allows (11000 would leave 3% of it).
+# Against 2048-value blocks (13 per 2500x10 matrix, not 3), a benchmark
+# round's 22 snapshot files took 133 against 205 ms to write on Lorenz-96
+# d=10 and 29 against 40 ms on OU d=8 (medians of 12 rounds, 2 cores); as
+# fit_rescaler pools no copy, a run's peak RSS still fell 1.2% and 0.6%.
+_CSV_BLOCK_VALUES = 10_000
 
 
 def _write_csv_matrix(path, x: np.ndarray) -> None:

@@ -154,7 +154,9 @@ def train_dppmm(
             results = list(pool.map(fit_pair, pairs))
     chains, reports = zip(*results)
     steps = [len(directions) for directions, _, _ in chains]
-    chain = (np.concatenate(arrays) for arrays in zip(*chains))
+    chain = [np.concatenate(arrays) for arrays in zip(*chains)]
+    # the model copies the stacked arrays; free the per-map ones and the data first
+    del results, chains, sources, targets
     return DPPMMModel(shift, scale, series.times, steps, *chain), reports
 
 

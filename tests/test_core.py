@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dppmm import core
 from dppmm.core import (
     SnapshotSeries,
     _write_csv_matrix,
@@ -213,6 +214,35 @@ class TestFitRescaler:
         with pytest.raises(ValueError):
             fit_rescaler(one_snapshot(np.zeros((2, 1))))
 
+    def test_equals_pooled_min_max_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        samples = [rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4, size=3)
+                   for n in (7, 1, 30, 4)]
+        for x in samples:
+            x[:, 1] = -2.5  # a constant column: shift -2.5, scale 1
+        shift, scale = fit_rescaler(SnapshotSeries(range(4), samples))
+        pooled = np.vstack(samples)
+        lo, hi = pooled.min(axis=0), pooled.max(axis=0)
+        span = hi - lo
+        expected = (np.where(span <= 0, lo, (lo + hi) / 2.0), np.where(span <= 0, 1.0, span / 2.0))
+        for got, want in zip((shift, scale), expected):
+            assert got.tobytes() == want.tobytes()
+        assert (shift[1], scale[1]) == (-2.5, 1.0)
+
+    def test_memory_peak_holds_no_pooled_copy(self):
+        # 11 snapshots of 2500 x 10, as one benchmark split: pooling them with
+        # np.vstack peaked at 2.20 MB, the per-snapshot extremes at 0.005 MB
+        series = SnapshotSeries(
+            range(11), list(np.random.default_rng(6).normal(size=(11, 2500, 10)))
+        )
+        tracemalloc.start()
+        try:
+            fit_rescaler(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1e6
+
 
 class TestSnapshotIO:
     def test_round_trip_is_lossless(self, tmp_path):
@@ -324,38 +354,51 @@ def powers_of_ten_and_neighbours():
     return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
 
 
+WRITER_CASES = ["all exponents", "exact-path exponents", "decimal scales", "powers of ten",
+                "extremes", "one row", "one column"]
+
+
+def writer_case(case) -> np.ndarray:
+    rng = np.random.default_rng(17)
+    if case == "all exponents":
+        x = random_bit_patterns(rng, 100_000)
+    elif case == "exact-path exponents":
+        # binary exponents -24..57 hold every decimal exponent -7..17
+        x = random_bit_patterns(rng, 100_000, (1023 - 24, 1023 + 58))
+    elif case == "decimal scales":
+        x = rng.uniform(-10, 10, size=(4000, 25)) * 10.0 ** np.arange(-7, 18)
+    elif case == "powers of ten":
+        x = powers_of_ten_and_neighbours()
+        x = np.concatenate([x, -x])
+    elif case == "extremes":
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                      -1.7976931348623157e308, 1e15 + 0.25, 1e15 + 0.75, 1.0, -1.0])
+    elif case == "one row":
+        x = rng.normal(size=(1, 7))
+    else:
+        x = rng.normal(size=(9, 1))
+    if x.ndim == 1:
+        x = x[: x.size // 10 * 10].reshape(-1, 10)
+    return x
+
+
 class TestCsvWriter:
     """`_write_csv_matrix` writes exactly the bytes of np.savetxt(fmt="%.17g")."""
 
-    @pytest.mark.parametrize(
-        "case",
-        ["all exponents", "exact-path exponents", "decimal scales", "powers of ten",
-         "extremes", "one row", "one column"],
-    )
+    @pytest.mark.parametrize("case", WRITER_CASES)
     def test_matches_savetxt_and_percent_format(self, tmp_path, case):
-        rng = np.random.default_rng(17)
-        if case == "all exponents":
-            x = random_bit_patterns(rng, 100_000)
-        elif case == "exact-path exponents":
-            # binary exponents -24..57 hold every decimal exponent -7..17
-            x = random_bit_patterns(rng, 100_000, (1023 - 24, 1023 + 58))
-        elif case == "decimal scales":
-            x = rng.uniform(-10, 10, size=(4000, 25)) * 10.0 ** np.arange(-7, 18)
-        elif case == "powers of ten":
-            x = powers_of_ten_and_neighbours()
-            x = np.concatenate([x, -x])
-        elif case == "extremes":
-            x = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
-                          -1.7976931348623157e308, 1e15 + 0.25, 1e15 + 0.75, 1.0, -1.0])
-        elif case == "one row":
-            x = rng.normal(size=(1, 7))
-        else:
-            x = rng.normal(size=(9, 1))
-        if x.ndim == 1:
-            x = x[: x.size // 10 * 10].reshape(-1, 10)
+        x = writer_case(case)
         got = written_bytes(tmp_path, x)
         assert got == savetxt_bytes(x)
         assert got == percent_bytes(x)
+
+    @pytest.mark.parametrize("case", WRITER_CASES)
+    def test_small_blocks_match_savetxt(self, tmp_path, monkeypatch, case):
+        # 7-value blocks: rows of 10 or 25 values take one row per block,
+        # 9 rows of 1 value a full block of 7 and a partial one of 2
+        monkeypatch.setattr(core, "_CSV_BLOCK_VALUES", 7)
+        x = writer_case(case)
+        assert written_bytes(tmp_path, x) == savetxt_bytes(x)
 
     def test_lorenz96_split_matches_savetxt(self, tmp_path):
         train, _ = make_benchmark("lorenz96", 10, 2500, seed=3, m=3, dt=0.01)
@@ -384,11 +427,13 @@ class TestCsvWriter:
             f"{text},{text[1:] if text.startswith('-') else '-' + text}\n".encode()
         )
 
-    def test_memory_peak_of_one_benchmark_file(self, tmp_path):
-        # one Lorenz-96 d=10 snapshot: 2500 rows of 10 columns; the writer
-        # that formatted 4096-row blocks with %.17g peaked at 1.55 MB here,
-        # and 2048-value blocks of digit arithmetic peak at 0.29 MB
-        x = np.random.default_rng(23).uniform(-1.0, 1.0, size=(2500, 10))
+    @pytest.mark.parametrize("rows", [2500, 10_000])
+    def test_memory_peak_of_one_benchmark_file(self, tmp_path, rows):
+        # one Lorenz-96 d=10 snapshot has 2500 rows of 10 columns; the writer
+        # that formatted 4096-row blocks with %.17g peaked at 1.55 MB there
+        # and 2.50 MB at 10000 rows, while 10000-value blocks of digit
+        # arithmetic peak at 1.36 MB at both: one block's buffers
+        x = np.random.default_rng(23).uniform(-1.0, 1.0, size=(rows, 10))
         tracemalloc.start()
         try:
             _write_csv_matrix(tmp_path / "x.csv", x)
