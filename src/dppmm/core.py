@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -333,13 +334,17 @@ def read_snapshot_dir(path) -> SnapshotSeries:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"manifest {manifest_path} invalid: {exc!r}") from exc
     # JSON types exactly: a bool is no count or time, and int() or float()
-    # would accept 2.5 rows or the string "0"
+    # would accept 2.5 rows or the string "0"; the exact comparison also
+    # refuses NaN, infinities and integers past the float range
     if not entries:
         raise ValueError(f"manifest {manifest_path} lists no snapshots")
     if not all(type(c) is int and c >= 1 for c in [d, *(n for _, _, n in entries)]):
         raise ValueError(f"manifest {manifest_path} needs d and every n to be integers >= 1")
-    if not all(type(t) in (int, float) and type(f) is str for t, f, _ in entries):
-        raise ValueError(f"manifest {manifest_path} needs numeric times and string file names")
+    if not all(
+        type(t) in (int, float) and abs(t) <= sys.float_info.max and type(f) is str
+        for t, f, _ in entries
+    ):
+        raise ValueError(f"manifest {manifest_path} needs finite times and string file names")
     # a manifest names files under its own directory, never beside or above it
     if any(Path(f).is_absolute() or ".." in Path(f).parts for _, f, _ in entries):
         raise ValueError(f"manifest {manifest_path} names a file outside its directory")

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SnapshotSeries, _usable_cpus, checked_array, fit_rescaler
-from .ot1d import Map1D
 from .ppmm import PPMMFitReport, eval_ppmm, fit_ppmm
 
 __all__ = [
@@ -77,12 +76,17 @@ class DPPMMModel:
         off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
         if off.size:
             raise ValueError(f"direction {off[0]} must have unit norm, got {norms[off[0]]!r}")
-        knots = Map1D(self.knots_x, self.knots_y)
-        if len(knots) != len(directions):
-            raise ValueError(f"{len(directions)} directions but {len(knots)} knot rows")
+        kx, ky = (
+            checked_array(k, name, 0, order="nondecreasing", frozen="copy")
+            for k, name in ((self.knots_x, "knots_x"), (self.knots_y, "knots_y"))
+        )
+        if kx.shape != ky.shape or kx.shape[1] < 2:
+            raise ValueError(f"knots need one shape (n >= 2), got {kx.shape}, {ky.shape}")
+        if len(kx) != len(directions):
+            raise ValueError(f"{len(directions)} directions but {len(kx)} knot rows")
         for name, value in (
             ("shift", shift), ("scale", scale), ("times", times), ("steps", steps),
-            ("directions", directions), ("knots_x", knots.knots_x), ("knots_y", knots.knots_y),
+            ("directions", directions), ("knots_x", kx), ("knots_y", ky),
         ):
             object.__setattr__(self, name, value)
 

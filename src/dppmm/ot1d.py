@@ -1,8 +1,9 @@
 """One-dimensional optimal transport maps.
 
-Every fitted monotone scalar map is a ``Map1D``: piecewise linear through
-its knots, and constant beyond the end knots, so a map never leaves its
-target's range. Two fits produce one:
+A fitted monotone scalar map is its knot vectors ``(knots_x, knots_y)``:
+``np.interp(t, knots_x, knots_y)`` applies it, linear between the knots and
+constant beyond the end knots, so a map never leaves its target's range.
+Two fits produce one:
 
 * ``fit_sorted_map`` -- the exact empirical map obtained by sorting: the
   i-th order statistic of the source goes to the matching quantile of the
@@ -19,14 +20,11 @@ range padded by ``KDE_MARGIN`` on both sides, its densities are floored by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import checked_array
 
 __all__ = [
-    "Map1D",
     "fit_sorted_map",
     "fit_regularized_map",
     "fft_kde",
@@ -38,52 +36,21 @@ KDE_MARGIN = 0.1
 KDE_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class Map1D:
-    """Piecewise-linear monotone maps through (knots_x, knots_y) pairs.
-
-    Row i of the (k, n) knot matrices is map i; a single map may be given
-    as two vectors, and k may be 0. Constant beyond the extreme knots: a
-    point left of the first knot goes to the first target knot, and one
-    right of the last knot to the last target knot, so a map never leaves
-    its target's range.
-    """
-
-    knots_x: np.ndarray
-    knots_y: np.ndarray
-
-    def __post_init__(self):
-        kx, ky = (
-            checked_array(np.atleast_2d(k), name, 0, order="nondecreasing", frozen="copy")
-            for k, name in ((self.knots_x, "knots_x"), (self.knots_y, "knots_y"))
-        )
-        if kx.shape != ky.shape or kx.shape[1] < 2:
-            raise ValueError(f"knots need one shape (n >= 2), got {kx.shape}, {ky.shape}")
-        object.__setattr__(self, "knots_x", kx)
-        object.__setattr__(self, "knots_y", ky)
-
-    def __len__(self) -> int:
-        return self.knots_x.shape[0]
-
-    def __call__(self, t, row: int = 0):
-        out = np.interp(np.asarray(t, dtype=np.float64), self.knots_x[row], self.knots_y[row])
-        return out if out.ndim else float(out)
-
-
-def fit_sorted_map(x, y) -> Map1D:
+def fit_sorted_map(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Fit the exact empirical 1D transport map by sorting.
 
     Evaluates the target empirical quantile function (linear between order
     statistics at midpoint plotting positions) at the source plotting
     positions (i - 1/2) / N1. Equal sample sizes share the plotting
-    positions, so the i-th order statistics pair exactly.
+    positions, so the i-th order statistics pair exactly. Returns the
+    knots: the sorted source and its images, N1 each.
     """
     xs = np.sort(checked_array(x, "x", 2, ndim=1))
     ys = np.sort(checked_array(y, "y", 2, ndim=1))
     n1, n2 = xs.shape[0], ys.shape[0]
     p_src = (np.arange(1, n1 + 1) - 0.5) / n1
     p_tgt = (np.arange(1, n2 + 1) - 0.5) / n2
-    return Map1D(xs, np.interp(p_src, p_tgt, ys))
+    return xs, np.interp(p_src, p_tgt, ys)
 
 
 def fft_kde(samples, bandwidth: float, grid) -> np.ndarray:
@@ -160,13 +127,14 @@ def _kde_cdf(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.cumsum(density) * step
 
 
-def fit_regularized_map(x, y) -> Map1D:
+def fit_regularized_map(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Fit the KDE-regularized 1D transport map from x-samples to y-samples.
 
     The grid spans the pooled sample range padded by KDE_MARGIN on both
-    sides, and each sample set gets its own KDE CDF on it. The knots are
-    the grid points and their images under G^-1 (o) F. A target without
-    spread gets the constant map onto its value, on the same grid.
+    sides, and each sample set gets its own KDE CDF on it. Returns the
+    knots: the KDE_BINS grid points and their images under G^-1 (o) F. A
+    target without spread gets the constant map onto its value, on the
+    same grid.
     """
     x = checked_array(x, "x", 2, ndim=1)
     y = checked_array(y, "y", 2, ndim=1)
@@ -174,5 +142,5 @@ def fit_regularized_map(x, y) -> Map1D:
     hi = max(x.max(), y.max()) + KDE_MARGIN
     z = np.linspace(lo, hi, KDE_BINS)
     if y.min() == y.max():
-        return Map1D(z, np.full(KDE_BINS, y[0]))
-    return Map1D(z, np.interp(_kde_cdf(x, z), _kde_cdf(y, z), z))
+        return z, np.full(KDE_BINS, y[0])
+    return z, np.interp(_kde_cdf(x, z), _kde_cdf(y, z), z)

@@ -126,11 +126,11 @@ def fit_ppmm(
             break
         proj = current @ p
         target_proj = y @ p
-        map1d = fit1d(proj, target_proj)
-        current += np.outer(map1d(proj) - proj, p)
+        kx, ky = fit1d(proj, target_proj)
+        current += np.outer(np.interp(proj, kx, ky) - proj, p)
         directions.append(p)
-        knots_x.append(map1d.knots_x[0])
-        knots_y.append(map1d.knots_y[0])
+        knots_x.append(kx)
+        knots_y.append(ky)
 
         disp = current - original
         history.append(float(np.sqrt(np.mean(np.sum(disp * disp, axis=1)))))

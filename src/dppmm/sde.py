@@ -159,6 +159,8 @@ def _kept_steps(system: SDESystem, n: int, dt: float, store: int | None, name: s
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < dt <= system.horizon:
         raise ValueError(f"dt must lie in (0, {system.horizon}], got {dt}")
+    if not system.horizon / dt < np.iinfo(np.intp).max:  # ceil() would not fit an index
+        raise ValueError(f"dt {dt} makes more than {np.iinfo(np.intp).max} steps")
     steps = math.ceil(system.horizon / dt)
     if store is None:
         store = steps + 1

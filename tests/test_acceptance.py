@@ -68,20 +68,20 @@ def test_01_sorted_map_exact_pairing_and_gaussian_quantile_oracle():
     rng = np.random.default_rng(100)
     x = rng.standard_normal(17)
     y = 0.4 + 1.7 * rng.standard_normal(17)
-    m = fit_sorted_map(x, y)
-    np.testing.assert_array_equal(m.knots_x[0], np.sort(x))
-    np.testing.assert_array_equal(m.knots_y[0], np.sort(y))
-    np.testing.assert_array_equal(m(np.sort(x)), np.sort(y))
+    kx, ky = fit_sorted_map(x, y)
+    np.testing.assert_array_equal(kx, np.sort(x))
+    np.testing.assert_array_equal(ky, np.sort(y))
+    np.testing.assert_array_equal(np.interp(np.sort(x), kx, ky), np.sort(y))
 
     # N(0,1) -> N(1,4): closed-form transport is t -> 1 + 2t
     rng = np.random.default_rng(0)
     x = rng.normal(0.0, 1.0, 10000)
     y = rng.normal(1.0, 2.0, 10000)
     started = time.perf_counter()
-    m = fit_sorted_map(x, y)
+    knots = fit_sorted_map(x, y)
     elapsed = time.perf_counter() - started
     ts = np.array([-1.0, 0.0, 1.0])
-    errs = np.abs(m(ts) - (1.0 + 2.0 * ts))
+    errs = np.abs(np.interp(ts, *knots) - (1.0 + 2.0 * ts))
     assert np.max(errs) <= 0.05  # measured 0.023
     assert elapsed < 1.0
 

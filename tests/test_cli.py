@@ -107,8 +107,17 @@ class TestSimulate:
             (["--system", "ou", "--m", "1"], "m must lie in [2, 15001], got 1"),
             (["--system", "ou", "--dt", "0"], "dt must lie in (0, 15.0], got 0.0"),
             (["--system", "lorenz96", "--dt", "5"], "m must lie in [2, 2], got 11"),
+            # horizon / dt past the index range, and infinite
+            (
+                ["--system", "ou", "--dt", "1e-300"],
+                "dt 1e-300 makes more than 9223372036854775807 steps",
+            ),
+            (
+                ["--system", "ou", "--dt", "5e-324"],
+                "dt 5e-324 makes more than 9223372036854775807 steps",
+            ),
         ],
-        ids=["m-1", "dt-0", "dt-past-horizon"],
+        ids=["m-1", "dt-0", "dt-past-horizon", "dt-1e-300", "dt-5e-324"],
     )
     def test_bad_step_settings_exit_2_naming_the_option(
         self, tmp_path, capsys, settings, message
@@ -436,11 +445,15 @@ class TestEvaluate:
             {"d": 2, "snapshots": [{"time": True, "file": "x.csv", "n": 1}]},
             {"d": 2, "snapshots": [{"time": 0.0, "file": ["x.csv"], "n": 1}]},
             {"d": 2, "snapshots": [{"time": 0.0, "file": "../x.csv", "n": 1}]},
+            {"d": 2, "snapshots": [{"time": 10**400, "file": "x.csv", "n": 1}]},
+            {"d": 2, "snapshots": [{"time": float("inf"), "file": "x.csv", "n": 1}]},
+            {"d": 2, "snapshots": [{"time": float("nan"), "file": "x.csv", "n": 1}]},
         ],
         ids=[
             "empty", "no-snapshots", "list", "entry-without-file", "missing-file",
             "empty-snapshots", "fractional-d", "bool-d", "fractional-n", "zero-n",
             "string-time", "bool-time", "list-file", "file-outside",
+            "time-past-float", "infinite-time", "nan-time",
         ],
     )
     def test_malformed_manifest_exits_2(self, pipeline, tmp_path, capsys, manifest):

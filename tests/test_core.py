@@ -18,7 +18,6 @@ from dppmm.core import (
 )
 from dppmm.dynamic import DPPMMModel, fit_transport_splines
 from dppmm.metrics import gmmd2
-from dppmm.ot1d import Map1D
 from dppmm.ppmm import eval_ppmm, fit_ppmm
 from dppmm.projection import save_direction
 from dppmm.sde import SDESystem, make_benchmark
@@ -113,11 +112,6 @@ FROZEN_TYPES = {
         lambda: [np.array([[1.0, 1.0]])],
         lambda m: SDESystem("vdp", 2, 1.0, 0.0, 1.0, m, 0.1),
         ("init_means",),
-    ),
-    "Map1D": (
-        lambda: [np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0])],
-        Map1D,
-        ("knots_x", "knots_y"),
     ),
 }
 

@@ -127,8 +127,54 @@ class TestModelValidation:
                 ),
                 "knots_y must be finite and nondecreasing",
             ),
+            (
+                dict(knots_x=np.zeros((0, 2)), knots_y=np.zeros((0, 3))),
+                "knots need one shape (n >= 2), got (0, 2), (0, 3)",
+            ),
+            (
+                dict(
+                    steps=np.array([1, 0]),
+                    directions=np.array([[1.0, 0.0]]),
+                    knots_x=np.array([[0.0]]),
+                    knots_y=np.array([[1.0]]),
+                ),
+                "knots need one shape (n >= 2), got (1, 1), (1, 1)",
+            ),
+            (
+                # the last row only, so a check of row 0 alone would pass it
+                dict(
+                    steps=np.array([1, 2]),
+                    directions=np.eye(2)[[0, 1, 0]],
+                    knots_x=np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+                    knots_y=np.tile([0.0, 1.0], (3, 1)),
+                ),
+                "knots_x must be finite and nondecreasing",
+            ),
+            (
+                dict(
+                    steps=np.array([1, 0]),
+                    directions=np.array([[1.0, 0.0]]),
+                    knots_x=np.array([[0.0, 1.0]]),
+                    knots_y=np.array([[0.0, np.inf]]),
+                ),
+                "knots_y must be finite and nondecreasing",
+            ),
+            (
+                # one map may not be given as two vectors
+                dict(
+                    steps=np.array([1, 0]),
+                    directions=np.array([[1.0, 0.0]]),
+                    knots_x=np.array([0.0, 1.0]),
+                    knots_y=np.array([0.0, 1.0]),
+                ),
+                "knots_x must be a 2-D array, got ndim=1",
+            ),
         ],
-        ids=["negative", "float", "sum", "sum-wraps", "knot-rows", "decreasing-knots"],
+        ids=[
+            "negative", "float", "sum", "sum-wraps", "knot-rows", "decreasing-knots",
+            "knot-shapes", "one-knot", "decreasing-last-knot-row", "non-finite-knot",
+            "1-D-knots",
+        ],
     )
     def test_rejects_bad_chain(self, overrides, message):
         # map j is the next steps[j] rows of the stacked arrays, so the step

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dppmm.dynamic import DPPMMModel
-from dppmm.ot1d import KDE_BINS, Map1D
+from dppmm.ot1d import KDE_BINS
 from dppmm.ppmm import (
     PPMMFitReport,
     converged,
@@ -103,18 +103,37 @@ class TestReportAndMapTypes:
 class TestEvalPpmm:
     def test_single_step_moves_along_direction_only(self):
         p = np.array([0.0, 1.0])
-        shift = Map1D(np.array([-5.0, 5.0]), np.array([-3.0, 7.0]))  # +2
+        shift = np.array([[-5.0, 5.0]]), np.array([[-3.0, 7.0]])  # +2
         x = np.array([[1.0, 0.5], [-2.0, 3.0]])
-        out = eval_ppmm(p[None], shift.knots_x, shift.knots_y, x)
+        out = eval_ppmm(p[None], *shift, x)
         np.testing.assert_allclose(out[:, 0], x[:, 0])
         np.testing.assert_allclose(out[:, 1], x[:, 1] + 2.0)
 
     def test_input_not_mutated(self):
         p = np.array([1.0, 0.0])
-        shift = Map1D(np.array([-5.0, 5.0]), np.array([-4.0, 6.0]))
         x = np.zeros((4, 2))
-        eval_ppmm(p[None], shift.knots_x, shift.knots_y, x)
+        eval_ppmm(p[None], np.array([[-5.0, 5.0]]), np.array([[-4.0, 6.0]]), x)
         np.testing.assert_array_equal(x, 0.0)
+
+    def test_hand_example_with_extension(self):
+        # linear between the knots, constant beyond the extreme knots: the
+        # end target knots, so a step never leaves its target's range
+        t = np.array([0.5, 2.0, -1.0, 5.0, -1e3, 1e3])
+        x = np.column_stack([t, np.arange(6.0)])
+        out = eval_ppmm(np.array([[1.0, 0.0]]), [[0.0, 1.0, 3.0]], [[0.0, 2.0, 2.0]], x)
+        np.testing.assert_array_equal(out[:, 0], [1.0, 2.0, 0.0, 2.0, 0.0, 2.0])
+        np.testing.assert_array_equal(out[:, 1], x[:, 1])
+
+    def test_duplicate_edge_knot_clamps_slope(self):
+        x = np.array([[-3.0, 1.0]])
+        out = eval_ppmm(np.array([[1.0, 0.0]]), [[0.0, 0.0, 1.0]], [[0.0, 1.0, 2.0]], x)
+        np.testing.assert_array_equal(out, [[0.0, 1.0]])
+
+    def test_rows_evaluate_as_separate_maps(self):
+        # step i applies knot row i: the identity along e1, then t -> 2t + 1 along e2
+        knots_x, knots_y = np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 3.0]])
+        out = eval_ppmm(np.eye(2), knots_x, knots_y, np.array([[0.5, 0.5]]))
+        np.testing.assert_array_equal(out, [[0.5, 2.0]])
 
     def test_displacement_lies_in_direction_span(self):
         rng = np.random.default_rng(60)
@@ -169,6 +188,17 @@ class TestFitPpmm:
         assert report.k_final == 1
         assert report.stop_reason == "no_informative_direction"
         assert len(chain[0]) == 1
+
+    @pytest.mark.parametrize("bandwidth", [None, "scott"])
+    def test_stored_chain_replays_the_fit(self, bandwidth):
+        # eval_ppmm applies the steps the fit took: the returned chain moves x
+        # by the fit's last recorded rms displacement, bit for bit
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(300, 3))
+        y = rng.normal(size=(300, 3)) * np.array([1.0, 2.0, 0.5]) + 1.0
+        chain, report = fit_ppmm(x, y, bandwidth=bandwidth)
+        assert report.k_final >= 2
+        assert rms_displacement(chain, x) == report.w2_history[-1]
 
     def test_gaussian_shift_recovers_w2(self):
         # target is the source translated by (2, 0): true transport cost 2

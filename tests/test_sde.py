@@ -237,6 +237,8 @@ class TestEulerMaruyama:
             euler_maruyama(s, n=1, dt=0.0, seed=0)
         with pytest.raises(ValueError, match="dt"):
             euler_maruyama(s, n=1, dt=100.0, seed=0)
+        with pytest.raises(ValueError, match="dt 5e-324 makes more than"):
+            euler_maruyama(s, n=1, dt=5e-324, seed=0)
         with pytest.raises(ValueError, match="store"):
             euler_maruyama(s, n=1, dt=1.0, seed=0, store=1)
         with pytest.raises(ValueError, match="store"):
