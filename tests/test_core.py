@@ -137,6 +137,18 @@ def test_checked_types_hold_read_only_arrays(name):
 
 
 
+def test_checked_knots_are_read_only_copies():
+    # a knot matrix checked for order is copied, so that the caller cannot
+    # make it decreasing after the check
+    caller = np.array([[0.0, 1.0, 2.0]])
+    held = checked_array(caller, "knots_x", 0, order="nondecreasing", frozen="copy")
+    caller[0, 1] = -3.0
+    assert caller.flags.writeable and not held.flags.writeable
+    np.testing.assert_array_equal(held, [[0.0, 1.0, 2.0]])
+    with pytest.raises(ValueError, match="^knots_x must be finite and nondecreasing$"):
+        checked_array(caller, "knots_x", 0, order="nondecreasing", frozen="copy")
+
+
 def test_checked_copy_keeps_views_of_bytes():
     # nothing can write through a view of a bytes object, so a loaded
     # model's entries are held as read instead of copied once more

@@ -189,6 +189,20 @@ class TestModelValidation:
         assert model.steps.dtype == np.int64
         assert [c[0].tolist() for c in chains(model)] == [directions[:2].tolist(), [[0.6, 0.8]]]
 
+    def test_knots_are_private_copies(self):
+        kx, ky = np.array([[0.0, 1.0, 2.0]]), np.array([[0.0, 2.0, 4.0]])
+        model = self.make_model(
+            steps=[1, 0], directions=np.array([[1.0, 0.0]]), knots_x=kx, knots_y=ky
+        )
+        kx[0, 1] = -3.0  # would make the stored knots decreasing
+        ky[0, 2] = 9.0
+        assert kx.flags.writeable
+        assert not (model.knots_x.flags.writeable or model.knots_y.flags.writeable)
+        np.testing.assert_array_equal(model.knots_x, [[0.0, 1.0, 2.0]])
+        np.testing.assert_array_equal(model.knots_y, [[0.0, 2.0, 4.0]])
+        out = eval_ppmm(model.directions, model.knots_x, model.knots_y, np.array([[1.5, 0.0]]))
+        np.testing.assert_array_equal(out, [[3.0, 0.0]])
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
