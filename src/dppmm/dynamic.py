@@ -104,11 +104,9 @@ def _base_draw(n: int, d: int, seed: int) -> np.ndarray:
 def train_dppmm(
     series: SnapshotSeries,
     alpha: float = 1e-3,
-    bandwidth: str | None = "scott",
     seed: int = 0,
     parallel: bool = False,
     workers: int | None = None,
-    max_iter: int | None = None,
 ) -> tuple[DPPMMModel, tuple[PPMMFitReport, ...]]:
     """Fit the full chain of transport maps over a snapshot series.
 
@@ -116,12 +114,9 @@ def train_dppmm(
     and scale before training; the model keeps both and the series' times.
     The base is N(0, DEFAULT_BASE_VARIANCE * I) and its draw count
     matches the first snapshot's sample count; ``seed`` controls only that
-    draw.
-    ``bandwidth`` selects the 1D map knots per fit: None for the exact
-    sorted knots, "scott" for the KDE-regularized knots.
-
-    Exact knots are one per source row, so with ``bandwidth`` None the
-    snapshots 0..M-2 must share one row count, or a ValueError names them.
+    draw. Each pair's ``ppmm.fit_ppmm`` stops at tolerance ``alpha`` or its
+    own step cap, with KDE ("scott") 1D maps of KDE_BINS knots whatever the
+    snapshots' row counts.
 
     The pairs are fitted on ``workers`` threads when given; ``parallel``
     without ``workers`` uses one thread per pair, at most one per CPU this
@@ -133,20 +128,13 @@ def train_dppmm(
         raise ValueError("training requires at least 2 snapshots")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    counts = [len(x) for x in series.samples[:-1]]
-    if bandwidth is None and len(set(counts)) > 1:
-        raise ValueError(
-            f"exact knots need one row count in snapshots 0..{len(counts) - 1}, got {counts}"
-        )
     shift, scale = fit_rescaler(series)
     targets = [(x - shift) / scale for x in series.samples]
     sources = [_base_draw(targets[0].shape[0], series.dim, seed), *targets[:-1]]
 
     def fit_pair(j):
         try:
-            return fit_ppmm(
-                sources[j], targets[j], alpha=alpha, max_iter=max_iter, bandwidth=bandwidth
-            )
+            return fit_ppmm(sources[j], targets[j], alpha=alpha, bandwidth="scott")
         except (ValueError, RuntimeError) as exc:
             raise type(exc)(f"transport fit for snapshot pair {j} failed: {exc}") from exc
 

@@ -34,6 +34,10 @@ BENCHMARK_DT = 1e-3
 # Names of the benchmark systems, which are also the SDESystem kinds.
 BENCHMARKS = ("vdp", "ou", "lorenz96")
 
+# Most steps a run may take: 10^7 take about a minute for one path (5 us a step) and
+# over an hour for a Lorenz-96 d=10 split of 2500 (0.5 ms); the benchmarks take 3,500-15,000.
+_MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class SDESystem:
@@ -153,18 +157,16 @@ def drift(system: SDESystem, x) -> np.ndarray:
     return v
 
 
-def _kept_steps(system: SDESystem, n: int, dt: float, store: int | None, name: str) -> list[int]:
+def _kept_steps(system: SDESystem, n: int, dt: float, store: int, name: str) -> list[int]:
     """Validate the integration settings, naming ``store`` ``name``; return the kept steps."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < dt <= system.horizon:
         raise ValueError(f"dt must lie in (0, {system.horizon}], got {dt}")
-    if not system.horizon / dt < np.iinfo(np.intp).max:  # ceil() would not fit an index
-        raise ValueError(f"dt {dt} makes more than {np.iinfo(np.intp).max} steps")
+    if not system.horizon / dt <= _MAX_STEPS:
+        raise ValueError(f"dt {dt} makes more than {_MAX_STEPS} steps")
     steps = math.ceil(system.horizon / dt)
-    if store is None:
-        store = steps + 1
-    elif not 2 <= store <= steps + 1:
+    if not 2 <= store <= steps + 1:
         raise ValueError(f"{name} must lie in [2, {steps + 1}], got {store}")
     # the spacing steps / (store - 1) is at least 1, so the indices are distinct
     return np.round(np.linspace(0.0, steps, store)).astype(np.intp).tolist()
@@ -175,7 +177,7 @@ def euler_maruyama(
     n: int,
     dt: float,
     seed,
-    store: int | None = None,
+    store: int,
     *,
     out: np.ndarray | None = None,
 ) -> SnapshotSeries:
@@ -184,8 +186,8 @@ def euler_maruyama(
     Each step adds drift * dt plus fresh N(0, 2 D dt) noise per coordinate.
     The step count is ceil(horizon / dt). Returns one snapshot per kept step
     j at time j * dt, row k of every snapshot being path k. ``store`` keeps
-    only that many evenly spaced step indices (endpoints included,
-    nearest-index rounding); None keeps every step. ``seed`` feeds numpy's
+    that many evenly spaced step indices (endpoints included, nearest-index
+    rounding); steps + 1 keeps every step. ``seed`` feeds numpy's
     default generator, so an integer or a SeedSequence both give
     reproducible output.
 

@@ -107,17 +107,18 @@ class TestSimulate:
             (["--system", "ou", "--m", "1"], "m must lie in [2, 15001], got 1"),
             (["--system", "ou", "--dt", "0"], "dt must lie in (0, 15.0], got 0.0"),
             (["--system", "lorenz96", "--dt", "5"], "m must lie in [2, 2], got 11"),
-            # horizon / dt past the index range, and infinite
+            # horizon / dt past the step cap, far past it, and infinite
+            (["--system", "ou", "--dt", "1e-9"], "dt 1e-09 makes more than 10000000 steps"),
             (
                 ["--system", "ou", "--dt", "1e-300"],
-                "dt 1e-300 makes more than 9223372036854775807 steps",
+                "dt 1e-300 makes more than 10000000 steps",
             ),
             (
                 ["--system", "ou", "--dt", "5e-324"],
-                "dt 5e-324 makes more than 9223372036854775807 steps",
+                "dt 5e-324 makes more than 10000000 steps",
             ),
         ],
-        ids=["m-1", "dt-0", "dt-past-horizon", "dt-1e-300", "dt-5e-324"],
+        ids=["m-1", "dt-0", "dt-past-horizon", "dt-1e-9", "dt-1e-300", "dt-5e-324"],
     )
     def test_bad_step_settings_exit_2_naming_the_option(
         self, tmp_path, capsys, settings, message
@@ -520,6 +521,20 @@ class TestErrorPaths:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sample"])
+    def test_request_too_large_for_memory_exits_1(self, pipeline, tmp_path, capsys, command):
+        # 10^15 rows need more bytes than a 47-bit address space holds, so the
+        # allocation fails at once and no memory is ever committed
+        inputs = {
+            "simulate": ["--system", "ou", "--d", "2", "--m", "2", "--dt", "1"],
+            "sample": ["--model", str(pipeline["model"])],
+        }[command]
+        rc = main([command, *inputs, "--n", str(10**15), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["train", "--data", "x", "--out", "y", "--frobnicate"])
@@ -600,15 +615,15 @@ class TestErrorPaths:
                     ]
         assert {name: len(k) for name, k in knobs.items() if k} == {
             "cli.main": 1,
-            "dynamic.train_dppmm": 6,
+            "dynamic.train_dppmm": 4,
             "metrics.gmmd2": 2,
             "ppmm.fit_ppmm": 3,
             "sde.benchmark_system": 1,
-            "sde.euler_maruyama": 2,
+            "sde.euler_maruyama": 1,
             "sde.make_benchmark": 2,
         }
-        assert sum(len(k) for k in knobs.values()) == 17
-        assert "17 parameters with defaults" in " ".join(
+        assert sum(len(k) for k in knobs.values()) == 14
+        assert "14 parameters with defaults" in " ".join(
             README.read_text(encoding="utf-8").split()
         )
         assert {name: k for name, k in fields.items() if k} == {}

@@ -314,25 +314,15 @@ class TestTrainDppmm:
         assert combo[0].k_final <= 10
         assert min(r.w2_history[-1] for r in combo[1:]) >= 0.25
 
-    def test_sorted_variant_available(self):
-        series = drifting_series(116, n=200)
-        model, _ = train_dppmm(series, bandwidth=None)
-        # sorted knots: one per source row, against KDE_BINS grid knots
-        assert model.knots_x.shape == model.knots_y.shape == (model.steps.sum(), 200)
-
-    def test_exact_knots_need_one_row_count(self):
-        # exact maps keep one knot per source row, so sources of 300 and 200
-        # rows would stack ragged knot rows; KDE maps keep KDE_BINS grid
-        # knots whatever the row counts
+    def test_ragged_series_trains_with_grid_knots(self):
+        # sources of 300 and 200 rows: KDE maps keep KDE_BINS grid knots
+        # whatever the row counts, so every map's knots stack in one matrix
         rng = np.random.default_rng(117)
         series = SnapshotSeries(
             range(3), [rng.normal(size=(n, 2)) * 0.3 + j for j, n in enumerate((300, 200, 250))]
         )
         model, _ = train_dppmm(series)
         assert model.knots_x.shape == (model.steps.sum(), KDE_BINS)
-        message = "exact knots need one row count in snapshots 0..1, got [300, 200]"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            train_dppmm(series, bandwidth=None)
 
     def test_memory_peak_frees_the_fits_before_the_model_copies(self):
         # OU d=8 knots as the benchmark trains on them: holding each map's
@@ -377,16 +367,16 @@ class TestGenerate:
             generate(model, 0, seed=0)
 
     @pytest.mark.parametrize(
-        "bandwidth, maps_digest, samples_digest, max_abs",
+        "exact, maps_digest, samples_digest, max_abs",
         [
             (
-                "scott",
+                False,
                 "bd4f852c1acffb3d5e12c9adfa25c76b86ec2e693ae2f4b44c1043a429e35da9",
                 "9e53e7d57ab49c6efdf9290947edd5b6464aecf0f0dbed10995c6fe6be9492d7",
                 1.5,  # measured 1.20; 1.24 when KDE maps were the identity off their grid
             ),
             (
-                None,
+                True,
                 "d8c9a8bec8937878a268fa217855b0a68dd1a572f4ad4eb549bc431a08aca318",
                 "92daf45526038c8dcd9e0e138fbb033311f1788f0e13a824dcad355bde2ddf43",
                 1.5,  # measured 1.06; 3.0e3 when sorted maps extended linearly
@@ -395,26 +385,26 @@ class TestGenerate:
         ids=["scott", "sorted"],
     )
     def test_fit_and_generate_bytes_are_pinned(
-        self, bandwidth, maps_digest, samples_digest, max_abs
+        self, train_exact, exact, maps_digest, samples_digest, max_abs
     ):
         # SHA-256 of the fitted maps' JSON (the layout of the former JSON
         # model file, built by maps_json) and of the generated matrices:
         # a refactor of the fit or of generation must keep these bytes; the
         # training data lie inside [-1, 1], and so must the samples, roughly
         train, _ = make_benchmark("ou", 3, 200, 1, m=5, dt=0.05)
-        model, _ = train_dppmm(train, bandwidth=bandwidth)
+        model, _ = (train_exact if exact else train_dppmm)(train)
         assert hashlib.sha256(maps_json(model)).hexdigest() == maps_digest
         samples = np.stack(generate(model, 200, seed=2)).astype("<f8")
         assert hashlib.sha256(samples.tobytes()).hexdigest() == samples_digest
         assert np.abs(samples).max() <= max_abs
 
-    def test_sorted_maps_stay_bounded_at_the_iteration_cap(self):
+    def test_sorted_maps_stay_bounded_at_the_iteration_cap(self, train_exact):
         # OU d=8: with alpha=0 the sorted-map fit runs to 160 steps, and
         # linear extension past the end knots compounded step after step to
         # max |x| of 1.5e21 and 1.4e38 on data inside [-1, 1]
         train, _ = make_benchmark("ou", 8, 500, 7, dt=0.01)
         first_two = SnapshotSeries(train.times[:2], train.samples[:2])
-        model, _ = train_dppmm(first_two, bandwidth=None, alpha=0, max_iter=160)
+        model, _ = train_exact(first_two, alpha=0, max_iter=160)
         gen = [(x - model.shift) / model.scale for x in generate(model, 500, seed=1)]
         assert np.abs(gen[0]).max() <= 1.5  # measured 1.04
         assert np.abs(gen[1]).max() <= 1.5  # measured 1.13

@@ -23,8 +23,8 @@ def drifting_series(seed=140):
     return SnapshotSeries(range(3), [rng.normal(size=(400, 2)) * 0.4 + j for j in range(3)])
 
 
-def fit(series, **kwargs):
-    model, reports = train_dppmm(series, seed=4, **kwargs)
+def fit(series, train=train_dppmm):
+    model, reports = train(series, seed=4)
     provenance = {"seed": 4, "alpha": 1e-3, "reports": reports_to_list(reports)}
     return model, reports, provenance
 
@@ -35,8 +35,8 @@ def trained():
 
 
 @pytest.fixture(scope="module")
-def sorted_model():
-    return fit(drifting_series(), bandwidth=None)
+def sorted_model(train_exact):
+    return fit(drifting_series(), train=train_exact)
 
 
 @pytest.fixture(scope="module")

@@ -145,22 +145,24 @@ class TestEulerMaruyama:
         # zero diffusion and zero init spread: every path follows the ODE
         # x' = -lambda x, so the endpoint is x0 * exp(-lambda T) + O(dt)
         s = SDESystem("ou", 2, 0.5, 0.0, 2.0, np.array([[4.0, -6.0]]), 0.0)
-        series = euler_maruyama(s, n=3, dt=1e-4, seed=0)
+        series = euler_maruyama(s, n=3, dt=1e-4, seed=0, store=2)
         end = series.samples[-1]
         expected = np.array([4.0, -6.0]) * np.exp(-0.5 * 2.0)
         np.testing.assert_allclose(end, np.tile(expected, (3, 1)), rtol=1e-3)
 
     def test_step_count_and_times(self):
         s = SDESystem("ou", 2, 0.1, 0.0, 1.0, np.zeros((1, 2)), 0.0)
-        series = euler_maruyama(s, n=1, dt=0.3, seed=0)
-        # ceil(1.0 / 0.3) = 4 steps -> 5 stored states
+        series = euler_maruyama(s, n=1, dt=0.3, seed=0, store=5)
+        # ceil(1.0 / 0.3) = 4 steps -> at most 5 stored states, all kept here
         assert len(series) == 5
         assert all(x.shape == (1, 2) for x in series.samples)
         np.testing.assert_allclose(series.times, [0.0, 0.3, 0.6, 0.9, 1.2])
+        with pytest.raises(ValueError, match=r"^store must lie in \[2, 5\], got 6$"):
+            euler_maruyama(s, n=1, dt=0.3, seed=0, store=6)
 
     def test_store_subset_indices(self):
         s = SDESystem("ou", 2, 0.1, 1e-3, 1.0, np.zeros((1, 2)), 0.0)
-        full = euler_maruyama(s, n=4, dt=1e-3, seed=7)
+        full = euler_maruyama(s, n=4, dt=1e-3, seed=7, store=1001)
         part = euler_maruyama(s, n=4, dt=1e-3, seed=7, store=11)
         idx = np.round(np.linspace(0, 1000, 11)).astype(int)
         assert len(full) == 1001 and len(part) == 11
@@ -192,14 +194,14 @@ class TestEulerMaruyama:
         with np.errstate(over="ignore"), pytest.raises(
             RuntimeError, match=r"trajectory \d+ at step \d+"
         ):
-            euler_maruyama(s, n=2, dt=1.0, seed=0)
+            euler_maruyama(s, n=2, dt=1.0, seed=0, store=2)
 
     def test_zero_diffusion_skips_noise_stream(self):
         # noise is only drawn when D > 0, so the initial-condition draw is
         # the sole generator use and deterministic runs stay aligned
         s0 = SDESystem("ou", 2, 0.1, 0.0, 1.0, np.array([[1.0, 2.0]]), 0.0)
-        a = euler_maruyama(s0, n=3, dt=0.1, seed=5)
-        b = euler_maruyama(s0, n=3, dt=0.1, seed=999)
+        a = euler_maruyama(s0, n=3, dt=0.1, seed=5, store=11)
+        b = euler_maruyama(s0, n=3, dt=0.1, seed=999, store=11)
         for xa, xb in zip(a.samples, b.samples):
             np.testing.assert_array_equal(xa, xb)
 
@@ -232,13 +234,18 @@ class TestEulerMaruyama:
     def test_validation(self):
         s = benchmark_system("vdp")
         with pytest.raises(ValueError, match="n must be"):
-            euler_maruyama(s, n=0, dt=0.1, seed=0)
+            euler_maruyama(s, n=0, dt=0.1, seed=0, store=2)
         with pytest.raises(ValueError, match="dt"):
-            euler_maruyama(s, n=1, dt=0.0, seed=0)
+            euler_maruyama(s, n=1, dt=0.0, seed=0, store=2)
         with pytest.raises(ValueError, match="dt"):
-            euler_maruyama(s, n=1, dt=100.0, seed=0)
+            euler_maruyama(s, n=1, dt=100.0, seed=0, store=2)
         with pytest.raises(ValueError, match="dt 5e-324 makes more than"):
-            euler_maruyama(s, n=1, dt=5e-324, seed=0)
+            euler_maruyama(s, n=1, dt=5e-324, seed=0, store=2)
+        # the step cap is checked before anything runs, so no test integrates at it
+        unit = SDESystem("ou", 2, 0.1, 0.0, 1.0, np.zeros((1, 2)), 0.0)
+        assert dppmm.sde._kept_steps(unit, 1, 1e-7, 2, "store") == [0, 10**7]
+        with pytest.raises(ValueError, match=r"^dt 9\.9e-08 makes more than 10000000 steps$"):
+            euler_maruyama(unit, n=1, dt=9.9e-8, seed=0, store=2)
         with pytest.raises(ValueError, match="store"):
             euler_maruyama(s, n=1, dt=1.0, seed=0, store=1)
         with pytest.raises(ValueError, match="store"):
