@@ -148,7 +148,9 @@ def fit_rescaler(series: SnapshotSeries) -> tuple[np.ndarray, np.ndarray]:
 def write_snapshot_dir(series: SnapshotSeries, path) -> None:
     """Write a series as ``manifest.json`` plus one headerless CSV per snapshot.
 
-    CSV floats carry 17 significant digits so a read-back is lossless.
+    Each CSV holds the bytes of ``np.savetxt(fmt="%+.16e", delimiter=",")``:
+    17 significant digits, so a read-back is lossless, in 24 bytes per value
+    (25 for a value whose decimal exponent has three digits).
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -163,33 +165,34 @@ def write_snapshot_dir(series: SnapshotSeries, path) -> None:
         fh.write("\n")
 
 
-# Values formatted per block of rows, about 136 bytes each: 1.36 MB, under
-# the 1.53 MB the writer's memory test allows (11000 would leave 3% of it).
-# Against 2048-value blocks (13 per 2500x10 matrix, not 3), a benchmark
-# round's 22 snapshot files took 133 against 205 ms to write on Lorenz-96
-# d=10 and 29 against 40 ms on OU d=8 (medians of 12 rounds, 2 cores); as
-# fit_rescaler pools no copy, a run's peak RSS still fell 1.2% and 0.6%.
+# Values formatted per block of rows, about 91 bytes each: 0.91 MB. On one
+# 2500x10 file (2 cores, numpy 2.4.6, minimum of 40 writes), blocks of 2500,
+# 5000, 10,000 and 25,000 values took 2.4, 2.0, 1.9 and 2.4 ms.
 _CSV_BLOCK_VALUES = 10_000
 
 
 def _write_csv_matrix(path, x: np.ndarray) -> None:
-    # the bytes of np.savetxt(fmt="%.17g", delimiter=","); see _csv_text
+    # the bytes of np.savetxt(fmt="%+.16e", delimiter=","); see _csv_text
     block_rows = max(1, _CSV_BLOCK_VALUES // x.shape[1])
     with open(path, "wb") as fh:
         for start in range(0, x.shape[0], block_rows):
             fh.write(_csv_text(x[start : start + block_rows]))
 
 
-# %.17g prints x != 0 from its decimal exponent X = floor(log10|x|) and its
-# 17 significant digits, the integer D nearest to |x| * 10**(16 - X), ties to
-# even (a D of 1e17 would print as 1e16 with X + 1). X picks the layout:
-# "ddd.ddd" for 0 <= X <= 16, "0.000ddd" for -4 <= X < 0, else "d.ddde-05";
-# trailing zeros of D are dropped. For X in -6..16 the product is formed
+# %+.16e prints x as its sign, the 17 significant digits "d.ddd" of the
+# integer D nearest to |x| * 10**(16 - X), ties to even, and "e" with the
+# decimal exponent X = floor(log10|x|) in at least two digits (a D of 1e17
+# would print as 1e16 with X + 1). For X in -6..16 the product is formed
 # exactly, as hi + lo from the exact doubles 1e0..1e22 by Dekker's
-# two-product (Numer. Math. 18, 1971). Values of any other exponent, and
-# non-finite ones, are formatted with "%.17g" one at a time.
-_CSV_WIDTH = 25  # the longest %.17g text, 24 characters, then a separator
-_FALLBACK = 23  # layout class of the values formatted one at a time
+# two-product (Numer. Math. 18, 1971). Values of any other exponent are
+# formatted with "%+.16e" one at a time, and a block holding a three-digit
+# exponent (0 < |x| < 1e-99 or |x| >= 1e100, which are exactly the doubles
+# that print one) is formatted whole that way.
+_CSV_SLOT = np.frombuffer(b"+0.0000000000000000e+00,", np.uint8)
+# the ASCII of 0000..9999 and of "-06,".."+16,", each as the uint32 of its 4 bytes
+_DIGITS = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+_DIGITS = _DIGITS.astype(np.uint8).view(np.uint32).ravel()
+_EXPONENTS = np.frombuffer(b"".join(b"%+03d," % x for x in range(-6, 17)), np.uint32)
 _TEN = 10.0 ** np.arange(23)
 
 
@@ -211,11 +214,11 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
 
-def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's layout class X + 6 and its D as an int64. Zeros are class
-    6 with D = 0; values outside the exact range are class _FALLBACK."""
-    a = np.abs(v)
-    exact = (a >= 1e-7) & (a < 1e18)  # false for NaN
+def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each absolute value's X, its D as an int64 and whether both are exact;
+    overwrites ``a``. Zeros and values outside the exact range get X = 0 and
+    D = 0, which is exact for zeros only."""
+    exact = (a >= 1e-7) & (a < 1e18)
     a[~exact] = 0.0
     e = np.floor(np.log10(a, out=np.zeros_like(a), where=exact))
     e = np.clip(e, -6, 16).astype(np.intp)
@@ -234,90 +237,37 @@ def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # no double of exponent -6..16 lies close enough below a power of ten to
     # round up to D = 1e17; should one do so, it takes the per-value path
     exact &= (d >= 10**16) & (d < 10**17)
-    cls = (e + 6).astype(np.int8)
-    cls[~exact & (v != 0)] = _FALLBACK
-    return cls, d
+    return e, d, exact
 
 
-def _digit_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 digits of each D as ASCII, one row per digit, and the number of
-    digits before the trailing zeros."""
-    high, low = np.divmod(d, 10**8)
-    chars = np.empty((17, d.size), np.uint8)
-    zeros = np.ones(d.size, bool)
-    nsig = np.full(d.size, 17, np.uint8)
-    for part, ks in ((low.astype(np.uint32), range(16, 8, -1)),
-                     (high.astype(np.uint32), range(8, -1, -1))):
-        for k in ks:
-            rest = part // 10
-            chars[k] = part - 10 * rest
-            zeros &= chars[k] == 0
-            nsig -= zeros
-            part = rest
-    chars += ord("0")
-    return chars, nsig
-
-
-def _csv_layouts():
-    """Per layout class X + 6 (X = -6..16): the text of a negative value with
-    digits 0 and a trailing ",", the number of digits before the point, the
-    slot of the digit after it and the slots of the exponent."""
-    layouts = []
-    for x in range(-6, 17):
-        exponent = slice(0, 0)
-        if 0 <= x <= 16:
-            text, cut, after = "-" + "0" * (x + 1) + "." + "0" * (16 - x), x + 1, x + 3
-        elif -4 <= x < 0:
-            text, cut, after = "-0." + "0" * (16 - x), 0, 2 - x
-        else:
-            text, cut, after = "-0." + "0" * 16 + f"e{x:+03d}", 1, 3
-            exponent = slice(len(text) - 4, len(text))
-        text = text.ljust(_CSV_WIDTH - 1) + ","
-        layouts.append((np.frombuffer(text.encode(), np.uint8), cut, after, exponent))
-    return layouts
-
-
-_CSV_LAYOUTS = _csv_layouts()
+def _put_digits(d: np.ndarray, out: np.ndarray) -> None:
+    """The 17 digits of each D as ASCII into its row of ``out``: the first in
+    column 1, the other 16 in columns 3..18, looked up four at a time."""
+    for k in (15, 11, 7, 3):
+        q = d // 10**4
+        out[:, k : k + 4].view(np.uint32)[:, 0] = _DIGITS[d - 10**4 * q]
+        d = q
+    out[:, 1] = d + ord("0")
 
 
 def _csv_text(x: np.ndarray) -> bytes:
-    """The rows of ``x`` as %.17g text, values separated by "," and rows
+    """The rows of ``x`` as %+.16e text, values separated by "," and rows
     ended by "\\n"."""
     v = x.ravel()
-    cls, d = _significands(v)
-    # one run of rows per layout class, in class order, the fallback last
-    order = np.argsort(cls, kind="stable")
-    counts = np.bincount(cls, minlength=_FALLBACK + 1)
-    chars, nsig = _digit_rows(d[order[: v.size - counts[_FALLBACK]]])
-    # each value's text in a fixed-width row, and which of its slots to keep
-    out = np.empty((v.size, _CSV_WIDTH), np.uint8)
-    keep = np.zeros((v.size, _CSV_WIDTH), bool)
-    slots = np.arange(_CSV_WIDTH, dtype=np.uint8)
-    start = 0
-    for c in np.flatnonzero(counts[:_FALLBACK]):
-        rows = slice(start, start + counts[c])
-        text, cut, after, exponent = _CSV_LAYOUTS[c]
-        out[rows] = text
-        out[rows, 1 : 1 + cut] = chars[:cut, rows].T
-        out[rows, after : after + 17 - cut] = chars[cut:, rows].T
-        n = nsig[rows]
-        end = np.where(n > cut, n + (after - cut), cut + 1)
-        np.less(slots, end[:, None], out=keep[rows])
-        keep[rows, exponent] = True
-        start = rows.stop
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(v.size)
-    out = np.take(out, inverse, axis=0)
-    keep = np.take(keep, inverse, axis=0)
-    keep[:, 0] = np.signbit(v)
-    keep[:, -1] = True
-    out[:, -1] = ord(",")
-    out.reshape(*x.shape, _CSV_WIDTH)[:, -1, -1] = ord("\n")
-    for i in np.flatnonzero(cls == _FALLBACK):
-        text = np.frombuffer(b"%.17g" % v[i], np.uint8)
-        out[i, : text.size] = text
-        keep[i, : text.size] = True
-    return out[keep].tobytes()
+    a = np.abs(v)
+    if not np.all((a < 1e100) & ((a >= 1e-99) | (a == 0))):
+        row = ",".join(["%+.16e"] * x.shape[1]) + "\n"
+        return "".join(row % tuple(r) for r in x.tolist()).encode()
+    e, d, exact = _significands(a)
+    out = np.empty((v.size, _CSV_SLOT.size), np.uint8)
+    out[:] = _CSV_SLOT
+    out[:, 0] = np.where(np.signbit(v), ord("-"), ord("+"))
+    _put_digits(d, out)
+    out.view(np.uint32)[:, 5] = _EXPONENTS[e + 6]
+    out.reshape(*x.shape, -1)[:, -1, -1] = ord("\n")
+    for i in np.flatnonzero(~exact & (v != 0)):
+        out[i, :-1] = np.frombuffer(b"%+.16e" % v[i], np.uint8)
+    return out.tobytes()
 
 
 def read_snapshot_dir(path) -> SnapshotSeries:
@@ -326,7 +276,7 @@ def read_snapshot_dir(path) -> SnapshotSeries:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise ValueError(f"no manifest.json in {root}")
-    with open(manifest_path, encoding="utf-8") as fh:
+    with open(manifest_path, encoding="utf-8-sig") as fh:
         manifest = json.load(fh)
     try:
         d = manifest["d"]
@@ -369,7 +319,7 @@ def _read_csv_matrix(path) -> np.ndarray:
     with warnings.catch_warnings():
         # an empty file is reported below, not as loadtxt's "no data" warning
         warnings.simplefilter("ignore", UserWarning)
-        x = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+        x = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8-sig")
     if x.shape[0] == 0:
         raise ValueError(f"{path}: empty CSV")
     return x

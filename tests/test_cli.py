@@ -416,6 +416,22 @@ class TestEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert len(report["per_snapshot"]) == 1
 
+    def test_byte_order_marks_are_read(self, pipeline, tmp_path, capsys):
+        # Excel's "CSV UTF-8" starts each file with a UTF-8 byte-order mark;
+        # the manifest and the CSVs read as the same series with or without it
+        plain = pipeline["data"] / "test"
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for path in plain.iterdir():
+            (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        reports = []
+        for root in (plain, marked, plain / "snapshot_0001.csv", marked / "snapshot_0001.csv"):
+            assert main(["evaluate", "--a", str(root), "--b", str(root)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            reports.append([e["gmmd2"] for e in report["per_snapshot"]])
+        assert reports[0] == reports[1]
+        assert reports[2] == reports[3]
+
     @pytest.mark.parametrize(
         "text",
         ["", "1.0,2.0\n3.0,abc\n", "1.0,2.0\n3.0\n"],

@@ -260,6 +260,21 @@ class TestSnapshotIO:
         assert len(back.samples) == 3
         for a, b in zip(series.samples, back.samples):
             np.testing.assert_array_equal(a, b)
+        # bit for bit over every writer case: the fixed-width path, the
+        # per-value path and whole blocks formatted with "%"; the uint64 view
+        # tells -0.0 from 0.0. The same values in the %.17g text of earlier
+        # versions read back alike.
+        for case in WRITER_CASES:
+            x = writer_case(case)
+            root = tmp_path / case
+            write_snapshot_dir(SnapshotSeries([0.0, 1.0], [x, -x]), root)
+            want = np.stack([x, -x]).view(np.uint64)
+            got = np.stack(read_snapshot_dir(root).samples).view(np.uint64)
+            assert np.array_equal(got, want), case
+            for j, y in enumerate((x, -x)):
+                np.savetxt(root / f"snapshot_{j:04d}.csv", y, fmt="%.17g", delimiter=",")
+            got = np.stack(read_snapshot_dir(root).samples).view(np.uint64)
+            assert np.array_equal(got, want), f"{case}, %.17g"
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -304,11 +319,14 @@ class TestSnapshotIO:
                 read("sub/a.csv", name)
 
     def test_read_csv_with_blank_lines_and_crlf(self, tmp_path):
-        path = tmp_path / "spaced.csv"
-        path.write_bytes(b"\r\n1.5,2.5\r\n\r\n-3.0,4.0\r\n\r\n")
-        np.testing.assert_array_equal(
-            read_snapshot_csv(path).samples[0], [[1.5, 2.5], [-3.0, 4.0]]
-        )
+        # the second as Excel's "CSV UTF-8" saves it, after a UTF-8 byte-order mark
+        bom = b"\xef\xbb\xbf"
+        for text in (b"\r\n1.5,2.5\r\n\r\n-3.0,4.0\r\n\r\n", bom + b"1.5,2.5\r\n-3.0,4.0\r\n"):
+            path = tmp_path / "spaced.csv"
+            path.write_bytes(text)
+            np.testing.assert_array_equal(
+                read_snapshot_csv(path).samples[0], [[1.5, 2.5], [-3.0, 4.0]]
+            )
 
     def test_empty_csv_rejected_without_warning(self, tmp_path, recwarn):
         path = tmp_path / "empty.csv"
@@ -337,12 +355,12 @@ def written_bytes(tmp_path, x) -> bytes:
 
 def savetxt_bytes(x) -> bytes:
     buf = io.BytesIO()
-    np.savetxt(buf, x, fmt="%.17g", delimiter=",")
+    np.savetxt(buf, x, fmt="%+.16e", delimiter=",")
     return buf.getvalue()
 
 
 def percent_bytes(x) -> bytes:
-    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in x.tolist()).encode()
+    return "".join(",".join("%+.16e" % v for v in row) + "\n" for row in x.tolist()).encode()
 
 
 def random_bit_patterns(rng, n, exponents=(0, 2047)):
@@ -388,8 +406,30 @@ def writer_case(case) -> np.ndarray:
     return x
 
 
+# value, the %.17g text earlier versions wrote, the %+.16e text written now
+PINNED_TEXTS = [
+    (1e15 + 0.25, "1000000000000000.2", "+1.0000000000000002e+15"),
+    (1e15 + 0.75, "1000000000000000.8", "+1.0000000000000008e+15"),
+    (np.nextafter(1e-4, 0.0), "9.9999999999999991e-05", "+9.9999999999999991e-05"),
+    (1e-4, "0.0001", "+1.0000000000000000e-04"),
+    (np.nextafter(1e16, 0.0), "9999999999999998", "+9.9999999999999980e+15"),
+    (1e16, "10000000000000000", "+1.0000000000000000e+16"),
+    (1e17, "1e+17", "+1.0000000000000000e+17"),
+    (np.nextafter(1e17, 0.0), "99999999999999984", "+9.9999999999999984e+16"),
+    (-0.0, "-0", "-0.0000000000000000e+00"),
+    (0.0, "0", "+0.0000000000000000e+00"),
+    # the doubles on each side of the two- and three-digit exponents
+    (np.nextafter(1e-99, 0.0), "9.9999999999999982e-100", "+9.9999999999999982e-100"),
+    (1e-99, "1e-99", "+1.0000000000000000e-99"),
+    (np.nextafter(1e100, 0.0), "9.9999999999999982e+99", "+9.9999999999999982e+99"),
+    (1e100, "1e+100", "+1.0000000000000000e+100"),
+    (5e-324, "4.9406564584124654e-324", "+4.9406564584124654e-324"),
+    (1.7976931348623157e308, "1.7976931348623157e+308", "+1.7976931348623157e+308"),
+]
+
+
 class TestCsvWriter:
-    """`_write_csv_matrix` writes exactly the bytes of np.savetxt(fmt="%.17g")."""
+    """`_write_csv_matrix` writes exactly the bytes of np.savetxt(fmt="%+.16e")."""
 
     @pytest.mark.parametrize("case", WRITER_CASES)
     def test_matches_savetxt_and_percent_format(self, tmp_path, case):
@@ -412,33 +452,28 @@ class TestCsvWriter:
             assert written_bytes(tmp_path, x) == savetxt_bytes(x)
 
     @pytest.mark.parametrize(
-        "value, text",
-        [
-            (1e15 + 0.25, "1000000000000000.2"),
-            (1e15 + 0.75, "1000000000000000.8"),
-            (np.nextafter(1e-4, 0.0), "9.9999999999999991e-05"),
-            (1e-4, "0.0001"),
-            (np.nextafter(1e16, 0.0), "9999999999999998"),
-            (1e16, "10000000000000000"),
-            (1e17, "1e+17"),
-            (np.nextafter(1e17, 0.0), "99999999999999984"),
-            (-0.0, "-0"),
-            (0.0, "0"),
-            (5e-324, "4.9406564584124654e-324"),
-            (1.7976931348623157e308, "1.7976931348623157e+308"),
-        ],
+        "value, legacy, text",
+        PINNED_TEXTS,
+        ids=[f"{value}-{legacy}" for value, legacy, _ in PINNED_TEXTS],
     )
-    def test_pinned_texts(self, tmp_path, value, text):
+    def test_pinned_texts(self, tmp_path, value, legacy, text):
+        negated = {"+": "-", "-": "+"}[text[0]] + text[1:]
         assert written_bytes(tmp_path, np.array([[value, -value]])) == (
-            f"{text},{text[1:] if text.startswith('-') else '-' + text}\n".encode()
+            f"{text},{negated}\n".encode()
         )
+        # the %.17g text of earlier versions reads back as the same double
+        path = tmp_path / "legacy.csv"
+        path.write_text(f"{legacy}\n")
+        got = read_snapshot_csv(path).samples[0]
+        assert got.view(np.uint64).tolist() == [[np.float64(value).view(np.uint64)]]
 
     @pytest.mark.parametrize("rows", [2500, 10_000])
     def test_memory_peak_of_one_benchmark_file(self, tmp_path, rows):
         # one Lorenz-96 d=10 snapshot has 2500 rows of 10 columns; the writer
         # that formatted 4096-row blocks with %.17g peaked at 1.55 MB there
-        # and 2.50 MB at 10000 rows, while 10000-value blocks of digit
-        # arithmetic peak at 1.36 MB at both: one block's buffers
+        # and 2.50 MB at 10000 rows, 10000-value blocks of %.17g digit
+        # arithmetic at 1.36 MB at both, and the fixed-width %+.16e slots of
+        # 10000-value blocks at 0.907 MB at both: one block's buffers
         x = np.random.default_rng(23).uniform(-1.0, 1.0, size=(rows, 10))
         tracemalloc.start()
         try:
@@ -446,4 +481,4 @@ class TestCsvWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.53e6
+        assert peak <= 0.95e6
